@@ -13,58 +13,49 @@ from typing import List, Optional
 from .domains import GENERATORS, InstanceSpec, generate
 from .dsl import parse_problem, serialize_plan, serialize_problem, validate
 from .harness import (
-    AlgoSpec,
+    ALGOS,
+    SETTINGS,
     best_of,
-    build_mcts_config,
-    build_search_config,
     compare_csv,
     coverage_csv,
     load_suite,
+    make_config,
     read_records,
+    run_algo,
     run_suite,
     survival_csv,
 )
-from .search import run_mcts, run_search
+from .search import SearchConfig
 
 
 def _add_algo_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--algo", choices=("sg", "sa", "mcts"), default="sg")
-    parser.add_argument("--rect", choices=("lin", "qua", "log"), default="log")
-    parser.add_argument("--sampler",
-                        choices=("systematic", "uniform", "heuristic"),
-                        default="uniform")
-    parser.add_argument("--beta", type=float, default=1.0)
-    parser.add_argument("--eps", type=float, default=1e-6)
-    parser.add_argument("--cand", type=int, default=10,
-                        help="candidate pool size for the heuristic sampler")
-    parser.add_argument("--grid-digits", type=int, default=3,
-                        help="decimal digits for control snapping; 0 disables")
-    parser.add_argument("--reject-budget", type=int, default=100)
+    parser.add_argument("--algo", choices=ALGOS, default=SearchConfig.mode)
+    # values stay text for make_config, which parses and checks them exactly
+    # as it does for suite `algo` lines
+    for key, setting in SETTINGS.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+            metavar="{" + ",".join(setting.choices) + "}"
+            if setting.choices else None,
+            help=f"{setting.config.__name__}.{setting.field}, default "
+                 f"{getattr(setting.config, setting.field)!r}")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--time-limit", type=float, default=600.0)
     parser.add_argument("--expansion-limit", type=int, default=None)
-    parser.add_argument("--dup-detect", choices=("on", "off"), default="on")
     parser.add_argument("--assert", dest="assertions",
                         choices=("on", "off"), default="off",
                         help="check search invariants while running")
-    parser.add_argument("--alpha", type=float, default=0.3,
-                        help="widening exponent (mcts)")
-    parser.add_argument("--k", type=float, default=1.0,
-                        help="widening scale (mcts)")
-    parser.add_argument("--c", type=float, default=2.0 ** 0.5,
-                        help="exploration constant (mcts)")
-    parser.add_argument("--rollout-depth", type=int, default=50)
 
 
-def _spec_from_args(args) -> AlgoSpec:
-    return AlgoSpec(
-        algo_id=args.algo, algo=args.algo, rectifier=args.rect,
-        sampler=args.sampler, beta=args.beta, eps=args.eps,
-        candidates=args.cand, grid_digits=args.grid_digits,
-        reject_budget=args.reject_budget, dup_detect=args.dup_detect == "on",
-        alpha=args.alpha, k=args.k, c=args.c,
-        rollout_depth=args.rollout_depth,
-    )
+def config_from_args(args):
+    """The engine config for the algorithm flags given on the command line."""
+    config = make_config(args.algo, {key: getattr(args, key)
+                                     for key in SETTINGS if hasattr(args, key)})
+    if args.assertions == "on":
+        if not isinstance(config, SearchConfig):
+            raise ValueError("--assert applies to sg and sa only")
+        config.assertions = True
+    return config
 
 
 def _load_problem(path: str):
@@ -87,15 +78,12 @@ def _cmd_solve(args) -> int:
     problem = _load_problem(args.file)
     if problem is None:
         return 2
-    spec = _spec_from_args(args)
-    if args.algo == "mcts":
-        result = run_mcts(problem, build_mcts_config(
-            spec, args.seed, args.time_limit, args.expansion_limit))
-    else:
-        cfg = build_search_config(spec, args.seed, args.time_limit,
-                                  args.expansion_limit)
-        cfg.assertions = args.assertions == "on"
-        result = run_search(problem, cfg)
+    try:
+        result = run_algo(problem, config_from_args(args), args.seed,
+                          args.time_limit, args.expansion_limit)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"outcome={result.outcome} expansions={result.expansions} "
           f"reexp_rate={result.reexpansion_rate:.4f} "
           f"time_s={result.time_s:.3f}", file=sys.stderr)

@@ -190,7 +190,10 @@ class _Interp:
     def expect_int(self, node: SExpr, what: str = "an integer") -> int:
         if not isinstance(node, SAtom) or not _INT_RE.match(node.text):
             self.error(f"expected {what}", node.span)
-        return int(node.text)
+        try:
+            return int(node.text)
+        except ValueError:  # beyond the interpreter's int digit limit
+            self.error("integer literal too long", node.span)
 
     def expect_bool(self, node: SExpr) -> bool:
         if isinstance(node, SAtom) and node.text in ("true", "false"):
@@ -455,7 +458,10 @@ def _iv_mul(a, b):
 def _iv_pow(a, k):
     if k == 0:
         return (1.0, 1.0)
-    lo, hi = a[0] ** k, a[1] ** k
+    try:
+        lo, hi = a[0] ** k, a[1] ** k
+    except OverflowError:  # k is beyond the float range
+        return _FULL
     if k % 2 == 1:
         return (lo, hi)
     if a[0] <= 0.0 <= a[1]:
@@ -562,11 +568,16 @@ def validate(problem: Problem) -> List[Diagnostic]:
     names = list(problem.bools) + list(problem.nums) + [c.name for c in problem.controls]
     if len(names) != len(set(names)):
         err("duplicate variable declaration")
+    box = {}
     for spec in problem.controls:
         if not spec.lower < spec.upper:
             err(f"control {spec.name}: lower bound must be < upper bound")
         if not (isinstance(spec.lower, int) and isinstance(spec.upper, int)):
             err(f"control {spec.name}: bounds must be integers")
+        try:
+            box[spec.name] = (float(spec.lower), float(spec.upper))
+        except OverflowError:
+            err(f"control {spec.name}: bounds are beyond the float range")
 
     if set(problem.init.bools.keys()) != bool_set or set(problem.init.nums.keys()) != num_set:
         err("initial state must assign every declared variable exactly once")
@@ -586,7 +597,6 @@ def validate(problem: Problem) -> List[Diagnostic]:
                         elif e.name not in num_set:
                             err(f"{where}: undeclared numeric variable {e.name}")
 
-    box = {c.name: (float(c.lower), float(c.upper)) for c in problem.controls}
     action_names = set()
     for act in problem.actions:
         if act.name in action_names:

@@ -24,8 +24,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .domains import GENERATORS, InstanceSpec, generate
 from .dsl import parse_problem, validate
 from .model import Problem
-from .sampling import SamplerKind
-from .search import MctsConfig, SearchConfig, run_mcts, run_search
+from .sampling import SAMPLER_KINDS, SamplerKind
+from .search import (MODES, RECTIFIERS, MctsConfig, SearchConfig, SearchResult,
+                     check_config, run_mcts, run_search)
 
 CSV_HEADER = ("instance", "algorithm", "seed", "outcome", "plan_len",
               "expansions", "reexp_rate", "time_s")
@@ -62,24 +63,72 @@ class RunRecord:
         ]
 
 
+#: algorithm names: the best-first modes plus the MCTS baseline
+ALGOS = MODES + ("mcts",)
+
+
+@dataclass(frozen=True)
+class Setting:
+    """The config class and field a setting sets, its text parser, and its
+    allowed values (None: whatever parses)."""
+    config: type
+    field: str
+    parse: Callable[[str], object] = str
+    choices: Optional[Tuple[str, ...]] = None
+
+
+#: every algorithm setting of suite `algo` lines and `plan solve` flags; the
+#: defaults are those of SearchConfig, MctsConfig and SamplerKind
+SETTINGS: Dict[str, Setting] = {
+    "rectifier": Setting(SearchConfig, "rectifier", choices=tuple(RECTIFIERS)),
+    "dup_detect": Setting(SearchConfig, "duplicate_detection",
+                          lambda raw: raw == "on", ("on", "off")),
+    "sampler": Setting(SamplerKind, "kind", choices=SAMPLER_KINDS),
+    "beta": Setting(SamplerKind, "beta", float),
+    "eps": Setting(SamplerKind, "eps", float),
+    "candidates": Setting(SamplerKind, "candidates", int),
+    "grid_digits": Setting(SamplerKind, "grid_digits", int),
+    "reject_budget": Setting(SamplerKind, "reject_budget", int),
+    "alpha": Setting(MctsConfig, "alpha", float),
+    "k": Setting(MctsConfig, "k", float),
+    "c": Setting(MctsConfig, "c", float),
+    "rollout_depth": Setting(MctsConfig, "rollout_depth", int),
+}
+
+
+def make_config(algo: str,
+                raw_settings: Dict[str, str]) -> SearchConfig | MctsConfig:
+    """The engine config for `algo` with the given SETTINGS keys parsed from
+    their text and all other fields at their defaults. Raises ValueError on an
+    unknown algo or key, a bad value, a key foreign to the algo, or a config
+    the engine refuses."""
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algo {algo!r}")
+    engine = MctsConfig if algo == "mcts" else SearchConfig
+    fields = {engine: {} if algo == "mcts" else {"mode": algo}, SamplerKind: {}}
+    for key, raw in raw_settings.items():
+        setting = SETTINGS.get(key)
+        if setting is None:
+            raise ValueError(f"unknown algo key {key!r}")
+        if setting.config not in fields:
+            raise ValueError(f"{key} does not apply to algo {algo}")
+        if setting.choices is not None and raw not in setting.choices:
+            raise ValueError(f"{key} must be one of {setting.choices}, not {raw!r}")
+        try:
+            fields[setting.config][setting.field] = setting.parse(raw)
+        except ValueError:
+            raise ValueError(f"bad {key} value {raw!r}") from None
+    config = engine(sampler=SamplerKind(**fields[SamplerKind]),
+                    **fields[engine])
+    check_config(config)
+    return config
+
+
 @dataclass
 class AlgoSpec:
-    """One algorithm configuration; algo is "sg", "sa" or "mcts"."""
+    """One named algorithm configuration."""
     algo_id: str
-    algo: str = "sg"
-    rectifier: str = "log"
-    sampler: str = "uniform"
-    beta: float = 1.0
-    eps: float = 1e-6
-    candidates: int = 10
-    grid_digits: int = 3
-    reject_budget: int = 100
-    heuristic: str = "gc"
-    dup_detect: bool = True
-    alpha: float = 0.3
-    k: float = 1.0
-    c: float = math.sqrt(2.0)
-    rollout_depth: int = 50
+    config: SearchConfig | MctsConfig
 
 
 @dataclass
@@ -114,7 +163,6 @@ class SuiteConfig:
     time_limit: float = 600.0
     expansion_limit: Optional[int] = None
     workers: int = 1
-    memory_note: Optional[str] = None
     source_text: Optional[str] = None
 
     def canonical_text(self) -> str:
@@ -129,33 +177,21 @@ class SuiteConfig:
         return "\n".join(lines) + "\n"
 
 
-_ALGO_FIELDS = {
-    "algo": str, "rectifier": str, "sampler": str, "heuristic": str,
-    "beta": float, "eps": float, "candidates": int, "grid_digits": int,
-    "reject_budget": int, "alpha": float, "k": float, "c": float,
-    "rollout_depth": int,
-}
-
-
 def _parse_algo_line(value: str, lineno: int) -> AlgoSpec:
     parts = value.split()
     if not parts:
         raise ValueError(f"line {lineno}: algo line needs an identifier")
-    spec = AlgoSpec(algo_id=parts[0])
+    raw: Dict[str, str] = {}
     for part in parts[1:]:
-        key, sep, raw = part.partition("=")
+        key, sep, text = part.partition("=")
         if not sep:
             raise ValueError(f"line {lineno}: expected key=value, got {part!r}")
-        if key == "dup_detect":
-            spec.dup_detect = raw == "on"
-            continue
-        conv = _ALGO_FIELDS.get(key)
-        if conv is None:
-            raise ValueError(f"line {lineno}: unknown algo key {key!r}")
-        setattr(spec, key, conv(raw))
-    if spec.algo not in ("sg", "sa", "mcts"):
-        raise ValueError(f"line {lineno}: unknown algo {spec.algo!r}")
-    return spec
+        raw[key] = text
+    try:
+        config = make_config(raw.pop("algo", SearchConfig.mode), raw)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return AlgoSpec(algo_id=parts[0], config=config)
 
 
 def _parse_instance_line(value: str, lineno: int) -> InstanceSource:
@@ -190,13 +226,7 @@ def load_suite(text: str) -> SuiteConfig:
     `instance` and `algo` keys accumulate; `seeds` is a space-separated list;
     `#` starts a comment. See README for the full key set.
     """
-    instances: List[InstanceSource] = []
-    algorithms: List[AlgoSpec] = []
-    seeds = [0]
-    time_limit = 600.0
-    expansion_limit: Optional[int] = None
-    workers = 1
-    memory_note: Optional[str] = None
+    cfg = SuiteConfig(instances=[], algorithms=[], source_text=text)
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -207,70 +237,46 @@ def load_suite(text: str) -> SuiteConfig:
         key = key.strip()
         value = value.strip()
         if key == "instance":
-            instances.append(_parse_instance_line(value, lineno))
+            cfg.instances.append(_parse_instance_line(value, lineno))
         elif key == "algo":
-            algorithms.append(_parse_algo_line(value, lineno))
+            cfg.algorithms.append(_parse_algo_line(value, lineno))
         elif key == "seeds":
-            seeds = [int(tok) for tok in value.split()]
-            if not seeds:
+            cfg.seeds = [int(tok) for tok in value.split()]
+            if not cfg.seeds:
                 raise ValueError(f"line {lineno}: seeds list is empty")
         elif key == "time_limit":
-            time_limit = float(value)
+            cfg.time_limit = float(value)
         elif key == "expansion_limit":
-            expansion_limit = None if value == "none" else int(value)
+            cfg.expansion_limit = None if value == "none" else int(value)
         elif key == "workers":
-            workers = int(value)
-        elif key == "memory_note":
-            memory_note = value
+            cfg.workers = int(value)
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-    if not instances:
+    if not cfg.instances:
         raise ValueError("suite config declares no instances")
-    if not algorithms:
+    if not cfg.algorithms:
         raise ValueError("suite config declares no algorithms")
-    ids = [spec.algo_id for spec in algorithms]
+    ids = [spec.algo_id for spec in cfg.algorithms]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate algorithm identifiers")
-    return SuiteConfig(instances=instances, algorithms=algorithms,
-                       seeds=seeds, time_limit=time_limit,
-                       expansion_limit=expansion_limit, workers=workers,
-                       memory_note=memory_note, source_text=text)
+    return cfg
 
 
-def sampler_kind(spec: AlgoSpec) -> SamplerKind:
-    return SamplerKind(kind=spec.sampler, beta=spec.beta, eps=spec.eps,
-                       candidates=spec.candidates, grid_digits=spec.grid_digits,
-                       reject_budget=spec.reject_budget)
-
-
-def build_search_config(spec: AlgoSpec, seed: int, time_limit: float,
-                        expansion_limit: Optional[int]) -> SearchConfig:
-    return SearchConfig(
-        mode=spec.algo, rectifier=spec.rectifier, sampler=sampler_kind(spec),
-        heuristic=spec.heuristic, seed=seed, time_limit=time_limit,
-        expansion_limit=expansion_limit, duplicate_detection=spec.dup_detect,
-    )
-
-
-def build_mcts_config(spec: AlgoSpec, seed: int, time_limit: float,
-                      trial_limit: Optional[int]) -> MctsConfig:
-    return MctsConfig(
-        alpha=spec.alpha, k=spec.k, c=spec.c,
-        rollout_depth=spec.rollout_depth, sampler=sampler_kind(spec),
-        heuristic=spec.heuristic, seed=seed, time_limit=time_limit,
-        trial_limit=trial_limit,
-    )
+def run_algo(problem: Problem, config: SearchConfig | MctsConfig, seed: int,
+             time_limit: float, limit: Optional[int]) -> SearchResult:
+    """Run a configured algorithm under one cell's seed and limits; limit
+    caps expansions for sg and sa and trials for mcts."""
+    if isinstance(config, MctsConfig):
+        return run_mcts(problem, replace(config, seed=seed, time_limit=time_limit,
+                                         trial_limit=limit))
+    return run_search(problem, replace(config, seed=seed, time_limit=time_limit,
+                                       expansion_limit=limit))
 
 
 def run_one(problem: Problem, spec: AlgoSpec, seed: int, instance_id: str,
             time_limit: float, expansion_limit: Optional[int]) -> RunRecord:
     """Execute one (instance, algorithm, seed) cell."""
-    if spec.algo == "mcts":
-        result = run_mcts(problem, build_mcts_config(
-            spec, seed, time_limit, expansion_limit))
-    else:
-        result = run_search(problem, build_search_config(
-            spec, seed, time_limit, expansion_limit))
+    result = run_algo(problem, spec.config, seed, time_limit, expansion_limit)
     return RunRecord(
         instance=instance_id,
         algorithm=spec.algo_id,
@@ -376,7 +382,6 @@ def _write_meta(cfg: SuiteConfig, records: Sequence[RunRecord], path: str):
         f"time_limit={cfg.time_limit}",
         f"expansion_limit={cfg.expansion_limit}",
         f"workers={cfg.workers}",
-        f"memory_note={cfg.memory_note or ''}",
         f"records={len(records)}",
     ]
     with open(path, "w", encoding="utf-8") as fh:

@@ -17,17 +17,19 @@ Sampled control values can be snapped to a 10**-d grid (d = 0 disables).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .model import Decision, Problem, State, round_half_away, try_apply
+
+SAMPLER_KINDS = ("systematic", "uniform", "heuristic")
 
 
 @dataclass
 class SamplerKind:
     """Sampler selection plus its parameters.
 
-    kind is one of "systematic", "uniform", "heuristic". beta, eps and
+    kind is one of SAMPLER_KINDS. beta, eps and
     candidates only matter for the heuristic strategy; grid_digits and
     reject_budget apply to all of them.
     """
@@ -89,13 +91,6 @@ def dyadic_value(i: int) -> float:
     level = (i - 1).bit_length()          # i in [2**(level-1)+1, 2**level]
     j = i - (2 ** (level - 1) + 1)        # position within the level
     return (2 * j + 1) / (2 ** level)
-
-
-def _index_level(j: int) -> int:
-    """Refinement level of sequence index j (0 and 1 are level 0)."""
-    if j <= 1:
-        return 0
-    return (j - 1).bit_length()
 
 
 def _indices_at_level(level: int) -> range:

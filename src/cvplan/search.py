@@ -146,13 +146,24 @@ def reconstruct_plan(node: SearchNode) -> List[Decision]:
     return plan
 
 
-def _check_config(cfg: SearchConfig):
+def check_config(cfg) -> None:
+    """Raise ValueError if a SearchConfig or MctsConfig cannot be run."""
+    if cfg.time_limit <= 0:
+        raise ValueError("time_limit must be positive")
+    if isinstance(cfg, MctsConfig):
+        if not 0.0 < cfg.alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
+        if cfg.c <= 0 or cfg.k <= 0:
+            raise ValueError("c and k must be positive")
+        if cfg.rollout_depth < 0:
+            raise ValueError("rollout_depth must be nonnegative")
+        if cfg.sampler.kind != "uniform":
+            raise ValueError(f"mcts samples uniformly, not {cfg.sampler.kind!r}")
+        return
     if cfg.mode not in MODES:
         raise ValueError(f"unknown mode: {cfg.mode!r}")
     if cfg.rectifier not in RECTIFIERS:
         raise ValueError(f"unknown rectifier: {cfg.rectifier!r}")
-    if cfg.time_limit <= 0:
-        raise ValueError("time_limit must be positive")
     if cfg.expansion_limit is not None and cfg.expansion_limit <= 0:
         raise ValueError("expansion_limit must be positive")
 
@@ -168,7 +179,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
     ("duplicate", uid), ("fail", uid), ("reinsert", uid, f), ("drop", uid).
     iteration_hook(iteration, root) runs after each completed iteration.
     """
-    _check_config(cfg)
+    check_config(cfg)
     rng = random.Random(cfg.seed)
     h_fn = make_heuristic(cfg.heuristic, problem)
     sampler = make_sampler(cfg.sampler, problem, h_fn)
@@ -427,15 +438,7 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
     (visits, child count) pairs seen above the cap; it stays empty unless the
     widening rule is broken.
     """
-    if not 0.0 < cfg.alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if cfg.c <= 0 or cfg.k <= 0:
-        raise ValueError("c and k must be positive")
-    if cfg.rollout_depth < 0:
-        raise ValueError("rollout_depth must be nonnegative")
-    if cfg.time_limit <= 0:
-        raise ValueError("time_limit must be positive")
-
+    check_config(cfg)
     rng = random.Random(cfg.seed)
     h_fn = make_heuristic(cfg.heuristic, problem)
     budget = cfg.sampler.reject_budget
@@ -443,7 +446,6 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
     t0 = time.perf_counter()
     root = MctsNode(problem.init, None)
     trials = 0
-    outcome = None
     plan: Optional[List[Decision]] = None
 
     def finish(out: str) -> SearchResult:
@@ -464,7 +466,6 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
         node = root
         path = [root]
         decisions: List[Decision] = []
-        state = root.state
         # selection and expansion
         while True:
             node.visits += 1

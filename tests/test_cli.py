@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
-from cvplan.cli import main
+from cvplan.cli import build_parser, config_from_args, main
 from cvplan.dsl import parse_problem
+from cvplan.harness import SETTINGS, load_suite, make_config
+from cvplan.search import MctsConfig
 
 SUITE_CFG = """
 seeds = 0
@@ -91,6 +93,25 @@ class TestSolve:
     def test_assertions_flag(self, counters_file):
         assert main(["solve", counters_file, "--assert", "on"]) == 0
 
+    def test_abbreviated_flags(self, counters_file):
+        assert main(["solve", counters_file, "--rect", "log", "--cand", "5",
+                     "--assert", "on"]) == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--rect", "bogus"],
+        ["--sampler", "bogus"],
+        ["--dup-detect", "yes"],
+        ["--beta", "steep"],
+        ["--algo", "mcts", "--rect", "qua"],
+        ["--algo", "sg", "--alpha", "0.9"],
+        ["--algo", "mcts", "--sampler", "heuristic"],
+        ["--algo", "mcts", "--assert", "on"],
+        ["--time-limit", "0"],
+    ])
+    def test_bad_algo_settings(self, counters_file, capsys, flags):
+        assert main(["solve", counters_file] + flags) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_systematic_without_grid(self, counters_file):
         assert main(["solve", counters_file, "--sampler", "systematic",
                      "--grid-digits", "0"]) == 0
@@ -112,6 +133,27 @@ class TestSolve:
             "(action a (pre (> x 0)) (eff)) (goal (> x 0)))")
         assert main(["solve", str(bad)]) == 2
         assert "lower bound" in capsys.readouterr().err
+
+
+#: a value other than the engine default for every algorithm setting
+NON_DEFAULT = {
+    "rectifier": "qua", "dup_detect": "off", "sampler": "heuristic",
+    "beta": "2.5", "eps": "0.01", "candidates": "5", "grid_digits": "2",
+    "reject_budget": "50", "alpha": "0.5", "k": "2", "c": "1.0",
+    "rollout_depth": "20",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SETTINGS))
+def test_suite_key_and_flag_set_the_same_config(key):
+    algo = "mcts" if SETTINGS[key].config is MctsConfig else "sa"
+    value = NON_DEFAULT[key]
+    suite = load_suite(f"instance = counters n=2\n"
+                       f"algo = a algo={algo} {key}={value}\n")
+    args = build_parser().parse_args(
+        ["solve", "p.plan", "--algo", algo, "--" + key.replace("_", "-"), value])
+    assert config_from_args(args) == suite.algorithms[0].config
+    assert config_from_args(args) != make_config(algo, {})
 
 
 class TestSuite:

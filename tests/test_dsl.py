@@ -142,6 +142,14 @@ def test_error_non_integer_bound():
     errs = parse_err("(problem p (bools) (nums) (controls (u 0 1.5)) "
                      "(goal (and)))")
     assert "integer" in errs[0].message
+    # longer than the interpreter's int digit limit, as a bound and as an
+    # exponent
+    errs = parse_err("(problem p (bools) (nums) (controls (u 0 1%s)) "
+                     "(goal (and)))" % ("0" * 5000))
+    assert "integer" in errs[0].message
+    errs = parse_err("(problem p (bools) (nums (x 0)) (controls) "
+                     "(goal (>= (^ x 1%s) 0)))" % ("0" * 5000))
+    assert "integer" in errs[0].message
 
 
 def test_error_bound_order():
@@ -217,6 +225,10 @@ def test_validate_catches_handbuilt_errors():
     )
     errors = [d for d in validate(p) if d.severity == "error"]
     assert any("assign target y" in e.message for e in errors)
+    p = parse_ok("(problem p (bools) (nums) (controls (u 0 1%s)) "
+                 "(goal (and)))" % ("0" * 400))
+    errors = [d for d in validate(p) if d.severity == "error"]
+    assert any("beyond the float range" in e.message for e in errors)
 
 
 # -- serialization ----------------------------------------------------------

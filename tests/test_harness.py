@@ -19,6 +19,7 @@ from cvplan.harness import (
     survival_data,
     write_records,
 )
+from cvplan.search import MctsConfig
 
 SMALL_SUITE = """
 # two tiny instances, two algorithms
@@ -59,26 +60,26 @@ class TestLoadSuite:
             "eps=0.01 candidates=5 grid_digits=2 reject_budget=50 "
             "dup_detect=off\n")
         spec = cfg.algorithms[0]
-        assert spec.algo == "sa"
-        assert spec.rectifier == "qua"
-        assert spec.sampler == "heuristic"
-        assert spec.beta == 2.5
-        assert spec.eps == 0.01
-        assert spec.candidates == 5
-        assert spec.grid_digits == 2
-        assert spec.reject_budget == 50
-        assert not spec.dup_detect
+        assert spec.config.mode == "sa"
+        assert spec.config.rectifier == "qua"
+        assert spec.config.sampler.kind == "heuristic"
+        assert spec.config.sampler.beta == 2.5
+        assert spec.config.sampler.eps == 0.01
+        assert spec.config.sampler.candidates == 5
+        assert spec.config.sampler.grid_digits == 2
+        assert spec.config.sampler.reject_budget == 50
+        assert not spec.config.duplicate_detection
 
     def test_mcts_fields(self):
         cfg = load_suite(
             "instance = counters n=2\n"
             "algo = m algo=mcts alpha=0.5 k=2 c=1.0 rollout_depth=20\n")
         spec = cfg.algorithms[0]
-        assert spec.algo == "mcts"
-        assert spec.alpha == 0.5
-        assert spec.k == 2.0
-        assert spec.c == 1.0
-        assert spec.rollout_depth == 20
+        assert isinstance(spec.config, MctsConfig)
+        assert spec.config.alpha == 0.5
+        assert spec.config.k == 2.0
+        assert spec.config.c == 1.0
+        assert spec.config.rollout_depth == 20
 
     def test_file_instance(self):
         cfg = load_suite("instance = file /tmp/some/widget.plan\n"
@@ -117,6 +118,18 @@ class TestLoadSuite:
          "duplicate algorithm"),
         ("seeds =\ninstance = counters n=2\nalgo = a algo=sg\n", "seeds"),
         ("instance = file a b\nalgo = a algo=sg\n", "file <path>"),
+        ("instance = counters n=2\nalgo = a rectifier=bogus\n",
+         "line 2: rectifier must be"),
+        ("instance = counters n=2\nalgo = a sampler=bogus\n",
+         "line 2: sampler must be"),
+        ("instance = counters n=2\nalgo = a heuristic=nope\n",
+         "line 2: unknown algo key 'heuristic'"),
+        ("instance = counters n=2\nalgo = a dup_detect=yes\n",
+         "line 2: dup_detect must be"),
+        ("instance = counters n=2\nalgo = a algo=mcts rectifier=qua\n",
+         "line 2: rectifier does not apply"),
+        ("instance = counters n=2\nalgo = a algo=sg alpha=0.9\n",
+         "line 2: alpha does not apply"),
     ])
     def test_rejects(self, text, fragment):
         with pytest.raises(ValueError, match=fragment):

@@ -80,6 +80,8 @@ def test_config_validation():
         MctsConfig(k=0.0),
         MctsConfig(rollout_depth=-1),
         MctsConfig(time_limit=0.0),
+        MctsConfig(sampler=SamplerKind(kind="heuristic")),
+        MctsConfig(sampler=SamplerKind(kind="systematic")),
     ):
         bad.trial_limit = 1
         with pytest.raises(ValueError):
