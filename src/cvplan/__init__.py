@@ -27,8 +27,6 @@ from .model import (
     Decision,
     Problem,
     State,
-    applicable,
-    apply,
     goal_test,
     replay_plan,
     try_apply,
@@ -38,10 +36,10 @@ from .search import (
     MctsConfig,
     SearchConfig,
     SearchResult,
+    TraceCheck,
     run_mcts,
     run_search,
     solution_cost_within_bound,
-    subtree_bound_violations,
 )
 
 __version__ = "0.1.0"
@@ -61,8 +59,7 @@ __all__ = [
     "SearchResult",
     "State",
     "SuiteConfig",
-    "applicable",
-    "apply",
+    "TraceCheck",
     "default_ladder",
     "generate",
     "goal_test",
@@ -81,7 +78,6 @@ __all__ = [
     "serialize_plan",
     "serialize_problem",
     "solution_cost_within_bound",
-    "subtree_bound_violations",
     "try_apply",
     "validate",
     "__version__",

@@ -1,7 +1,8 @@
 """Command line front end: solve one instance, generate instances, run suites.
 
 Exit codes: 0 on success (solve requires a plan), 1 when a solve run ends
-without a plan, 2 on bad input.
+without a plan or, under `--assert on`, breaks a search invariant, 2 on bad
+input.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .harness import (
     run_suite,
     survival_csv,
 )
-from .search import SearchConfig
+from .search import SearchConfig, TraceCheck, drifted_nodes
 
 
 def _add_algo_flags(parser: argparse.ArgumentParser):
@@ -42,19 +43,17 @@ def _add_algo_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--time-limit", type=float, default=600.0)
     parser.add_argument("--expansion-limit", type=int, default=None)
-    parser.add_argument("--assert", dest="assertions",
+    parser.add_argument("--assert", dest="check",
                         choices=("on", "off"), default="off",
-                        help="check search invariants while running")
+                        help="check search invariants on every event")
 
 
 def config_from_args(args):
     """The engine config for the algorithm flags given on the command line."""
     config = make_config(args.algo, {key: getattr(args, key)
                                      for key in SETTINGS if hasattr(args, key)})
-    if args.assertions == "on":
-        if not isinstance(config, SearchConfig):
-            raise ValueError("--assert applies to sg and sa only")
-        config.assertions = True
+    if args.check == "on" and not isinstance(config, SearchConfig):
+        raise ValueError("--assert applies to sg and sa only")
     return config
 
 
@@ -79,15 +78,22 @@ def _cmd_solve(args) -> int:
     if problem is None:
         return 2
     try:
-        result = run_algo(problem, config_from_args(args), args.seed,
-                          args.time_limit, args.expansion_limit)
+        config = config_from_args(args)
+        check = (TraceCheck(config.rectifier) if args.check == "on"
+                 else None)
+        result = run_algo(problem, config, args.seed, args.time_limit,
+                          args.expansion_limit, trace=check)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"outcome={result.outcome} expansions={result.expansions} "
           f"reexp_rate={result.reexpansion_rate:.4f} "
           f"time_s={result.time_s:.3f}", file=sys.stderr)
-    if result.plan is None:
+    breaches = (check.finish() + drifted_nodes(result.root, config)
+                if check is not None else [])
+    for breach in breaches:
+        print(f"invariant: {breach}", file=sys.stderr)
+    if breaches or result.plan is None:
         return 1
     sys.stdout.write(serialize_plan(result.plan))
     return 0

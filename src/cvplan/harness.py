@@ -177,41 +177,38 @@ class SuiteConfig:
         return "\n".join(lines) + "\n"
 
 
-def _parse_algo_line(value: str, lineno: int) -> AlgoSpec:
+def _parse_algo_line(value: str) -> AlgoSpec:
     parts = value.split()
     if not parts:
-        raise ValueError(f"line {lineno}: algo line needs an identifier")
+        raise ValueError("algo line needs an identifier")
     raw: Dict[str, str] = {}
     for part in parts[1:]:
         key, sep, text = part.partition("=")
         if not sep:
-            raise ValueError(f"line {lineno}: expected key=value, got {part!r}")
+            raise ValueError(f"expected key=value, got {part!r}")
         raw[key] = text
-    try:
-        config = make_config(raw.pop("algo", SearchConfig.mode), raw)
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
-    return AlgoSpec(algo_id=parts[0], config=config)
+    return AlgoSpec(algo_id=parts[0],
+                    config=make_config(raw.pop("algo", SearchConfig.mode), raw))
 
 
-def _parse_instance_line(value: str, lineno: int) -> InstanceSource:
+def _parse_instance_line(value: str) -> InstanceSource:
     parts = value.split()
     if not parts:
-        raise ValueError(f"line {lineno}: instance line needs a domain or file")
+        raise ValueError("instance line needs a domain or file")
     head = parts[0]
     if head == "file":
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected `file <path>`")
+            raise ValueError("expected `file <path>`")
         stem = os.path.splitext(os.path.basename(parts[1]))[0]
         return InstanceSource(instance_id=f"file/{stem}", path=parts[1])
     if head not in GENERATORS:
-        raise ValueError(f"line {lineno}: unknown domain {head!r}")
+        raise ValueError(f"unknown domain {head!r}")
     params: Dict[str, int] = {}
     seed = 0
     for part in parts[1:]:
         key, sep, raw = part.partition("=")
         if not sep:
-            raise ValueError(f"line {lineno}: expected key=value, got {part!r}")
+            raise ValueError(f"expected key=value, got {part!r}")
         if key == "seed":
             seed = int(raw)
         else:
@@ -236,22 +233,28 @@ def load_suite(text: str) -> SuiteConfig:
             raise ValueError(f"line {lineno}: expected key = value")
         key = key.strip()
         value = value.strip()
-        if key == "instance":
-            cfg.instances.append(_parse_instance_line(value, lineno))
-        elif key == "algo":
-            cfg.algorithms.append(_parse_algo_line(value, lineno))
-        elif key == "seeds":
-            cfg.seeds = [int(tok) for tok in value.split()]
-            if not cfg.seeds:
-                raise ValueError(f"line {lineno}: seeds list is empty")
-        elif key == "time_limit":
-            cfg.time_limit = float(value)
-        elif key == "expansion_limit":
-            cfg.expansion_limit = None if value == "none" else int(value)
-        elif key == "workers":
-            cfg.workers = int(value)
-        else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        try:
+            if key == "instance":
+                cfg.instances.append(_parse_instance_line(value))
+            elif key == "algo":
+                cfg.algorithms.append(_parse_algo_line(value))
+            elif key == "seeds":
+                cfg.seeds = [int(tok) for tok in value.split()]
+                if not cfg.seeds:
+                    raise ValueError("seeds list is empty")
+            elif key == "time_limit":
+                cfg.time_limit = float(value)
+            elif key == "expansion_limit":
+                cfg.expansion_limit = None if value == "none" else int(value)
+            elif key == "workers":
+                cfg.workers = int(value)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+            # the run-level limits must pass the engine's own check
+            check_config(SearchConfig(time_limit=cfg.time_limit,
+                                      expansion_limit=cfg.expansion_limit))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if not cfg.instances:
         raise ValueError("suite config declares no instances")
     if not cfg.algorithms:
@@ -263,14 +266,16 @@ def load_suite(text: str) -> SuiteConfig:
 
 
 def run_algo(problem: Problem, config: SearchConfig | MctsConfig, seed: int,
-             time_limit: float, limit: Optional[int]) -> SearchResult:
+             time_limit: float, limit: Optional[int],
+             trace=None) -> SearchResult:
     """Run a configured algorithm under one cell's seed and limits; limit
-    caps expansions for sg and sa and trials for mcts."""
+    caps expansions for sg and sa and trials for mcts. trace is run_search's
+    event sink, for sg and sa only: mcts emits no events."""
     if isinstance(config, MctsConfig):
         return run_mcts(problem, replace(config, seed=seed, time_limit=time_limit,
                                          trial_limit=limit))
     return run_search(problem, replace(config, seed=seed, time_limit=time_limit,
-                                       expansion_limit=limit))
+                                       expansion_limit=limit), trace=trace)
 
 
 def run_one(problem: Problem, spec: AlgoSpec, seed: int, instance_id: str,

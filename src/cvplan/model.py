@@ -137,7 +137,7 @@ class ControlVarSpec:
 class State:
     """Total valuation of the declared boolean and numeric state variables.
 
-    Treated as immutable: apply() always builds a fresh State.
+    Treated as immutable: try_apply() always builds a fresh State.
     """
     bools: Dict[str, bool] = field(default_factory=dict)
     nums: Dict[str, float] = field(default_factory=dict)
@@ -198,10 +198,12 @@ def eval_expr(expr: NumericExpr, state: State, controls: ControlValuation) -> fl
         try:
             return base ** expr.exponent
         except OverflowError:
-            # float ** int raises instead of returning inf; keep the sign
-            if base < 0 and expr.exponent % 2 == 1:
-                return -math.inf
-            return math.inf
+            # float ** int raises when the result or the exponent is beyond
+            # the float range; the power is then at its limit: 0 below
+            # magnitude 1, inf above it, and 1 and nan stay themselves
+            size = abs(base)
+            limit = math.inf if size > 1 else 0.0 if size < 1 else size
+            return -limit if base < 0 and expr.exponent % 2 == 1 else limit
     raise ModelError(f"not a numeric expression: {expr!r}")
 
 
@@ -237,12 +239,11 @@ def eval_constraint(con: Constraint, state: State, controls: ControlValuation) -
     raise ModelError(f"not a constraint: {con!r}")
 
 
-def applicable(state: State, action: Action, controls: ControlValuation) -> bool:
-    """True iff the action's precondition holds under (state, controls)."""
-    return eval_constraint(action.precondition, state, controls)
-
-
-def _apply_effect(state: State, action: Action, controls: ControlValuation) -> State:
+def try_apply(state: State, action: Action, controls: ControlValuation):
+    """Successor state if the precondition holds under (state, controls),
+    else None."""
+    if not eval_constraint(action.precondition, state, controls):
+        return None
     new_bools = dict(state.bools)
     for name, value in action.effect.bool_assigns:
         new_bools[name] = value
@@ -251,20 +252,6 @@ def _apply_effect(state: State, action: Action, controls: ControlValuation) -> S
         # all right-hand sides read the pre-state
         new_nums[name] = eval_expr(expr, state, controls)
     return State(bools=new_bools, nums=new_nums)
-
-
-def apply(state: State, action: Action, controls: ControlValuation) -> State:
-    """Apply a decision; raises ModelError if the precondition does not hold."""
-    if not applicable(state, action, controls):
-        raise ModelError(f"action {action.name!r} not applicable")
-    return _apply_effect(state, action, controls)
-
-
-def try_apply(state: State, action: Action, controls: ControlValuation):
-    """Successor state if applicable, else None (single precondition check)."""
-    if not eval_constraint(action.precondition, state, controls):
-        return None
-    return _apply_effect(state, action, controls)
 
 
 def goal_test(state: State, goal: Constraint) -> bool:
@@ -276,7 +263,10 @@ def replay_plan(problem: Problem, plan: Sequence[Decision]) -> State:
     """Apply a decision sequence from the initial state; raises on any misstep."""
     state = problem.init
     for step in plan:
-        state = apply(state, problem.action_by_name(step.action), step.controls)
+        succ = try_apply(state, problem.action_by_name(step.action), step.controls)
+        if succ is None:
+            raise ModelError(f"action {step.action!r} not applicable")
+        state = succ
     return state
 
 

@@ -13,7 +13,7 @@ partially expanded; priorities are
 with g the number of actions from the root and r one of the rectifiers below
 (r(0) = 0, strictly increasing). Goal states are recognized when extracted,
 not when generated. Duplicate successors (by canonical state key) are
-discarded, and a node whose finite decision set is exhausted is dropped
+discarded, and a node whose finite decision set is exhausted is removed
 instead of reinserted, so searches over purely finite spaces terminate.
 
 run_mcts implements the baseline: UCT with progressive widening, which caps
@@ -45,12 +45,8 @@ RECTIFIERS: Dict[str, Callable[[int], float]] = {
 
 MODES = ("sg", "sa")
 
-#: absolute tolerance for floating-point assertions on f values
+#: absolute tolerance for floating-point checks on f values
 F_TOL = 1e-9
-
-
-class SearchInvariantError(Exception):
-    """An internal engine invariant failed while assertions were enabled."""
 
 
 @dataclass
@@ -63,14 +59,13 @@ class SearchConfig:
     time_limit: float = 600.0
     expansion_limit: Optional[int] = None
     duplicate_detection: bool = True
-    assertions: bool = False
 
 
 class SearchNode:
     """Search tree node; children are kept for instrumentation."""
 
     __slots__ = ("uid", "state", "key", "g", "h", "n", "f", "parent",
-                 "decision", "sampler_state", "children", "dropped")
+                 "decision", "sampler_state", "children")
 
     def __init__(self, uid: int, state: State, key, g: int, h: float,
                  parent: Optional["SearchNode"], decision: Optional[Decision]):
@@ -85,7 +80,6 @@ class SearchNode:
         self.decision = decision
         self.sampler_state = NodeSamplerState()
         self.children: List["SearchNode"] = []
-        self.dropped = False
 
 
 def f_value(g: int, h: float, n: int, mode: str, rect: Callable[[int], float]) -> float:
@@ -119,8 +113,6 @@ class SearchResult:
     outcome is "solved", "exhausted" (open list emptied), "timeout" or
     "budget". plan is present iff solved. expansions counts non-goal
     extractions for the best-first engine and trials for the MCTS baseline.
-    root_bound is h(s0) + r(n_root) at termination, the quantity that caps
-    sa-mode plan lengths.
     """
     outcome: str
     plan: Optional[List[Decision]]
@@ -129,11 +121,8 @@ class SearchResult:
     reexpansion_rate: float
     peak_open: int
     time_s: float
-    root_bound: float
-    iterations: int
     #: tree root; a SearchNode for run_search, an MctsNode for run_mcts
     root: Optional[object] = None
-    prop1_violations: List[Tuple[int, int]] = field(default_factory=list)
 
 
 def reconstruct_plan(node: SearchNode) -> List[Decision]:
@@ -148,7 +137,7 @@ def reconstruct_plan(node: SearchNode) -> List[Decision]:
 
 def check_config(cfg) -> None:
     """Raise ValueError if a SearchConfig or MctsConfig cannot be run."""
-    if cfg.time_limit <= 0:
+    if not cfg.time_limit > 0:
         raise ValueError("time_limit must be positive")
     if isinstance(cfg, MctsConfig):
         if not 0.0 < cfg.alpha < 1.0:
@@ -169,15 +158,13 @@ def check_config(cfg) -> None:
 
 
 def run_search(problem: Problem, cfg: SearchConfig,
-               trace: Optional[list] = None,
-               iteration_hook: Optional[Callable[[int, SearchNode], None]] = None
-               ) -> SearchResult:
+               trace=None) -> SearchResult:
     """Run the best-first engine on a problem.
 
-    trace, when given, receives one tuple per event:
+    trace, when given, is anything with an `append` method (a list, or a
+    TraceCheck to check the run as it goes); it receives one tuple per event:
     ("extract", uid, f), ("goal", uid, hit), ("insert", uid, f),
     ("duplicate", uid), ("fail", uid), ("reinsert", uid, f), ("drop", uid).
-    iteration_hook(iteration, root) runs after each completed iteration.
     """
     check_config(cfg)
     rng = random.Random(cfg.seed)
@@ -198,8 +185,6 @@ def run_search(problem: Problem, cfg: SearchConfig,
     expansions = 0
     reexpansions = 0
     peak_open = 1
-    iterations = 0
-    prop1_violations: List[Tuple[int, int]] = []
     outcome = None
     goal_node: Optional[SearchNode] = None
 
@@ -217,18 +202,6 @@ def run_search(problem: Problem, cfg: SearchConfig,
         node = open_list.pop()
         if emit:
             emit(("extract", node.uid, node.f))
-        if cfg.assertions:
-            expect = f_value(node.g, node.h, node.n, cfg.mode, rect)
-            if abs(node.f - expect) > F_TOL:
-                raise SearchInvariantError(
-                    f"stored f {node.f!r} drifted from recomputed {expect!r}")
-            # the extracted f must not exceed any live ancestor's current f:
-            # it was the heap minimum while every live ancestor was queued
-            anc = node.parent
-            while anc is not None:
-                if not anc.dropped and node.f > anc.f + F_TOL:
-                    prop1_violations.append((node.uid, anc.uid))
-                anc = anc.parent
 
         hit = goal_test(node.state, problem.goal)
         if emit:
@@ -266,7 +239,6 @@ def run_search(problem: Problem, cfg: SearchConfig,
         node.n += 1
         node.f = f_value(node.g, node.h, node.n, cfg.mode, rect)
         if node.sampler_state.exhausted:
-            node.dropped = True
             if emit:
                 emit(("drop", node.uid))
         else:
@@ -275,9 +247,6 @@ def run_search(problem: Problem, cfg: SearchConfig,
                 emit(("reinsert", node.uid, node.f))
         if len(open_list) > peak_open:
             peak_open = len(open_list)
-        iterations += 1
-        if iteration_hook is not None:
-            iteration_hook(iterations, root)
 
     plan = reconstruct_plan(goal_node) if goal_node is not None else None
     rate = 100.0 * reexpansions / expansions if expansions else 0.0
@@ -289,44 +258,12 @@ def run_search(problem: Problem, cfg: SearchConfig,
         reexpansion_rate=rate,
         peak_open=peak_open,
         time_s=time.perf_counter() - t0,
-        root_bound=root.h + rect(root.n),
-        iterations=iterations,
         root=root,
-        prop1_violations=prop1_violations,
     )
 
 
 # ---------------------------------------------------------------------------
 # property checkers
-
-def subtree_bound_violations(root: SearchNode, mode: str, rectifier: str,
-                             tol: float = F_TOL) -> List[Tuple[int, int]]:
-    """Pairs (descendant uid, ancestor uid) violating the subtree bound.
-
-    Every node that has been partially expanded at least once was, at its
-    latest extraction, the queue minimum while all its live ancestors were
-    queued; and per-node f values only grow. So its f at counter n-1 must
-    not exceed any live ancestor's current f. Dropped ancestors are skipped:
-    they left the queue for good and carry no current priority.
-    """
-    rect = RECTIFIERS[rectifier]
-    violations: List[Tuple[int, int]] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        stack.extend(node.children)
-        if node.n < 1:
-            continue
-        f_selected = f_value(node.g, node.h, node.n - 1, mode, rect)
-        anc = node.parent
-        while anc is not None:
-            if not anc.dropped:
-                f_current = f_value(anc.g, anc.h, anc.n, mode, rect)
-                if f_selected > f_current + tol:
-                    violations.append((node.uid, anc.uid))
-            anc = anc.parent
-    return violations
-
 
 def solution_cost_within_bound(result: SearchResult, root: SearchNode,
                                cfg: SearchConfig, tol: float = F_TOL) -> bool:
@@ -344,54 +281,119 @@ def solution_cost_within_bound(result: SearchResult, root: SearchNode,
     return len(result.plan) <= root.h + rect(root.n) + tol
 
 
-def validate_trace(events: Sequence[tuple]) -> List[str]:
-    """Structural check of a run_search trace.
+def drifted_nodes(root: SearchNode, cfg: SearchConfig) -> List[str]:
+    """A message per node of a finished tree whose f is off f_value(g, h, n)
+    by more than F_TOL: the events a TraceCheck sees carry no g or h."""
+    rect = RECTIFIERS[cfg.rectifier]
+    bad, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        expect = f_value(node.g, node.h, node.n, cfg.mode, rect)
+        if abs(node.f - expect) > F_TOL:
+            bad.append(f"node {node.uid} at f {node.f!r}, not {expect!r}")
+    return bad
 
-    Per iteration: one extraction, exactly one goal test right after it, at
-    most one of insert/duplicate/fail, then exactly one reinsert or drop of
-    the extracted node with a strictly larger f on reinsertion. A goal hit
-    ends the trace.
+
+_REQUEUE = ("reinsert", "drop")
+#: the event kinds allowed after each kind (a goal hit allows none)
+_NEXT = {"extract": ("goal",),
+         "goal": ("insert", "duplicate", "fail") + _REQUEUE,
+         "insert": _REQUEUE, "duplicate": _REQUEUE, "fail": _REQUEUE,
+         "reinsert": ("extract",), "drop": ("extract",)}
+
+
+class TraceCheck:
+    """A `trace=` sink for run_search that checks each event as it arrives.
+
+    The grammar: per iteration one extraction, the goal test of that node, at
+    most one insert, duplicate or fail, then one reinsert or drop of that
+    node; a goal hit ends the trace. The priority invariants:
+
+    - a node is extracted at the f it was last queued with;
+    - a node is reinserted at f0 + r(n) within F_TOL, f0 being the f it was
+      first queued with and n its partial-expansion count. In both modes
+      f(g, h, n) = f(g, h, 0) + r(n), so this catches a drifting f;
+    - an extracted f exceeds no f still queued (the heap order). A node's
+      live ancestors are queued, so this implies the subtree bound.
+
+    Breaches collect in `violations` as "event i: ..." strings. The queued
+    f values sit in a shadow min-heap whose stale entries leave at the top,
+    so in a run that keeps the heap order memory grows with the number of
+    nodes, not of events.
     """
-    violations: List[str] = []
-    i = 0
-    total = len(events)
 
-    def bad(msg: str):
-        violations.append(f"event {i}: {msg}")
+    def __init__(self, rectifier: str):
+        self.rect = RECTIFIERS[rectifier]
+        self.violations: List[str] = []
+        #: uid -> [f0, n, queued f or None while out of the queue]
+        self._nodes: Dict[int, list] = {}
+        #: (queued f, uid), stale once the node's queued f differs
+        self._queued: List[Tuple[float, int]] = []
+        self._events = 0
+        self._current: Optional[int] = None
+        self._expect: Tuple[str, ...] = ("extract",)
 
-    while i < total:
-        event = events[i]
-        if event[0] != "extract":
-            bad(f"expected extract, saw {event[0]}")
-            i += 1
-            continue
-        _, uid, f_extract = event
-        i += 1
-        if i >= total or events[i][0] != "goal":
-            bad("extraction not followed by a goal test")
-            continue
-        _, goal_uid, hit = events[i]
-        if goal_uid != uid:
-            bad("goal test on a node other than the extracted one")
-        i += 1
-        if hit:
-            if i != total:
-                bad("events continue after a goal hit")
-            return violations
-        if i < total and events[i][0] in ("insert", "duplicate", "fail"):
-            if events[i][0] in ("duplicate", "fail") and events[i][1] != uid:
-                bad("duplicate/fail attributed to a different node")
-            i += 1
-        if i >= total or events[i][0] not in ("reinsert", "drop"):
-            bad("iteration missing its reinsert or drop")
-            continue
-        kind, re_uid = events[i][0], events[i][1]
-        if re_uid != uid:
-            bad("reinsert/drop of a node other than the extracted one")
-        if kind == "reinsert" and events[i][2] <= f_extract:
-            bad("reinserted f did not increase")
-        i += 1
-    return violations
+    def _bad(self, msg: str):
+        self.violations.append(f"event {self._events}: {msg}")
+
+    def append(self, event: tuple):
+        kind, uid = event[0], event[1]
+        if kind not in self._expect:
+            self._bad(f"{kind} where {' or '.join(self._expect) or 'no event'}"
+                      f" was due")
+        if kind == "insert":
+            self._nodes[uid] = [event[2], 0, event[2]]
+            heapq.heappush(self._queued, (event[2], uid))
+        elif kind == "extract":
+            self._extract(uid, event[2])
+        elif uid != self._current:
+            self._bad(f"{kind} of node {uid}, not the extracted one")
+        if kind in _REQUEUE and uid in self._nodes:
+            node = self._nodes[uid]
+            node[1] += 1
+            node[2] = event[2] if kind == "reinsert" else None
+            expect = node[0] + self.rect(node[1])
+            if node[2] is not None:
+                heapq.heappush(self._queued, (node[2], uid))
+                if abs(node[2] - expect) > F_TOL:
+                    self._bad(f"node {uid} reinserted at f {node[2]!r}, not "
+                              f"f0 + r({node[1]}) = {expect!r}")
+        self._expect = () if kind == "goal" and event[2] else _NEXT.get(
+            kind, self._expect)
+        self._events += 1
+
+    def _extract(self, uid: int, f: float):
+        node = self._nodes.get(uid)
+        if node is None:
+            # the root's insertion predates the trace
+            if self._nodes:
+                self._bad(f"node {uid} extracted but never queued")
+            node = self._nodes[uid] = [f, 0, f]
+        if node[2] is None or abs(f - node[2]) > F_TOL:
+            self._bad(f"node {uid} extracted at f {f!r}, queued at {node[2]!r}")
+        node[2] = None
+        queued = self._queued
+        while queued and self._nodes[queued[0][1]][2] != queued[0][0]:
+            heapq.heappop(queued)
+        if queued and f > queued[0][0] + F_TOL:
+            self._bad(f"node {uid} extracted at f {f!r} while node "
+                      f"{queued[0][1]} is queued at f {queued[0][0]!r}")
+        self._current = uid
+
+    def finish(self) -> List[str]:
+        """All violations, including a trace that stops mid-iteration."""
+        if self._expect not in ((), ("extract",)):
+            self._bad("trace ends mid-iteration")
+        return self.violations
+
+
+def validate_trace(events: Sequence[tuple], rectifier: str) -> List[str]:
+    """TraceCheck's violations for a recorded run_search trace."""
+    check = TraceCheck(rectifier)
+    for event in events:
+        check.append(event)
+    return check.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +454,7 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
         return SearchResult(
             outcome=out, plan=plan, expansions=trials, reexpansions=0,
             reexpansion_rate=0.0, peak_open=0,
-            time_s=time.perf_counter() - t0, root_bound=h_fn(problem.init),
-            iterations=trials, root=root,
+            time_s=time.perf_counter() - t0, root=root,
         )
 
     while True:

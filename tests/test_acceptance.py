@@ -24,18 +24,19 @@ from cvplan.model import (
 )
 from cvplan.sampling import SamplerKind, dyadic_value, heuristic_pick
 from cvplan.search import (
+    F_TOL,
     MctsConfig,
     SearchConfig,
+    TraceCheck,
+    drifted_nodes,
     run_mcts,
     run_search,
     solution_cost_within_bound,
-    subtree_bound_violations,
     validate_trace,
 )
 
 # chi-square critical value, 9 degrees of freedom, significance 0.01
 CHI2_CRIT_DF9 = 21.666
-F_TOL = 1e-9
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -50,8 +51,8 @@ def _report(num: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def bound_runs():
-    """120 invariant-checked runs: per-iteration incremental ancestor checks
-    plus a full subtree recheck every 500 iterations and at the end."""
+    """120 invariant-checked runs: a TraceCheck on every event, then every
+    node of the final tree checked for f == f_value(g, h, n)."""
     problems = {
         "counters-2": make_counters(2),
         "counters-3": make_counters(3),
@@ -67,20 +68,11 @@ def bound_runs():
                         cfg = SearchConfig(
                             mode=mode, rectifier=rect,
                             sampler=SamplerKind(kind=samp), seed=seed,
-                            expansion_limit=2000, assertions=True)
-                        periodic = []
-
-                        def recheck(iteration, root, _p=periodic,
-                                    _m=mode, _r=rect):
-                            if iteration % 500 == 0:
-                                _p.extend(
-                                    subtree_bound_violations(root, _m, _r))
-
-                        result = run_search(prob, cfg,
-                                            iteration_hook=recheck)
-                        periodic.extend(subtree_bound_violations(
-                            result.root, mode, rect))
-                        runs.append((pname, cfg, result, periodic))
+                            expansion_limit=2000)
+                        check = TraceCheck(rect)
+                        result = run_search(prob, cfg, trace=check)
+                        runs.append((pname, cfg, result, check.finish(),
+                                     drifted_nodes(result.root, cfg)))
     return runs, time.perf_counter() - t0
 
 
@@ -133,32 +125,33 @@ def test_criterion_01_trace_fidelity():
                        sampler=SamplerKind(kind="uniform"), seed=1,
                        time_limit=10.0)
     result = run_search(make_counters(2), cfg, trace=trace)
-    violations = validate_trace(trace)
+    violations = validate_trace(trace, "log")
     reinserts = sum(1 for e in trace if e[0] == "reinsert")
     ok = (result.outcome == "solved" and violations == []
           and reinserts >= 1 and result.time_s < 10.0)
     _report(1, ok,
-            f"trace of {len(trace)} events, {result.iterations} iterations, "
+            f"trace of {len(trace)} events, {result.expansions} expansions, "
             f"0 structural violations, {result.time_s:.2f}s "
             f"(validator output: {violations[:3]})")
 
 
 def test_criterion_02_subtree_bound_every_iteration(bound_runs):
     runs, elapsed = bound_runs
-    incremental = [(name, cfg.seed) for name, cfg, res, _ in runs
-                   if res.prop1_violations]
-    full = [(name, cfg.seed) for name, cfg, res, per in runs if per]
-    ok = (len(runs) == 120 and not incremental and not full
+    checked = [(name, cfg.seed, bad[:1]) for name, cfg, _, bad, _ in runs
+               if bad]
+    drifted = [(name, cfg.seed, bad[:1]) for name, cfg, _, _, bad in runs
+               if bad]
+    ok = (len(runs) == 120 and not checked and not drifted
           and elapsed < 300.0)
     _report(2, ok,
             f"{len(runs)} runs x 2000 expansions, tolerance {F_TOL}, "
-            f"0 incremental and 0 full-subtree violations "
-            f"(bad: {incremental[:2] + full[:2]}), {elapsed:.0f}s")
+            f"0 trace-check violations and 0 drifted f in the final trees "
+            f"(bad: {checked[:2] + drifted[:2]}), {elapsed:.0f}s")
 
 
 def test_criterion_03_solution_cost_bound(bound_runs):
     runs, _ = bound_runs
-    solved_sa = [(cfg, res) for _, cfg, res, _ in runs
+    solved_sa = [(cfg, res) for _, cfg, res, _, _ in runs
                  if cfg.mode == "sa" and res.outcome == "solved"]
     in_bound = [solution_cost_within_bound(res, res.root, cfg)
                 for cfg, res in solved_sa]
@@ -267,7 +260,7 @@ def test_criterion_09_mcts_progressive_widening():
     for seed in (0, 1, 2):
         cfg = MctsConfig(alpha=0.3, k=1.0, seed=seed, trial_limit=10_000)
         res = run_mcts(prob, cfg, widen_violations=violations)
-        total_trials += res.iterations
+        total_trials += res.expansions
         assert res.outcome in ("budget", "solved")
         stack = [res.root]
         while stack:

@@ -1,7 +1,10 @@
+import heapq
 import subprocess
 import sys
 
 import pytest
+
+import cvplan.search
 
 from cvplan.cli import build_parser, config_from_args, main
 from cvplan.dsl import parse_problem
@@ -92,6 +95,23 @@ class TestSolve:
 
     def test_assertions_flag(self, counters_file):
         assert main(["solve", counters_file, "--assert", "on"]) == 0
+
+    @pytest.mark.parametrize("mode", ["sg", "sa"])
+    def test_assertions_flag_reports_a_broken_open_list(
+            self, counters_file, capsys, monkeypatch, mode):
+        def pop_largest(open_list):
+            entry = max(open_list._heap)
+            open_list._heap.remove(entry)
+            heapq.heapify(open_list._heap)
+            return entry[2]
+
+        monkeypatch.setattr(cvplan.search.OpenList, "pop", pop_largest)
+        code = main(["solve", counters_file, "--algo", mode, "--assert", "on",
+                     "--expansion-limit", "200"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "invariant:" in captured.err
+        assert captured.out == ""
 
     def test_abbreviated_flags(self, counters_file):
         assert main(["solve", counters_file, "--rect", "log", "--cand", "5",

@@ -6,7 +6,7 @@ from cvplan.domains import (
 )
 from cvplan.dsl import parse_problem, serialize_problem, validate
 from cvplan.model import (
-    Cmp, Decision, applicable, goal_test, replay_plan,
+    Cmp, Decision, goal_test, replay_plan, try_apply,
 )
 
 COUNTERS_2 = """\
@@ -79,8 +79,8 @@ def test_sailing_far_person_unreachable_without_moving():
     p = make_sailing(1, 1, d_values=[100.0])
     rescue = p.action_by_name("rescue-b0-p0")
     # the precondition reads no control variable, so one valuation decides it
-    assert not applicable(p.init, rescue, {"dx": 0.0, "dy": 0.0})
-    assert not applicable(p.init, rescue, {"dx": 10.0, "dy": -10.0})
+    assert try_apply(p.init, rescue, {"dx": 0.0, "dy": 0.0}) is None
+    assert try_apply(p.init, rescue, {"dx": 10.0, "dy": -10.0}) is None
 
 
 def test_sailing_default_layout_plan():
@@ -127,9 +127,9 @@ def test_blockgrouping_one_move_plan():
 def test_blockgrouping_box_preserving_precondition():
     p = make_blockgrouping(2, 1, 4, positions=[(3, 3), (0, 0)])
     move = p.action_by_name("move-b0")
-    assert applicable(p.init, move, {"mx": 1.0, "my": -3.0})
-    assert not applicable(p.init, move, {"mx": 2.0, "my": 0.0})
-    assert not applicable(p.init, move, {"mx": -4.0, "my": 0.0})
+    assert try_apply(p.init, move, {"mx": 1.0, "my": -3.0}) is not None
+    assert try_apply(p.init, move, {"mx": 2.0, "my": 0.0}) is None
+    assert try_apply(p.init, move, {"mx": -4.0, "my": 0.0}) is None
 
 
 def test_blockgrouping_argument_errors():
@@ -166,9 +166,9 @@ def test_drone_goal_conjunct_count():
 def test_drone_battery_blocks_moves():
     p = make_drone(2, 1, points=[(1, 1, 1)], battery=0.0)
     move = p.action_by_name("move")
-    assert not applicable(p.init, move, {"dx": 1.0, "dy": 0.0, "dz": 0.0})
-    assert not applicable(p.init, move, {"dx": 0.0, "dy": -0.5, "dz": 0.0})
-    assert applicable(p.init, move, {"dx": 0.0, "dy": 0.0, "dz": 0.0})
+    assert try_apply(p.init, move, {"dx": 1.0, "dy": 0.0, "dz": 0.0}) is None
+    assert try_apply(p.init, move, {"dx": 0.0, "dy": -0.5, "dz": 0.0}) is None
+    assert try_apply(p.init, move, {"dx": 0.0, "dy": 0.0, "dz": 0.0}) is not None
 
 
 def test_drone_move_costs_squared_length():
@@ -182,10 +182,10 @@ def test_drone_move_costs_squared_length():
 def test_drone_box_bounds():
     p = make_drone(2, 1, points=[(2, 2, 2)], battery=100.0)
     move = p.action_by_name("move")
-    assert not applicable(p.init, move, {"dx": -0.5, "dy": 0.0, "dz": 0.0})
+    assert try_apply(p.init, move, {"dx": -0.5, "dy": 0.0, "dz": 0.0}) is None
     state = replay_plan(p, [Decision("move", {"dx": 1.0, "dy": 1.0, "dz": 1.0})] * 2)
     assert state.nums["x"] == 2.0
-    assert not applicable(state, move, {"dx": 1.0, "dy": 0.0, "dz": 0.0})
+    assert try_apply(state, move, {"dx": 1.0, "dy": 0.0, "dz": 0.0}) is None
 
 
 def test_drone_full_mission_plan():

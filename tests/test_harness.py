@@ -130,6 +130,25 @@ class TestLoadSuite:
          "line 2: rectifier does not apply"),
         ("instance = counters n=2\nalgo = a algo=sg alpha=0.9\n",
          "line 2: alpha does not apply"),
+        ("time_limit = soon\ninstance = counters n=2\nalgo = a\n",
+         "line 1: could not convert"),
+        ("seeds = 0 x\ninstance = counters n=2\nalgo = a\n",
+         "line 1: invalid literal"),
+        ("workers = many\ninstance = counters n=2\nalgo = a\n",
+         "line 1: invalid literal"),
+        ("expansion_limit = lots\ninstance = counters n=2\nalgo = a\n",
+         "line 1: invalid literal"),
+        ("instance = counters n=two\nalgo = a\n", "line 1: invalid literal"),
+        ("instance = counters n=2 seed=z\nalgo = a\n",
+         "line 1: invalid literal"),
+        ("time_limit = 0\ninstance = counters n=2\nalgo = a\n",
+         "line 1: time_limit must be positive"),
+        ("time_limit = -5\ninstance = counters n=2\nalgo = a\n",
+         "line 1: time_limit must be positive"),
+        ("time_limit = nan\ninstance = counters n=2\nalgo = a\n",
+         "line 1: time_limit must be positive"),
+        ("expansion_limit = 0\ninstance = counters n=2\nalgo = a\n",
+         "line 1: expansion_limit must be positive"),
     ])
     def test_rejects(self, text, fragment):
         with pytest.raises(ValueError, match=fragment):

@@ -5,8 +5,8 @@ import pytest
 from cvplan.model import (
     Action, Add, And, BoolEq, Cmp, Const, ControlVarSpec, Decision, Effect,
     ModelError, Mul, Neg, Not, Or, Pow, Problem, State, Sub, TRUE, Var,
-    applicable, apply, eval_constraint, eval_expr, goal_test, iter_constraints,
-    iter_exprs, replay_plan, round_half_away, state_key, try_apply,
+    eval_constraint, eval_expr, goal_test, iter_constraints, iter_exprs,
+    replay_plan, round_half_away, state_key, try_apply,
 )
 
 
@@ -36,10 +36,21 @@ def test_eval_expr_unbound_raises():
 
 
 def test_pow_overflow_keeps_sign():
-    s = make_state(big=1e200, neg=-1e200)
+    s = make_state(big=1e200, neg=-1e200, half=0.5, one=1.0, neg_one=-1.0,
+                   neg_half=-0.5, nan=math.nan)
     assert eval_expr(Pow(Var("big"), 3), s, {}) == math.inf
     assert eval_expr(Pow(Var("neg"), 3), s, {}) == -math.inf
     assert eval_expr(Pow(Var("neg"), 2), s, {}) == math.inf
+    # an exponent beyond the float range takes the limit of the power
+    huge = 10 ** 400
+    assert eval_expr(Pow(Var("big"), huge + 1), s, {}) == math.inf
+    assert eval_expr(Pow(Var("neg"), huge + 1), s, {}) == -math.inf
+    assert eval_expr(Pow(Var("half"), huge), s, {}) == 0.0
+    assert eval_expr(Pow(Var("neg_half"), huge + 1), s, {}) == 0.0
+    assert eval_expr(Pow(Var("one"), huge), s, {}) == 1.0
+    assert eval_expr(Pow(Var("neg_one"), huge), s, {}) == 1.0
+    assert eval_expr(Pow(Var("neg_one"), huge + 1), s, {}) == -1.0
+    assert math.isnan(eval_expr(Pow(Var("nan"), huge), s, {}))
 
 
 def test_comparisons_are_exact():
@@ -68,7 +79,7 @@ def test_constraint_connectives():
 def test_apply_simultaneous_assignment():
     swap = Action("swap", TRUE, Effect((), (("x", Var("y")), ("y", Var("x")))))
     s = make_state(x=1.0, y=2.0)
-    t = apply(s, swap, {})
+    t = try_apply(s, swap, {})
     assert t.nums == {"x": 2.0, "y": 1.0}
     # the source state is untouched
     assert s.nums == {"x": 1.0, "y": 2.0}
@@ -78,9 +89,6 @@ def test_apply_checks_precondition():
     act = Action("inc", Cmp(Sub(Var("x"), Const(10.0)), "<"),
                  Effect((), (("x", Add(Var("x"), Var("u", "control"))),)))
     s = make_state(x=10.0)
-    assert not applicable(s, act, {"u": 1.0})
-    with pytest.raises(ModelError):
-        apply(s, act, {"u": 1.0})
     assert try_apply(s, act, {"u": 1.0}) is None
     t = try_apply(make_state(x=3.0), act, {"u": 0.25})
     assert t is not None and t.nums["x"] == 3.25
@@ -89,7 +97,7 @@ def test_apply_checks_precondition():
 def test_bool_effects():
     act = Action("flip", BoolEq("on", False), Effect((("on", True),), ()))
     s = State(bools={"on": False}, nums={})
-    t = apply(s, act, {})
+    t = try_apply(s, act, {})
     assert t.bools == {"on": True}
     assert try_apply(t, act, {}) is None
 
@@ -111,6 +119,11 @@ def test_replay_plan():
     assert end.nums["x"] == 1.0
     with pytest.raises(ModelError):
         replay_plan(p, [Decision("missing", {})])
+    capped = Action("inc", Cmp(Sub(Var("x"), Const(10.0)), "<"), inc.effect)
+    at_cap = Problem("p", (), ("x",), (ControlVarSpec("u", 0, 1),),
+                     (capped,), make_state(x=10.0), p.goal)
+    with pytest.raises(ModelError, match="not applicable"):
+        replay_plan(at_cap, [Decision("inc", {"u": 1.0})])
 
 
 def test_round_half_away():

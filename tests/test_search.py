@@ -10,9 +10,8 @@ from cvplan.model import (
 )
 from cvplan.sampling import SamplerKind
 from cvplan.search import (
-    RECTIFIERS, SearchConfig, SearchNode, f_value, reconstruct_plan,
-    run_search, solution_cost_within_bound, subtree_bound_violations,
-    validate_trace,
+    RECTIFIERS, SearchConfig, SearchNode, TraceCheck, drifted_nodes, f_value,
+    reconstruct_plan, run_search, solution_cost_within_bound, validate_trace,
 )
 
 
@@ -104,9 +103,8 @@ def test_determinism():
     b = run_search(p, cfg)
     assert a.outcome == b.outcome
     assert a.plan == b.plan
-    assert (a.expansions, a.reexpansions, a.iterations, a.peak_open) == \
-        (b.expansions, b.reexpansions, b.iterations, b.peak_open)
-    assert a.root_bound == b.root_bound
+    assert (a.expansions, a.reexpansions, a.peak_open) == \
+        (b.expansions, b.reexpansions, b.peak_open)
 
 
 def test_impossible_action_hits_budget():
@@ -198,7 +196,7 @@ def run_traced(expansion_limit=400, **overrides):
 
 def test_trace_is_structurally_valid():
     _, result, trace = run_traced()
-    assert validate_trace(trace) == []
+    assert validate_trace(trace, "log") == []
     extracts = [e for e in trace if e[0] == "extract"]
     goals = [e for e in trace if e[0] == "goal"]
     assert len(extracts) == len(goals)
@@ -217,16 +215,18 @@ def test_trace_validator_flags_corruption():
     bad = list(trace)
     idx = next(i for i, e in enumerate(bad) if e[0] == "goal")
     bad[idx] = ("goal", bad[idx][1] + 999, bad[idx][2])
-    assert validate_trace(bad)
+    assert validate_trace(bad, "log")
     # dropped reinsert
     bad2 = [e for e in trace if e[0] != "reinsert"]
-    assert validate_trace(bad2)
+    assert validate_trace(bad2, "log")
     # non-increasing reinsert priority
     bad3 = list(trace)
     idx3 = next(i for i, e in enumerate(bad3) if e[0] == "reinsert")
     extract_f = next(e[2] for e in bad3 if e[0] == "extract")
     bad3[idx3] = ("reinsert", bad3[idx3][1], extract_f - 1.0)
-    assert validate_trace(bad3)
+    assert validate_trace(bad3, "log")
+    # a trace cut off mid-iteration
+    assert validate_trace(trace[:2], "log")
 
 
 def test_heap_property_via_shadow():
@@ -254,26 +254,36 @@ def test_subtree_bound_holds_on_runs(mode, rectifier, sampler_kind):
     p = make_counters(2)
     cfg = SearchConfig(mode=mode, rectifier=rectifier,
                        sampler=SamplerKind(kind=sampler_kind, grid_digits=3),
-                       seed=11, expansion_limit=300, time_limit=30.0,
-                       assertions=True)
-    result = run_search(p, cfg)
-    assert result.prop1_violations == []
-    assert subtree_bound_violations(result.root, mode, rectifier) == []
+                       seed=11, expansion_limit=300, time_limit=30.0)
+    check = TraceCheck(rectifier)
+    result = run_search(p, cfg, trace=check)
+    assert result.expansions > 0
+    assert check.finish() == []
 
 
 def test_subtree_bound_checker_catches_corruption():
-    root = SearchNode(0, State(bools={}, nums={"x": 0.0}), ("r",), 0, 5.0,
-                      None, None)
-    root.n = 1
-    child = SearchNode(1, State(bools={}, nums={"x": 1.0}), ("c",), 1, 10.0,
-                       root, Decision("a", {}))
-    child.n = 1
-    root.children.append(child)
-    # child's selection priority 10 + r(0) = 10 exceeds root's current 5 + 1
-    assert subtree_bound_violations(root, "sg", "lin") == [(1, 0)]
+    # root queued at 5, reinserted at 5 + r_lin(1) = 6 after generating a
+    # child at f 10; the child is then extracted at 10, above its root
+    head = [("extract", 0, 5.0), ("goal", 0, False), ("insert", 1, 10.0)]
+    tail = [("extract", 1, 10.0), ("goal", 1, False), ("fail", 1),
+            ("reinsert", 1, 11.0)]
+    assert len(validate_trace(head + [("reinsert", 0, 6.0)] + tail,
+                              "lin")) == 1
     # a dropped ancestor is not an anchor
-    root.dropped = True
-    assert subtree_bound_violations(root, "sg", "lin") == []
+    assert validate_trace(head + [("drop", 0)] + tail, "lin") == []
+    # a reinsertion off f0 + r(n) is a drifted priority
+    assert validate_trace(head + [("reinsert", 0, 6.5)], "lin")
+
+
+def test_drifted_nodes_flags_a_stale_f():
+    p = make_counters(2)
+    cfg = SearchConfig(mode="sa", rectifier="log", seed=3,
+                       expansion_limit=200)
+    result = run_search(p, cfg)
+    assert drifted_nodes(result.root, cfg) == []
+    child = result.root.children[0]
+    child.f += 0.5
+    assert len(drifted_nodes(result.root, cfg)) == 1
 
 
 def test_reconstruct_plan_orders_decisions():
@@ -301,7 +311,6 @@ def test_solution_bound_on_sa_runs():
         assert solution_cost_within_bound(result, result.root, cfg)
         bound = result.root.h + RECTIFIERS["log"](result.root.n)
         assert len(result.plan) <= bound + 1e-9
-        assert result.root_bound == pytest.approx(bound)
 
 
 def test_solution_bound_negative_and_mode_guard():
