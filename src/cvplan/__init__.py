@@ -31,7 +31,7 @@ from .model import (
     replay_plan,
     try_apply,
 )
-from .sampling import SamplerKind, make_sampler
+from .sampling import make_sampler
 from .search import (
     MctsConfig,
     SearchConfig,
@@ -54,7 +54,6 @@ __all__ = [
     "MctsConfig",
     "Problem",
     "RunRecord",
-    "SamplerKind",
     "SearchConfig",
     "SearchResult",
     "State",

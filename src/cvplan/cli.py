@@ -26,7 +26,7 @@ from .harness import (
     run_suite,
     survival_csv,
 )
-from .search import SearchConfig, TraceCheck, drifted_nodes
+from .search import MctsConfig, SearchConfig, TraceCheck, drifted_nodes
 
 
 def _add_algo_flags(parser: argparse.ArgumentParser):
@@ -34,12 +34,14 @@ def _add_algo_flags(parser: argparse.ArgumentParser):
     # values stay text for make_config, which parses and checks them exactly
     # as it does for suite `algo` lines
     for key, setting in SETTINGS.items():
+        owners = [c for c in (SearchConfig, MctsConfig)
+                  if hasattr(c, setting.field)]
         parser.add_argument(
             "--" + key.replace("_", "-"), default=argparse.SUPPRESS,
             metavar="{" + ",".join(setting.choices) + "}"
             if setting.choices else None,
-            help=f"{setting.config.__name__}.{setting.field}, default "
-                 f"{getattr(setting.config, setting.field)!r}")
+            help=f"{'/'.join(c.__name__ for c in owners)}.{setting.field}, "
+                 f"default {getattr(owners[0], setting.field)!r}")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--time-limit", type=float, default=600.0)
     parser.add_argument("--expansion-limit", type=int, default=None)

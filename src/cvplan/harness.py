@@ -3,9 +3,8 @@
 A suite is a set of instances (generated or loaded from text files) crossed
 with a set of algorithm configurations and a list of seeds. Every cell runs
 as an isolated, deterministic, single-threaded search; records are flushed
-to CSV incrementally and rewritten in canonical cell order at the end, so
-repeated runs of the same suite produce identical files apart from measured
-wall times.
+to CSV incrementally, in canonical cell order, so repeated runs of the same
+suite produce identical files apart from measured wall times.
 
 CSV schema: instance,algorithm,seed,outcome,plan_len,expansions,reexp_rate,time_s
 """
@@ -18,13 +17,14 @@ import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .domains import GENERATORS, InstanceSpec, generate
 from .dsl import parse_problem, validate
 from .model import Problem
-from .sampling import SAMPLER_KINDS, SamplerKind
+from .sampling import SAMPLER_KINDS
 from .search import (MODES, RECTIFIERS, MctsConfig, SearchConfig, SearchResult,
                      check_config, run_mcts, run_search)
 
@@ -69,30 +69,30 @@ ALGOS = MODES + ("mcts",)
 
 @dataclass(frozen=True)
 class Setting:
-    """The config class and field a setting sets, its text parser, and its
-    allowed values (None: whatever parses)."""
-    config: type
+    """The config field a setting sets, its text parser, and its allowed
+    values (None: whatever parses). It applies to the algos whose config
+    has the field."""
     field: str
     parse: Callable[[str], object] = str
     choices: Optional[Tuple[str, ...]] = None
 
 
 #: every algorithm setting of suite `algo` lines and `plan solve` flags; the
-#: defaults are those of SearchConfig, MctsConfig and SamplerKind
+#: defaults are those of SearchConfig and MctsConfig
 SETTINGS: Dict[str, Setting] = {
-    "rectifier": Setting(SearchConfig, "rectifier", choices=tuple(RECTIFIERS)),
-    "dup_detect": Setting(SearchConfig, "duplicate_detection",
-                          lambda raw: raw == "on", ("on", "off")),
-    "sampler": Setting(SamplerKind, "kind", choices=SAMPLER_KINDS),
-    "beta": Setting(SamplerKind, "beta", float),
-    "eps": Setting(SamplerKind, "eps", float),
-    "candidates": Setting(SamplerKind, "candidates", int),
-    "grid_digits": Setting(SamplerKind, "grid_digits", int),
-    "reject_budget": Setting(SamplerKind, "reject_budget", int),
-    "alpha": Setting(MctsConfig, "alpha", float),
-    "k": Setting(MctsConfig, "k", float),
-    "c": Setting(MctsConfig, "c", float),
-    "rollout_depth": Setting(MctsConfig, "rollout_depth", int),
+    "rectifier": Setting("rectifier", choices=tuple(RECTIFIERS)),
+    "dup_detect": Setting("duplicate_detection", lambda raw: raw == "on",
+                          ("on", "off")),
+    "sampler": Setting("sampler", choices=SAMPLER_KINDS),
+    "beta": Setting("beta", float),
+    "eps": Setting("eps", float),
+    "candidates": Setting("candidates", int),
+    "grid_digits": Setting("grid_digits", int),
+    "reject_budget": Setting("reject_budget", int),
+    "alpha": Setting("alpha", float),
+    "k": Setting("k", float),
+    "c": Setting("c", float),
+    "rollout_depth": Setting("rollout_depth", int),
 }
 
 
@@ -105,21 +105,20 @@ def make_config(algo: str,
     if algo not in ALGOS:
         raise ValueError(f"unknown algo {algo!r}")
     engine = MctsConfig if algo == "mcts" else SearchConfig
-    fields = {engine: {} if algo == "mcts" else {"mode": algo}, SamplerKind: {}}
+    values = {} if algo == "mcts" else {"mode": algo}
     for key, raw in raw_settings.items():
         setting = SETTINGS.get(key)
         if setting is None:
             raise ValueError(f"unknown algo key {key!r}")
-        if setting.config not in fields:
+        if not hasattr(engine, setting.field):
             raise ValueError(f"{key} does not apply to algo {algo}")
         if setting.choices is not None and raw not in setting.choices:
             raise ValueError(f"{key} must be one of {setting.choices}, not {raw!r}")
         try:
-            fields[setting.config][setting.field] = setting.parse(raw)
+            values[setting.field] = setting.parse(raw)
         except ValueError:
             raise ValueError(f"bad {key} value {raw!r}") from None
-    config = engine(sampler=SamplerKind(**fields[SamplerKind]),
-                    **fields[engine])
+    config = engine(**values)
     check_config(config)
     return config
 
@@ -298,15 +297,15 @@ def _error_record(instance_id: str, algo_id: str, seed: int) -> RunRecord:
     return RunRecord(instance_id, algo_id, seed, "error", None, 0, 0.0, 0.0)
 
 
-def _cell_worker(args) -> Tuple[int, RunRecord]:
-    index, problem, spec, seed, instance_id, time_limit, expansion_limit = args
+def _cell_worker(args) -> RunRecord:
+    problem, spec, seed, instance_id, time_limit, expansion_limit = args
     if problem is None:
-        return index, _error_record(instance_id, spec.algo_id, seed)
+        return _error_record(instance_id, spec.algo_id, seed)
     try:
-        return index, run_one(problem, spec, seed, instance_id,
-                              time_limit, expansion_limit)
+        return run_one(problem, spec, seed, instance_id,
+                       time_limit, expansion_limit)
     except Exception:
-        return index, _error_record(instance_id, spec.algo_id, seed)
+        return _error_record(instance_id, spec.algo_id, seed)
 
 
 def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
@@ -314,10 +313,10 @@ def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
               ) -> List[RunRecord]:
     """Run every (instance, algorithm, seed) cell; return canonical-order records.
 
-    With out_dir set, records stream into <out_dir>/runs.csv as they finish
-    (an interrupted suite loses at most the in-flight cell); on completion the
-    file is rewritten in canonical cell order and meta.txt is written next to
-    it. Instances that fail to load occupy their cells with outcome "error".
+    With out_dir set, records stream into <out_dir>/runs.csv in canonical
+    cell order as they finish (an interrupted suite loses at most the
+    in-flight cells); on completion meta.txt is written next to it.
+    Instances that fail to load occupy their cells with outcome "error".
     """
     if not cfg.instances or not cfg.algorithms:
         raise ValueError("suite needs at least one instance and one algorithm")
@@ -328,14 +327,10 @@ def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
         except Exception:
             problems.append((source.instance_id, None))
 
-    cells = []
-    index = 0
-    for instance_id, problem in problems:
-        for spec in cfg.algorithms:
-            for seed in cfg.seeds:
-                cells.append((index, problem, spec, seed, instance_id,
-                              cfg.time_limit, cfg.expansion_limit))
-                index += 1
+    cells = [(problem, spec, seed, instance_id, cfg.time_limit,
+              cfg.expansion_limit)
+             for instance_id, problem in problems
+             for spec in cfg.algorithms for seed in cfg.seeds]
 
     stream = None
     writer = None
@@ -347,32 +342,23 @@ def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
         writer.writerow(CSV_HEADER)
         stream.flush()
 
-    results: List[Optional[RunRecord]] = [None] * len(cells)
-
-    def record_done(idx: int, record: RunRecord):
-        results[idx] = record
-        if writer is not None:
-            writer.writerow(record.csv_row())
-            stream.flush()
-        if progress is not None:
-            progress(record)
-
+    records: List[RunRecord] = []
     try:
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                for idx, record in pool.map(_cell_worker, cells):
-                    record_done(idx, record)
-        else:
-            for cell in cells:
-                idx, record = _cell_worker(cell)
-                record_done(idx, record)
+        with (ProcessPoolExecutor(max_workers=cfg.workers)
+              if cfg.workers > 1 else nullcontext()) as pool:
+            # the pool's map, like the built-in one, yields in cell order
+            for record in (pool.map if pool else map)(_cell_worker, cells):
+                records.append(record)
+                if writer is not None:
+                    writer.writerow(record.csv_row())
+                    stream.flush()
+                if progress is not None:
+                    progress(record)
     finally:
         if stream is not None:
             stream.close()
 
-    records = [r for r in results if r is not None]
     if out_dir is not None:
-        write_records(records, os.path.join(out_dir, "runs.csv"))
         _write_meta(cfg, records, os.path.join(out_dir, "meta.txt"))
     return records
 

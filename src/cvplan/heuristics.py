@@ -1,7 +1,7 @@
-"""Heuristics over states. Currently: goal counting.
+"""The planner's heuristic: goal counting.
 
-A heuristic maps (state, problem) to a nonnegative estimate. The engine binds
-the problem once and calls the bound form per state.
+The engine binds the problem once with make_heuristic and calls the bound
+form per state.
 """
 
 from __future__ import annotations
@@ -9,8 +9,6 @@ from __future__ import annotations
 from typing import Callable, Tuple
 
 from .model import And, Constraint, Problem, State, eval_constraint
-
-HeuristicFn = Callable[[State, Problem], float]
 
 
 def goal_conjuncts(goal: Constraint) -> Tuple[Constraint, ...]:
@@ -23,37 +21,16 @@ def goal_conjuncts(goal: Constraint) -> Tuple[Constraint, ...]:
     return (goal,)
 
 
-def goal_count(state: State, problem: Problem) -> float:
-    """Number of unsatisfied top-level goal conjuncts."""
-    return float(sum(
-        0 if eval_constraint(con, state, {}) else 1
-        for con in goal_conjuncts(problem.goal)
-    ))
+def make_heuristic(problem: Problem) -> Callable[[State], float]:
+    """The number of unsatisfied top-level goal conjuncts of a state, with the
+    conjunct list precomputed once per problem."""
+    conjuncts = goal_conjuncts(problem.goal)
 
-
-class GoalCountHeuristic:
-    """goal_count with the conjunct list precomputed once per problem."""
-
-    def __init__(self, problem: Problem):
-        self._conjuncts = goal_conjuncts(problem.goal)
-
-    def __call__(self, state: State) -> float:
+    def h(state: State) -> float:
         unsat = 0
-        for con in self._conjuncts:
+        for con in conjuncts:
             if not eval_constraint(con, state, {}):
                 unsat += 1
         return float(unsat)
 
-
-HEURISTICS = {
-    "gc": GoalCountHeuristic,
-}
-
-
-def make_heuristic(name: str, problem: Problem) -> Callable[[State], float]:
-    """Bind a registered heuristic to a problem."""
-    try:
-        factory = HEURISTICS[name]
-    except KeyError:
-        raise ValueError(f"unknown heuristic: {name!r}") from None
-    return factory(problem)
+    return h

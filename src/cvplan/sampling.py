@@ -12,11 +12,13 @@ Three strategies produce (action, control valuation) pairs for a state:
   proportional to (1 / (h(successor) + eps)) ** beta.
 
 Sampled control values can be snapped to a 10**-d grid (d = 0 disables).
+make_sampler binds the strategy a SearchConfig names.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,21 +26,8 @@ from .model import Decision, Problem, State, round_half_away, try_apply
 
 SAMPLER_KINDS = ("systematic", "uniform", "heuristic")
 
-
-@dataclass
-class SamplerKind:
-    """Sampler selection plus its parameters.
-
-    kind is one of SAMPLER_KINDS. beta, eps and
-    candidates only matter for the heuristic strategy; grid_digits and
-    reject_budget apply to all of them.
-    """
-    kind: str = "uniform"
-    beta: float = 1.0
-    eps: float = 1e-6
-    candidates: int = 10
-    grid_digits: int = 3
-    reject_budget: int = 100
+#: above this many grid digits, 10**digits is beyond the float range
+_MAX_GRID_DIGITS = sys.float_info.max_10_exp
 
 
 @dataclass
@@ -67,10 +56,17 @@ class SampleOutcome:
 
 
 def snap(value: float, digits: int) -> float:
-    """Round a control value onto the 10**-digits grid (0 digits: unchanged)."""
-    if digits <= 0:
+    """Round a control value onto the 10**-digits grid (0 digits: unchanged).
+
+    When value * 10**digits or 10**digits is beyond the float range, the grid
+    is finer than the value's float spacing and the value is returned as is.
+    """
+    if digits <= 0 or digits > _MAX_GRID_DIGITS:
         return value
-    return round_half_away(value, digits) / (10 ** digits)
+    try:
+        return round_half_away(value, digits) / (10 ** digits)
+    except TypeError:  # value * 10**digits overflowed to its repr string
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +195,10 @@ def sample_uniform(state: State, problem: Problem, rng: random.Random,
 
 def heuristic_weights(h_values: Sequence[float], beta: float = 1.0,
                       eps: float = 1e-6) -> List[float]:
-    """Candidate weights (1 / (h + eps)) ** beta."""
-    return [(1.0 / (h + eps)) ** beta for h in h_values]
+    """Candidate weights proportional to (1 / (h + eps)) ** beta, scaled so
+    that the largest is 1.0, which keeps every weight finite whatever beta."""
+    ref = (min(h_values) if beta >= 0 else max(h_values)) + eps
+    return [(ref / (h + eps)) ** beta for h in h_values]
 
 
 def heuristic_pick(h_values: Sequence[float], rng: random.Random,
@@ -234,24 +232,25 @@ def sample_heuristic(state: State, problem: Problem, h: Callable[[State], float]
     return SampleOutcome(chosen.decision, chosen.successor, trials)
 
 
-def make_sampler(kind: SamplerKind, problem: Problem,
+def make_sampler(cfg, problem: Problem,
                  h: Optional[Callable[[State], float]] = None):
-    """Bind a strategy to a problem: (state, node_state, rng) -> SampleOutcome."""
-    if kind.kind == "systematic":
+    """Bind the sampler a SearchConfig names to a problem:
+    (state, node_state, rng) -> SampleOutcome."""
+    if cfg.sampler == "systematic":
         def sampler(state, node_state, rng):
             return sample_systematic(state, node_state, problem,
-                                     kind.reject_budget, kind.grid_digits)
-    elif kind.kind == "uniform":
+                                     cfg.reject_budget, cfg.grid_digits)
+    elif cfg.sampler == "uniform":
         def sampler(state, node_state, rng):
             return sample_uniform(state, problem, rng,
-                                  kind.reject_budget, kind.grid_digits)
-    elif kind.kind == "heuristic":
+                                  cfg.reject_budget, cfg.grid_digits)
+    elif cfg.sampler == "heuristic":
         if h is None:
             raise ValueError("heuristic sampling needs a heuristic")
         def sampler(state, node_state, rng):
             return sample_heuristic(state, problem, h, rng,
-                                    kind.reject_budget, kind.grid_digits,
-                                    kind.beta, kind.eps, kind.candidates)
+                                    cfg.reject_budget, cfg.grid_digits,
+                                    cfg.beta, cfg.eps, cfg.candidates)
     else:
-        raise ValueError(f"unknown sampler kind: {kind.kind!r}")
+        raise ValueError(f"unknown sampler kind: {cfg.sampler!r}")
     return sampler

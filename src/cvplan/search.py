@@ -28,12 +28,12 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .heuristics import make_heuristic
 from .model import Decision, Problem, State, goal_test, state_key
-from .sampling import NodeSamplerState, SamplerKind, make_sampler, sample_uniform
+from .sampling import NodeSamplerState, make_sampler, sample_uniform
 
 #: priority rectifiers by CLI tag; each maps the partial-expansion counter
 #: n >= 0 to a nonnegative increment with r(0) = 0
@@ -53,8 +53,14 @@ F_TOL = 1e-9
 class SearchConfig:
     mode: str = "sg"
     rectifier: str = "log"
-    sampler: SamplerKind = field(default_factory=SamplerKind)
-    heuristic: str = "gc"
+    #: one of sampling.SAMPLER_KINDS; beta, eps and candidates only matter
+    #: for the heuristic sampler
+    sampler: str = "uniform"
+    beta: float = 1.0
+    eps: float = 1e-6
+    candidates: int = 10
+    grid_digits: int = 3
+    reject_budget: int = 100
     seed: int = 0
     time_limit: float = 600.0
     expansion_limit: Optional[int] = None
@@ -139,15 +145,15 @@ def check_config(cfg) -> None:
     """Raise ValueError if a SearchConfig or MctsConfig cannot be run."""
     if not cfg.time_limit > 0:
         raise ValueError("time_limit must be positive")
+    if cfg.reject_budget < 1:
+        raise ValueError("reject_budget must be at least 1")
     if isinstance(cfg, MctsConfig):
         if not 0.0 < cfg.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if cfg.c <= 0 or cfg.k <= 0:
-            raise ValueError("c and k must be positive")
+        if not (0 < cfg.c < math.inf and 0 < cfg.k < math.inf):
+            raise ValueError("c and k must be positive and finite")
         if cfg.rollout_depth < 0:
             raise ValueError("rollout_depth must be nonnegative")
-        if cfg.sampler.kind != "uniform":
-            raise ValueError(f"mcts samples uniformly, not {cfg.sampler.kind!r}")
         return
     if cfg.mode not in MODES:
         raise ValueError(f"unknown mode: {cfg.mode!r}")
@@ -155,6 +161,12 @@ def check_config(cfg) -> None:
         raise ValueError(f"unknown rectifier: {cfg.rectifier!r}")
     if cfg.expansion_limit is not None and cfg.expansion_limit <= 0:
         raise ValueError("expansion_limit must be positive")
+    if not 0 < cfg.eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    if math.isnan(cfg.beta):
+        raise ValueError("beta must be a number")
+    if cfg.candidates < 1:
+        raise ValueError("candidates must be at least 1")
 
 
 def run_search(problem: Problem, cfg: SearchConfig,
@@ -168,8 +180,8 @@ def run_search(problem: Problem, cfg: SearchConfig,
     """
     check_config(cfg)
     rng = random.Random(cfg.seed)
-    h_fn = make_heuristic(cfg.heuristic, problem)
-    sampler = make_sampler(cfg.sampler, problem, h_fn)
+    h_fn = make_heuristic(problem)
+    sampler = make_sampler(cfg, problem, h_fn)
     rect = RECTIFIERS[cfg.rectifier]
     emit = trace.append if trace is not None else None
 
@@ -405,8 +417,9 @@ class MctsConfig:
     k: float = 1.0
     c: float = math.sqrt(2.0)
     rollout_depth: int = 50
-    sampler: SamplerKind = field(default_factory=SamplerKind)
-    heuristic: str = "gc"
+    #: MCTS always samples uniformly; these two shape its draws
+    grid_digits: int = 3
+    reject_budget: int = 100
     seed: int = 0
     time_limit: float = 600.0
     trial_limit: Optional[int] = None
@@ -442,9 +455,9 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
     """
     check_config(cfg)
     rng = random.Random(cfg.seed)
-    h_fn = make_heuristic(cfg.heuristic, problem)
-    budget = cfg.sampler.reject_budget
-    digits = cfg.sampler.grid_digits
+    h_fn = make_heuristic(problem)
+    budget = cfg.reject_budget
+    digits = cfg.grid_digits
     t0 = time.perf_counter()
     root = MctsNode(problem.init, None)
     trials = 0

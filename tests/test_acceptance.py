@@ -22,7 +22,7 @@ from cvplan.harness import load_suite, run_suite
 from cvplan.model import (
     Action, Cmp, Const, Effect, Problem, State, Sub, Var, state_key, try_apply,
 )
-from cvplan.sampling import SamplerKind, dyadic_value, heuristic_pick
+from cvplan.sampling import dyadic_value, heuristic_pick
 from cvplan.search import (
     F_TOL,
     MctsConfig,
@@ -67,7 +67,7 @@ def bound_runs():
                     for samp in ("systematic", "uniform"):
                         cfg = SearchConfig(
                             mode=mode, rectifier=rect,
-                            sampler=SamplerKind(kind=samp), seed=seed,
+                            sampler=samp, seed=seed,
                             expansion_limit=2000)
                         check = TraceCheck(rect)
                         result = run_search(prob, cfg, trace=check)
@@ -99,7 +99,7 @@ def desk_suite():
             for seed in DESK_SEEDS:
                 cfg = SearchConfig(
                     mode=mode, rectifier=rect,
-                    sampler=SamplerKind(kind="uniform"), seed=seed,
+                    sampler="uniform", seed=seed,
                     time_limit=60.0,
                     expansion_limit=DESK_CAPS[spec.domain])
                 res = run_search(prob, cfg)
@@ -122,7 +122,7 @@ def test_criterion_01_trace_fidelity():
     # seed 1 takes ~40 extractions on counters-2, so the trace exercises
     # re-insertion repeatedly instead of solving on the second extraction
     cfg = SearchConfig(mode="sg", rectifier="log",
-                       sampler=SamplerKind(kind="uniform"), seed=1,
+                       sampler="uniform", seed=1,
                        time_limit=10.0)
     result = run_search(make_counters(2), cfg, trace=trace)
     violations = validate_trace(trace, "log")
@@ -189,7 +189,7 @@ def test_criterion_05_completeness_proxy_20_seeds():
         for seed in range(20):
             cfg = SearchConfig(
                 mode="sg", rectifier=rect,
-                sampler=SamplerKind(kind="uniform", grid_digits=0),
+                sampler="uniform", grid_digits=0,
                 seed=seed, time_limit=10.0)
             res = run_search(prob, cfg)
             solved += res.outcome == "solved"
@@ -308,7 +308,7 @@ def test_criterion_10_finite_space_equivalence():
                 frontier.append(succ)
 
     cfg = SearchConfig(mode="sg", rectifier="log",
-                       sampler=SamplerKind(kind="systematic"), seed=0,
+                       sampler="systematic", seed=0,
                        time_limit=120.0)
     res = run_search(prob, cfg)
     generated = set()

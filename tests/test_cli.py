@@ -9,7 +9,7 @@ import cvplan.search
 from cvplan.cli import build_parser, config_from_args, main
 from cvplan.dsl import parse_problem
 from cvplan.harness import SETTINGS, load_suite, make_config
-from cvplan.search import MctsConfig
+from cvplan.search import MctsConfig, SearchConfig
 
 SUITE_CFG = """
 seeds = 0
@@ -127,6 +127,17 @@ class TestSolve:
         ["--algo", "mcts", "--sampler", "heuristic"],
         ["--algo", "mcts", "--assert", "on"],
         ["--time-limit", "0"],
+        ["--algo", "mcts", "--sampler", "uniform"],
+        ["--algo", "mcts", "--beta", "5"],
+        ["--algo", "mcts", "--eps", "3"],
+        ["--algo", "mcts", "--candidates", "99"],
+        ["--eps", "0"],
+        ["--reject-budget", "0"],
+        ["--algo", "mcts", "--reject-budget", "0"],
+        ["--candidates", "0"],
+        ["--eps", "inf"],
+        ["--beta", "nan"],
+        ["--algo", "mcts", "--k", "inf"],
     ])
     def test_bad_algo_settings(self, counters_file, capsys, flags):
         assert main(["solve", counters_file] + flags) == 2
@@ -135,6 +146,18 @@ class TestSolve:
     def test_systematic_without_grid(self, counters_file):
         assert main(["solve", counters_file, "--sampler", "systematic",
                      "--grid-digits", "0"]) == 0
+
+    @pytest.mark.parametrize("domain,flags", [
+        (["counters", "-p", "n=2"], ["--sampler", "heuristic", "--beta", "60"]),
+        (["counters", "-p", "n=2"], ["--sampler", "heuristic", "--beta", "-60"]),
+        (["counters", "-p", "n=2"], ["--grid-digits", "400"]),
+        (["sailing", "-p", "b=1", "-p", "p=1"], ["--grid-digits", "308"]),
+    ])
+    def test_extreme_sampler_settings_run(self, tmp_path, domain, flags):
+        # sampler weights and snapped values must stay within the float range
+        path = str(tmp_path / "p.plan")
+        assert main(["gen"] + domain + ["-o", path]) == 0
+        assert main(["solve", path, "--expansion-limit", "300"] + flags) in (0, 1)
 
     def test_missing_file(self, capsys):
         assert main(["solve", "/nonexistent.plan"]) == 2
@@ -166,14 +189,19 @@ NON_DEFAULT = {
 
 @pytest.mark.parametrize("key", sorted(SETTINGS))
 def test_suite_key_and_flag_set_the_same_config(key):
-    algo = "mcts" if SETTINGS[key].config is MctsConfig else "sa"
+    # every algo whose config has the key's field
+    algos = [algo for algo, engine in (("sa", SearchConfig), ("mcts", MctsConfig))
+             if hasattr(engine, SETTINGS[key].field)]
+    assert algos
     value = NON_DEFAULT[key]
-    suite = load_suite(f"instance = counters n=2\n"
-                       f"algo = a algo={algo} {key}={value}\n")
-    args = build_parser().parse_args(
-        ["solve", "p.plan", "--algo", algo, "--" + key.replace("_", "-"), value])
-    assert config_from_args(args) == suite.algorithms[0].config
-    assert config_from_args(args) != make_config(algo, {})
+    for algo in algos:
+        suite = load_suite(f"instance = counters n=2\n"
+                           f"algo = a algo={algo} {key}={value}\n")
+        args = build_parser().parse_args(
+            ["solve", "p.plan", "--algo", algo, "--" + key.replace("_", "-"),
+             value])
+        assert config_from_args(args) == suite.algorithms[0].config
+        assert config_from_args(args) != make_config(algo, {})
 
 
 class TestSuite:
@@ -256,3 +284,8 @@ class TestEntryPoints:
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_every_export_resolves(self):
+        # a stale name in __all__ makes `from cvplan import *` raise
+        assert [name for name in cvplan.__all__
+                if not hasattr(cvplan, name)] == []

@@ -62,12 +62,12 @@ class TestLoadSuite:
         spec = cfg.algorithms[0]
         assert spec.config.mode == "sa"
         assert spec.config.rectifier == "qua"
-        assert spec.config.sampler.kind == "heuristic"
-        assert spec.config.sampler.beta == 2.5
-        assert spec.config.sampler.eps == 0.01
-        assert spec.config.sampler.candidates == 5
-        assert spec.config.sampler.grid_digits == 2
-        assert spec.config.sampler.reject_budget == 50
+        assert spec.config.sampler == "heuristic"
+        assert spec.config.beta == 2.5
+        assert spec.config.eps == 0.01
+        assert spec.config.candidates == 5
+        assert spec.config.grid_digits == 2
+        assert spec.config.reject_budget == 50
         assert not spec.config.duplicate_detection
 
     def test_mcts_fields(self):
@@ -130,6 +130,22 @@ class TestLoadSuite:
          "line 2: rectifier does not apply"),
         ("instance = counters n=2\nalgo = a algo=sg alpha=0.9\n",
          "line 2: alpha does not apply"),
+        ("instance = counters n=2\nalgo = a algo=mcts sampler=uniform\n",
+         "line 2: sampler does not apply"),
+        ("instance = counters n=2\nalgo = a algo=mcts beta=5\n",
+         "line 2: beta does not apply"),
+        ("instance = counters n=2\nalgo = a algo=mcts eps=3\n",
+         "line 2: eps does not apply"),
+        ("instance = counters n=2\nalgo = a algo=mcts candidates=99\n",
+         "line 2: candidates does not apply"),
+        ("instance = counters n=2\nalgo = a eps=0\n",
+         "line 2: eps must be positive"),
+        ("instance = counters n=2\nalgo = a reject_budget=0\n",
+         "line 2: reject_budget must be at least 1"),
+        ("instance = counters n=2\nalgo = a algo=mcts reject_budget=0\n",
+         "line 2: reject_budget must be at least 1"),
+        ("instance = counters n=2\nalgo = a candidates=0\n",
+         "line 2: candidates must be at least 1"),
         ("time_limit = soon\ninstance = counters n=2\nalgo = a\n",
          "line 1: could not convert"),
         ("seeds = 0 x\ninstance = counters n=2\nalgo = a\n",
@@ -272,6 +288,8 @@ class TestRunSuite:
         par = run_suite(par_cfg, out_dir=str(tmp_path))
         assert [(r.instance, r.seed, r.outcome, r.plan_len) for r in seq] == \
             [(r.instance, r.seed, r.outcome, r.plan_len) for r in par]
+        assert [r.csv_row() for r in read_records(str(tmp_path / "runs.csv"))] \
+            == [r.csv_row() for r in par]
 
     def test_rejects_empty_suite(self):
         from cvplan.harness import SuiteConfig

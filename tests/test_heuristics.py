@@ -1,11 +1,5 @@
-import pytest
-
-from cvplan.heuristics import (
-    GoalCountHeuristic, goal_conjuncts, goal_count, make_heuristic,
-)
-from cvplan.model import (
-    And, BoolEq, Cmp, Const, Not, Or, Problem, State, Sub, Var,
-)
+from cvplan.heuristics import goal_conjuncts, make_heuristic
+from cvplan.model import And, BoolEq, Cmp, Const, Or, Problem, State, Sub, Var
 
 X_GE_1 = Cmp(Sub(Var("x"), Const(1.0)), ">=")
 Y_GE_1 = Cmp(Sub(Var("y"), Const(1.0)), ">=")
@@ -33,36 +27,26 @@ def test_goal_count_values():
     s0 = State(bools={"p": False}, nums={"x": 0.0, "y": 0.0})
     s1 = State(bools={"p": True}, nums={"x": 1.0, "y": 0.0})
     s2 = State(bools={"p": True}, nums={"x": 1.0, "y": 2.0})
-    assert goal_count(s0, p) == 3.0
-    assert goal_count(s1, p) == 1.0
-    assert goal_count(s2, p) == 0.0
+    h = make_heuristic(p)
+    assert h(s0) == 3.0
+    assert h(s1) == 1.0
+    assert h(s2) == 0.0
 
 
 def test_goal_count_single_disjunction_is_one_conjunct():
     p = problem_with_goal(Or((X_GE_1, Y_GE_1)))
     sat = State(bools={"p": False}, nums={"x": 1.0, "y": 0.0})
     unsat = State(bools={"p": False}, nums={"x": 0.0, "y": 0.0})
-    assert goal_count(sat, p) == 0.0
-    assert goal_count(unsat, p) == 1.0
+    assert make_heuristic(p)(sat) == 0.0
+    assert make_heuristic(p)(unsat) == 1.0
 
 
 def test_goal_count_empty_goal_is_zero():
     p = problem_with_goal(And(()))
-    assert goal_count(p.init, p) == 0.0
-
-
-def test_bound_heuristic_matches_free_function():
-    p = problem_with_goal(And((X_GE_1, Not(P_TRUE))))
-    h = GoalCountHeuristic(p)
-    for nums in ({"x": 0.0, "y": 0.0}, {"x": 5.0, "y": 0.0}):
-        for pv in (False, True):
-            s = State(bools={"p": pv}, nums=nums)
-            assert h(s) == goal_count(s, p)
+    assert make_heuristic(p)(p.init) == 0.0
 
 
 def test_make_heuristic():
     p = problem_with_goal(And((X_GE_1,)))
-    h = make_heuristic("gc", p)
+    h = make_heuristic(p)
     assert h(State(bools={"p": False}, nums={"x": 0.0, "y": 0.0})) == 1.0
-    with pytest.raises(ValueError):
-        make_heuristic("nope", p)

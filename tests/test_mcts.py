@@ -5,7 +5,6 @@ import pytest
 from cvplan.domains import make_counters, make_sailing
 from cvplan.dsl import parse_problem
 from cvplan.model import Problem, State, goal_test, replay_plan
-from cvplan.sampling import SamplerKind
 from cvplan.search import MctsConfig, run_mcts
 
 
@@ -78,10 +77,11 @@ def test_config_validation():
         MctsConfig(alpha=1.0),
         MctsConfig(c=0.0),
         MctsConfig(k=0.0),
+        MctsConfig(k=math.inf),
+        MctsConfig(c=math.nan),
         MctsConfig(rollout_depth=-1),
         MctsConfig(time_limit=0.0),
-        MctsConfig(sampler=SamplerKind(kind="heuristic")),
-        MctsConfig(sampler=SamplerKind(kind="systematic")),
+        MctsConfig(reject_budget=0),
     ):
         bad.trial_limit = 1
         with pytest.raises(ValueError):

@@ -5,12 +5,13 @@ import pytest
 
 from cvplan.dsl import parse_problem
 from cvplan.heuristics import make_heuristic
+from cvplan.search import SearchConfig
 from cvplan.model import (
     Action, And, Cmp, Const, ControlVarSpec, Effect, Problem, State, Sub,
     TRUE, Var, replay_plan, try_apply,
 )
 from cvplan.sampling import (
-    NodeSamplerState, SamplerKind, dyadic_tuple, dyadic_value,
+    NodeSamplerState, dyadic_tuple, dyadic_value,
     heuristic_pick, heuristic_weights, make_sampler, sample_heuristic,
     sample_systematic, sample_uniform, snap,
 )
@@ -100,6 +101,9 @@ def test_snap():
     assert snap(0.12345, 0) == 0.12345
     assert snap(-0.9996, 3) == -1.0
     assert snap(2.0, 3) == 2.0
+    # grids finer than the float range leave the value as it is
+    assert snap(5.0, 308) == 5.0
+    assert snap(1.5, 400) == 1.5
 
 
 # -- systematic --------------------------------------------------------------
@@ -270,7 +274,10 @@ def test_heuristic_weights():
     w = heuristic_weights([0.0, 1.0, 3.0], beta=1.0, eps=1.0)
     assert w == [1.0, 0.5, 0.25]
     w2 = heuristic_weights([1.0, 3.0], beta=2.0, eps=1.0)
-    assert w2 == [0.25, 0.0625]
+    assert w2 == [1.0, 0.25]
+    # unscaled, (1 / (0 + 1e-6)) ** 60 overflows
+    assert heuristic_weights([0.0, 1.0], beta=60.0) == [1.0, 0.0]
+    assert heuristic_weights([0.0, 1.0], beta=-60.0) == [0.0, 1.0]
 
 
 def test_heuristic_pick_prefers_low_h():
@@ -288,7 +295,7 @@ def test_heuristic_pick_uniform_on_plateau():
 
 def test_sample_heuristic_valid_and_deterministic():
     p = counters()
-    h = make_heuristic("gc", p)
+    h = make_heuristic(p)
     a = sample_heuristic(p.init, p, h, random.Random(5))
     b = sample_heuristic(p.init, p, h, random.Random(5))
     assert a.ok and a.decision == b.decision
@@ -303,7 +310,7 @@ def test_sample_heuristic_fails_when_no_candidates():
       (action a (pre (> (- x x) 0)) (eff (assign x u)))
       (goal (and)))"""
     p, _ = parse_problem(text)
-    h = make_heuristic("gc", p)
+    h = make_heuristic(p)
     out = sample_heuristic(p.init, p, h, random.Random(0), budget=5,
                            candidates=3)
     assert not out.ok
@@ -314,24 +321,25 @@ def test_sample_heuristic_fails_when_no_candidates():
 
 def test_make_sampler_dispatch():
     p = counters()
-    h = make_heuristic("gc", p)
+    h = make_heuristic(p)
     rng = random.Random(9)
-    sys_sampler = make_sampler(SamplerKind(kind="systematic", grid_digits=0), p)
-    uni_sampler = make_sampler(SamplerKind(kind="uniform", grid_digits=0), p)
-    heu_sampler = make_sampler(SamplerKind(kind="heuristic", grid_digits=0), p, h)
+    sys_sampler = make_sampler(SearchConfig(sampler="systematic", grid_digits=0), p)
+    uni_sampler = make_sampler(SearchConfig(sampler="uniform", grid_digits=0), p)
+    heu_sampler = make_sampler(SearchConfig(sampler="heuristic", grid_digits=0),
+                               p, h)
     node = NodeSamplerState()
     assert sys_sampler(p.init, node, rng).decision.action == "inc-c0"
     assert uni_sampler(p.init, NodeSamplerState(), rng).ok
     assert heu_sampler(p.init, NodeSamplerState(), rng).ok
     with pytest.raises(ValueError):
-        make_sampler(SamplerKind(kind="nope"), p)
+        make_sampler(SearchConfig(sampler="nope"), p)
     with pytest.raises(ValueError):
-        make_sampler(SamplerKind(kind="heuristic"), p)
+        make_sampler(SearchConfig(sampler="heuristic"), p)
 
 
 def test_make_sampler_applies_grid():
     p = counters()
-    sampler = make_sampler(SamplerKind(kind="uniform", grid_digits=2), p)
+    sampler = make_sampler(SearchConfig(sampler="uniform", grid_digits=2), p)
     out = sampler(p.init, NodeSamplerState(), random.Random(1))
     u = out.decision.controls["u"]
     assert abs(u * 100 - round(u * 100)) < 1e-9

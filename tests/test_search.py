@@ -8,7 +8,6 @@ from cvplan.model import (
     Action, And, Cmp, Const, Decision, Effect, Problem, State, Sub, TRUE,
     Var, goal_test, replay_plan, state_key,
 )
-from cvplan.sampling import SamplerKind
 from cvplan.search import (
     RECTIFIERS, SearchConfig, SearchNode, TraceCheck, drifted_nodes, f_value,
     reconstruct_plan, run_search, solution_cost_within_bound, validate_trace,
@@ -74,7 +73,7 @@ def test_goal_at_root():
 def test_counters2_solved_and_replayable():
     p = make_counters(2)
     cfg = SearchConfig(mode="sg", rectifier="log",
-                       sampler=SamplerKind(kind="uniform"), seed=0,
+                       sampler="uniform", seed=0,
                        expansion_limit=20000, time_limit=30.0)
     result = run_search(p, cfg)
     assert result.outcome == "solved"
@@ -88,7 +87,7 @@ def test_counters2_solved_and_replayable():
 def test_systematic_solves_counters2():
     p = make_counters(2)
     cfg = SearchConfig(mode="sg", rectifier="log",
-                       sampler=SamplerKind(kind="systematic", grid_digits=0),
+                       sampler="systematic", grid_digits=0,
                        seed=0, expansion_limit=20000, time_limit=30.0)
     result = run_search(p, cfg)
     assert result.outcome == "solved"
@@ -97,7 +96,7 @@ def test_systematic_solves_counters2():
 
 def test_determinism():
     p = make_counters(2)
-    cfg = SearchConfig(sampler=SamplerKind(kind="uniform"), seed=7,
+    cfg = SearchConfig(sampler="uniform", seed=7,
                        expansion_limit=20000, time_limit=30.0)
     a = run_search(p, cfg)
     b = run_search(p, cfg)
@@ -109,7 +108,7 @@ def test_determinism():
 
 def test_impossible_action_hits_budget():
     p = impossible_problem()
-    cfg = SearchConfig(sampler=SamplerKind(kind="uniform"), seed=0,
+    cfg = SearchConfig(sampler="uniform", seed=0,
                        expansion_limit=1000)
     result = run_search(p, cfg)
     assert result.outcome == "budget"
@@ -154,7 +153,7 @@ def bfs_reachable(problem):
 def test_finite_space_exhausts_and_matches_bfs():
     p = finite_counter_problem(top=3)
     cfg = SearchConfig(mode="sg", rectifier="lin",
-                       sampler=SamplerKind(kind="systematic", grid_digits=0),
+                       sampler="systematic", grid_digits=0,
                        seed=0, time_limit=10.0)
     result = run_search(p, cfg)
     assert result.outcome == "exhausted"
@@ -172,7 +171,7 @@ def test_finite_space_exhausts_and_matches_bfs():
 def test_duplicate_detection_off_keeps_growing():
     p = finite_counter_problem(top=3)
     base = dict(mode="sg", rectifier="lin",
-                sampler=SamplerKind(kind="systematic", grid_digits=0), seed=0)
+                sampler="systematic", grid_digits=0, seed=0)
     with_dup = run_search(p, SearchConfig(**base, time_limit=10.0))
     without = run_search(p, SearchConfig(**base, duplicate_detection=False,
                                          expansion_limit=200))
@@ -185,7 +184,7 @@ def test_duplicate_detection_off_keeps_growing():
 def run_traced(expansion_limit=400, **overrides):
     p = make_counters(2)
     cfg = SearchConfig(mode="sg", rectifier="log",
-                       sampler=SamplerKind(kind="uniform"), seed=3,
+                       sampler="uniform", seed=3,
                        expansion_limit=expansion_limit, time_limit=30.0)
     for key, value in overrides.items():
         setattr(cfg, key, value)
@@ -253,7 +252,7 @@ def test_heap_property_via_shadow():
 def test_subtree_bound_holds_on_runs(mode, rectifier, sampler_kind):
     p = make_counters(2)
     cfg = SearchConfig(mode=mode, rectifier=rectifier,
-                       sampler=SamplerKind(kind=sampler_kind, grid_digits=3),
+                       sampler=sampler_kind, grid_digits=3,
                        seed=11, expansion_limit=300, time_limit=30.0)
     check = TraceCheck(rectifier)
     result = run_search(p, cfg, trace=check)
@@ -304,7 +303,7 @@ def test_solution_bound_on_sa_runs():
     p = make_counters(2)
     for seed in range(3):
         cfg = SearchConfig(mode="sa", rectifier="log",
-                           sampler=SamplerKind(kind="uniform"), seed=seed,
+                           sampler="uniform", seed=seed,
                            expansion_limit=20000, time_limit=30.0)
         result = run_search(p, cfg)
         assert result.outcome == "solved"
@@ -316,7 +315,7 @@ def test_solution_bound_on_sa_runs():
 def test_solution_bound_negative_and_mode_guard():
     p = make_counters(2)
     cfg = SearchConfig(mode="sa", rectifier="log",
-                       sampler=SamplerKind(kind="uniform"), seed=0,
+                       sampler="uniform", seed=0,
                        expansion_limit=20000, time_limit=30.0)
     result = run_search(p, cfg)
     # corrupt: pretend the root was never re-expanded and had a zero estimate
