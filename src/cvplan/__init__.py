@@ -1,7 +1,8 @@
 """Planning for numeric domains with continuous control variables.
 
 The pieces fit together like this: `model` defines problems and their exact
-semantics, `dsl` reads and writes them as s-expressions, `domains` generates
+semantics, `codegen` compiles them to the Python functions that evaluate
+them, `dsl` reads and writes them as s-expressions, `domains` generates
 benchmark families, `search` runs the sampling-based best-first planner and
 a Monte Carlo baseline, `sampling` and `heuristics` supply their plug-in
 points, and `harness` batches runs into CSV experiment suites. The `plan`

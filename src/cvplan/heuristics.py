@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable, Tuple
 
-from .model import And, Constraint, Problem, State, eval_constraint
+from .model import And, Constraint, Problem, State, compile_constraint
 
 
 def goal_conjuncts(goal: Constraint) -> Tuple[Constraint, ...]:
@@ -22,14 +22,15 @@ def goal_conjuncts(goal: Constraint) -> Tuple[Constraint, ...]:
 
 
 def make_heuristic(problem: Problem) -> Callable[[State], float]:
-    """The number of unsatisfied top-level goal conjuncts of a state, with the
-    conjunct list precomputed once per problem."""
-    conjuncts = goal_conjuncts(problem.goal)
+    """The number of unsatisfied top-level goal conjuncts of a state, with
+    each conjunct compiled once."""
+    tests = [compile_constraint(con) for con in goal_conjuncts(problem.goal)]
+    no_controls = {}
 
     def h(state: State) -> float:
         unsat = 0
-        for con in conjuncts:
-            if not eval_constraint(con, state, {}):
+        for holds in tests:
+            if not holds(state, no_controls):
                 unsat += 1
         return float(unsat)
 

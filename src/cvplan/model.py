@@ -12,53 +12,81 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Sequence, Tuple, Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Dict, Iterator, Mapping, Sequence, Tuple, Union
 
 
 class ModelError(Exception):
     """Structural error: unbound variable, inapplicable decision, bad plan."""
 
 
+class _Compiles:
+    """Base of the model objects that compile to a Python function on first
+    evaluation. The function is a cached_property `_compiled`, so it lives
+    in the instance __dict__, out of sight of the dataclass fields and so
+    of ==, hash and repr; __getstate__ keeps it out of pickles and copies.
+    """
+
+    @cached_property
+    def _compiled(self):
+        # imported here, so that importing cvplan does not compile the
+        # code generator: the first evaluation in a search pays for it
+        from .codegen import compile_node
+        return compile_node(self)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+
+
+class _Numeric(_Compiles):
+    """Base of the numeric expression nodes."""
+
+
+class _Condition(_Compiles):
+    """Base of the constraint nodes."""
+
+
 # ---------------------------------------------------------------------------
 # numeric expressions
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Numeric):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Numeric):
     """Variable reference. kind is "state" (numeric state var) or "control"."""
     name: str
     kind: str = "state"
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Numeric):
     lhs: "NumericExpr"
     rhs: "NumericExpr"
 
 
 @dataclass(frozen=True)
-class Sub:
+class Sub(_Numeric):
     lhs: "NumericExpr"
     rhs: "NumericExpr"
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Numeric):
     lhs: "NumericExpr"
     rhs: "NumericExpr"
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Numeric):
     arg: "NumericExpr"
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Numeric):
     """Natural power; exponent is a fixed nonnegative integer."""
     base: "NumericExpr"
     exponent: int
@@ -75,31 +103,31 @@ CMP_OPS = ("<", "<=", "=", ">=", ">")
 
 
 @dataclass(frozen=True)
-class Cmp:
+class Cmp(_Condition):
     """Numeric comparison `expr op 0` (right-hand sides are normalized away)."""
     expr: NumericExpr
     op: str
 
 
 @dataclass(frozen=True)
-class BoolEq:
+class BoolEq(_Condition):
     """Boolean test `var = value`."""
     name: str
     value: bool
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Condition):
     items: Tuple["Constraint", ...] = ()
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Condition):
     items: Tuple["Constraint", ...] = ()
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Condition):
     item: "Constraint"
 
 
@@ -119,7 +147,7 @@ class Effect:
 
 
 @dataclass(frozen=True)
-class Action:
+class Action(_Compiles):
     name: str
     precondition: Constraint
     effect: Effect
@@ -172,91 +200,41 @@ class Problem:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: each action, constraint and expression runs as the Python
+# function cvplan.codegen compiles it to on its first evaluation
+
+_NO_CONTROLS: ControlValuation = MappingProxyType({})
+
 
 def eval_expr(expr: NumericExpr, state: State, controls: ControlValuation) -> float:
     """Evaluate a polynomial expression under a state and control valuation."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            if expr.kind == "control":
-                return controls[expr.name]
-            return state.nums[expr.name]
-        except KeyError:
-            raise ModelError(f"unbound variable: {expr.name!r}") from None
-    if isinstance(expr, Add):
-        return eval_expr(expr.lhs, state, controls) + eval_expr(expr.rhs, state, controls)
-    if isinstance(expr, Sub):
-        return eval_expr(expr.lhs, state, controls) - eval_expr(expr.rhs, state, controls)
-    if isinstance(expr, Mul):
-        return eval_expr(expr.lhs, state, controls) * eval_expr(expr.rhs, state, controls)
-    if isinstance(expr, Neg):
-        return -eval_expr(expr.arg, state, controls)
-    if isinstance(expr, Pow):
-        base = eval_expr(expr.base, state, controls)
-        try:
-            return base ** expr.exponent
-        except OverflowError:
-            # float ** int raises when the result or the exponent is beyond
-            # the float range; the power is then at its limit: 0 below
-            # magnitude 1, inf above it, and 1 and nan stay themselves
-            size = abs(base)
-            limit = math.inf if size > 1 else 0.0 if size < 1 else size
-            return -limit if base < 0 and expr.exponent % 2 == 1 else limit
-    raise ModelError(f"not a numeric expression: {expr!r}")
+    if not isinstance(expr, _Numeric):
+        raise ModelError(f"not a numeric expression: {expr!r}")
+    return expr._compiled(state, controls)
 
 
-def _cmp_holds(value: float, op: str) -> bool:
-    if op == "<":
-        return value < 0
-    if op == "<=":
-        return value <= 0
-    if op == "=":
-        return value == 0
-    if op == ">=":
-        return value >= 0
-    if op == ">":
-        return value > 0
-    raise ModelError(f"unknown comparison operator: {op!r}")
+def compile_constraint(con: Constraint) -> Callable[[State, ControlValuation], bool]:
+    """The compiled form of con, `(state, controls) -> bool`, made on first
+    use and cached on con. Comparisons are exact (no tolerance)."""
+    if not isinstance(con, _Condition):
+        raise ModelError(f"not a constraint: {con!r}")
+    return con._compiled
 
 
 def eval_constraint(con: Constraint, state: State, controls: ControlValuation) -> bool:
     """Evaluate a constraint. Comparisons are exact (no tolerance)."""
-    if isinstance(con, Cmp):
-        return _cmp_holds(eval_expr(con.expr, state, controls), con.op)
-    if isinstance(con, BoolEq):
-        try:
-            return state.bools[con.name] is con.value
-        except KeyError:
-            raise ModelError(f"unbound boolean variable: {con.name!r}") from None
-    if isinstance(con, And):
-        return all(eval_constraint(c, state, controls) for c in con.items)
-    if isinstance(con, Or):
-        return any(eval_constraint(c, state, controls) for c in con.items)
-    if isinstance(con, Not):
-        return not eval_constraint(con.item, state, controls)
-    raise ModelError(f"not a constraint: {con!r}")
+    return compile_constraint(con)(state, controls)
 
 
 def try_apply(state: State, action: Action, controls: ControlValuation):
     """Successor state if the precondition holds under (state, controls),
     else None."""
-    if not eval_constraint(action.precondition, state, controls):
-        return None
-    new_bools = dict(state.bools)
-    for name, value in action.effect.bool_assigns:
-        new_bools[name] = value
-    new_nums = dict(state.nums)
-    for name, expr in action.effect.num_assigns:
-        # all right-hand sides read the pre-state
-        new_nums[name] = eval_expr(expr, state, controls)
-    return State(bools=new_bools, nums=new_nums)
+    return action._compiled(state, controls)
 
 
 def goal_test(state: State, goal: Constraint) -> bool:
     """True iff the goal constraint holds; goals never read control variables."""
-    return eval_constraint(goal, state, {})
+    return goal._compiled(state, _NO_CONTROLS)
 
 
 def replay_plan(problem: Problem, plan: Sequence[Decision]) -> State:

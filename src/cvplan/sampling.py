@@ -17,17 +17,22 @@ make_sampler binds the strategy a SearchConfig names.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .model import Decision, Problem, State, round_half_away, try_apply
+from .model import Decision, Problem, State, try_apply
 
 SAMPLER_KINDS = ("systematic", "uniform", "heuristic")
 
 #: above this many grid digits, 10**digits is beyond the float range
 _MAX_GRID_DIGITS = sys.float_info.max_10_exp
+
+#: a sampler given a deadline reads the clock once per this many trials
+_CLOCK_EVERY = 256
 
 
 @dataclass
@@ -41,9 +46,10 @@ class NodeSamplerState:
 class SampleOutcome:
     """Result of one sampling call.
 
-    decision/successor are None on failure. trials counts precondition checks
-    performed. exhausted marks a finite decision set that has been fully
-    enumerated (systematic sampling only).
+    decision/successor are None on failure, which includes a call cut short
+    at its deadline. trials counts precondition checks performed. exhausted
+    marks a finite decision set that has been fully enumerated (systematic
+    sampling only).
     """
     decision: Optional[Decision] = None
     successor: Optional[State] = None
@@ -55,18 +61,23 @@ class SampleOutcome:
         return self.decision is not None
 
 
-def snap(value: float, digits: int) -> float:
-    """Round a control value onto the 10**-digits grid (0 digits: unchanged).
+def snap(value: float, digits: int, scale: Optional[int] = None) -> float:
+    """Round a control value onto the 10**-digits grid, halves away from
+    zero (0 digits: unchanged). A caller snapping many values passes
+    scale = 10**digits, computed once.
 
     When value * 10**digits or 10**digits is beyond the float range, the grid
     is finer than the value's float spacing and the value is returned as is.
     """
     if digits <= 0 or digits > _MAX_GRID_DIGITS:
         return value
-    try:
-        return round_half_away(value, digits) / (10 ** digits)
-    except TypeError:  # value * 10**digits overflowed to its repr string
+    if scale is None:
+        scale = 10 ** digits
+    scaled = value * scale
+    if not math.isfinite(scaled):
         return value
+    magnitude = math.floor(abs(scaled) + 0.5)
+    return (magnitude if scaled >= 0 else -magnitude) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +157,24 @@ def _controls_for_tuple(problem: Problem, idx: Tuple[int, ...], digits: int) -> 
 
 
 def sample_systematic(state: State, node_state: NodeSamplerState, problem: Problem,
-                      budget: int = 100, grid_digits: int = 0) -> SampleOutcome:
+                      budget: int = 100, grid_digits: int = 0,
+                      deadline: Optional[float] = None) -> SampleOutcome:
     """Deterministic sampling: advance the node's counter past inapplicable
     pairs until an applicable decision is found or the budget runs out.
 
     With no control variables the decision set is finite; once the counter
-    passes it the node is flagged exhausted.
+    passes it the node is flagged exhausted. deadline, a time.perf_counter()
+    value, cuts a call short as in sample_uniform.
     """
     n_actions = len(problem.actions)
     dims = len(problem.controls)
     trials = 0
+    next_check = _CLOCK_EVERY if deadline is not None else -1
     while trials < budget:
+        if trials == next_check:
+            if perf_counter() > deadline:
+                break
+            next_check += _CLOCK_EVERY
         i = node_state.counter
         if n_actions == 0 or (dims == 0 and i >= n_actions):
             node_state.exhausted = True
@@ -176,17 +194,33 @@ def sample_systematic(state: State, node_state: NodeSamplerState, problem: Probl
 
 
 def sample_uniform(state: State, problem: Problem, rng: random.Random,
-                   budget: int = 100, grid_digits: int = 0) -> SampleOutcome:
-    """Rejection sampling: uniform action, uniform controls over the box."""
-    n_actions = len(problem.actions)
+                   budget: int = 100, grid_digits: int = 0,
+                   deadline: Optional[float] = None) -> SampleOutcome:
+    """Rejection sampling: uniform action, uniform controls over the box.
+
+    The draws are rng.randrange over the actions and, per control,
+    rng.uniform(lower, upper), spelled out as Random.uniform computes it.
+    With a deadline, a time.perf_counter() value, the clock is read every
+    _CLOCK_EVERY trials, and a call found past it fails with the trials
+    it made.
+    """
+    actions = problem.actions
+    n_actions = len(actions)
     if n_actions == 0:
         return SampleOutcome()
+    randrange, uniform01 = rng.randrange, rng.random
+    box = [(spec.name, spec.lower, spec.upper - spec.lower) for spec in problem.controls]
+    scale = 10 ** grid_digits if 0 < grid_digits <= _MAX_GRID_DIGITS else None
+    next_check = _CLOCK_EVERY if deadline is not None else -1
     for trial in range(1, budget + 1):
-        action = problem.actions[rng.randrange(n_actions)]
-        mu = {
-            spec.name: snap(rng.uniform(spec.lower, spec.upper), grid_digits)
-            for spec in problem.controls
-        }
+        if trial == next_check:
+            if perf_counter() > deadline:
+                return SampleOutcome(trials=trial - 1)
+            next_check += _CLOCK_EVERY
+        action = actions[randrange(n_actions)]
+        mu = {}
+        for name, lower, width in box:
+            mu[name] = snap(lower + width * uniform01(), grid_digits, scale)
         succ = try_apply(state, action, mu)
         if succ is not None:
             return SampleOutcome(Decision(action.name, mu), succ, trial)
@@ -211,20 +245,24 @@ def heuristic_pick(h_values: Sequence[float], rng: random.Random,
 def sample_heuristic(state: State, problem: Problem, h: Callable[[State], float],
                      rng: random.Random, budget: int = 100, grid_digits: int = 0,
                      beta: float = 1.0, eps: float = 1e-6,
-                     candidates: int = 10) -> SampleOutcome:
+                     candidates: int = 10,
+                     deadline: Optional[float] = None) -> SampleOutcome:
     """Draw up to `candidates` uniform candidates, pick one by heuristic weight.
 
     Candidates whose rejection budget runs out simply do not materialize; with
     no candidate at all the call fails. On heuristic plateaus the selection is
-    uniform over the candidates.
+    uniform over the candidates. A call whose candidate draw is cut short at
+    the deadline fails.
     """
     found: List[SampleOutcome] = []
     trials = 0
     for _ in range(candidates):
-        out = sample_uniform(state, problem, rng, budget, grid_digits)
+        out = sample_uniform(state, problem, rng, budget, grid_digits, deadline)
         trials += out.trials
         if out.ok:
             found.append(out)
+        elif deadline is not None and perf_counter() > deadline:
+            return SampleOutcome(trials=trials)
     if not found:
         return SampleOutcome(trials=trials)
     pick = heuristic_pick([h(out.successor) for out in found], rng, beta, eps)
@@ -235,22 +273,22 @@ def sample_heuristic(state: State, problem: Problem, h: Callable[[State], float]
 def make_sampler(cfg, problem: Problem,
                  h: Optional[Callable[[State], float]] = None):
     """Bind the sampler a SearchConfig names to a problem:
-    (state, node_state, rng) -> SampleOutcome."""
+    (state, node_state, rng, deadline=None) -> SampleOutcome."""
     if cfg.sampler == "systematic":
-        def sampler(state, node_state, rng):
+        def sampler(state, node_state, rng, deadline=None):
             return sample_systematic(state, node_state, problem,
-                                     cfg.reject_budget, cfg.grid_digits)
+                                     cfg.reject_budget, cfg.grid_digits, deadline)
     elif cfg.sampler == "uniform":
-        def sampler(state, node_state, rng):
+        def sampler(state, node_state, rng, deadline=None):
             return sample_uniform(state, problem, rng,
-                                  cfg.reject_budget, cfg.grid_digits)
+                                  cfg.reject_budget, cfg.grid_digits, deadline)
     elif cfg.sampler == "heuristic":
         if h is None:
             raise ValueError("heuristic sampling needs a heuristic")
-        def sampler(state, node_state, rng):
+        def sampler(state, node_state, rng, deadline=None):
             return sample_heuristic(state, problem, h, rng,
                                     cfg.reject_budget, cfg.grid_digits,
-                                    cfg.beta, cfg.eps, cfg.candidates)
+                                    cfg.beta, cfg.eps, cfg.candidates, deadline)
     else:
         raise ValueError(f"unknown sampler kind: {cfg.sampler!r}")
     return sampler

@@ -173,6 +173,9 @@ def run_search(problem: Problem, cfg: SearchConfig,
                trace=None) -> SearchResult:
     """Run the best-first engine on a problem.
 
+    cfg.time_limit bounds sampling too: the samplers get the run's deadline
+    and cut a call short once it has passed.
+
     trace, when given, is anything with an `append` method (a list, or a
     TraceCheck to check the run as it goes); it receives one tuple per event:
     ("extract", uid, f), ("goal", uid, hit), ("insert", uid, f),
@@ -186,6 +189,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
     emit = trace.append if trace is not None else None
 
     t0 = time.perf_counter()
+    deadline = t0 + cfg.time_limit
     uid_counter = itertools.count()
     root = SearchNode(next(uid_counter), problem.init, state_key(problem.init),
                       0, h_fn(problem.init), None, None)
@@ -227,7 +231,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
         if node.n > 0:
             reexpansions += 1
 
-        sample = sampler(node.state, node.sampler_state, rng)
+        sample = sampler(node.state, node.sampler_state, rng, deadline)
         if sample.ok:
             child_key = state_key(sample.successor)
             if seen is not None and child_key in seen:
@@ -449,7 +453,8 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
     are counted on entry so a fresh node may always receive its first child.
     A trial's reward is 1 when it reaches a goal (at which point the trial's
     decision prefix is returned as the plan) and 1 / (1 + h(final)) when the
-    rollout is cut off. widen_violations, when given, collects
+    rollout is cut off. As in run_search, sampling stops at the deadline
+    that cfg.time_limit sets. widen_violations, when given, collects
     (visits, child count) pairs seen above the cap; it stays empty unless the
     widening rule is broken.
     """
@@ -459,6 +464,7 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
     budget = cfg.reject_budget
     digits = cfg.grid_digits
     t0 = time.perf_counter()
+    deadline = t0 + cfg.time_limit
     root = MctsNode(problem.init, None)
     trials = 0
     plan: Optional[List[Decision]] = None
@@ -490,7 +496,7 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
             if len(node.children) > allowed and widen_violations is not None:
                 widen_violations.append((node.visits, len(node.children)))
             if len(node.children) < allowed:
-                out = sample_uniform(node.state, problem, rng, budget, digits)
+                out = sample_uniform(node.state, problem, rng, budget, digits, deadline)
                 if out.ok:
                     child = MctsNode(out.successor, out.decision)
                     node.children.append(child)
@@ -512,7 +518,7 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
         state = node.state
         reached_goal = False
         for _ in range(cfg.rollout_depth):
-            out = sample_uniform(state, problem, rng, budget, digits)
+            out = sample_uniform(state, problem, rng, budget, digits, deadline)
             if not out.ok:
                 break
             state = out.successor

@@ -291,6 +291,23 @@ class TestRunSuite:
         assert [r.csv_row() for r in read_records(str(tmp_path / "runs.csv"))] \
             == [r.csv_row() for r in par]
 
+    def test_worker_pool_takes_problems_searched_in_process(self, monkeypatch):
+        """Compiled code stays out of pickles: a workers = 2 run on problems
+        already searched in this process gives the sequential run's records."""
+        from cvplan.harness import InstanceSource
+        text = ("seeds = 0 1\nexpansion_limit = 500\n"
+                "instance = counters n=2 m=10 u=1\ninstance = sailing b=1 p=1\n"
+                "algo = a algo=sg sampler=heuristic\nalgo = m algo=mcts\n")
+        problems = {src.instance_id: src.load() for src in load_suite(text).instances}
+        monkeypatch.setattr(InstanceSource, "load", lambda src: problems[src.instance_id])
+        seq = run_suite(load_suite(text))
+        par = run_suite(load_suite(text + "workers = 2\n"))
+        key = [(r.instance, r.algorithm, r.seed, r.outcome, r.plan_len, r.expansions)
+               for r in seq]
+        assert key == [(r.instance, r.algorithm, r.seed, r.outcome, r.plan_len,
+                        r.expansions) for r in par]
+        assert "error" not in {r.outcome for r in seq}
+
     def test_rejects_empty_suite(self):
         from cvplan.harness import SuiteConfig
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -53,6 +54,20 @@ def test_trial_budget():
     assert result.outcome == "budget"
     assert result.expansions == 200
     assert result.plan is None
+
+
+def test_time_limit_cuts_a_sampling_call_short():
+    """A sampling call of up to a billion trials ends at the run's deadline."""
+    text = """(problem imp (bools) (nums (x 0.0)) (controls (u 0 1))
+      (action a (pre (> (- x x) 0)) (eff (assign x u)))
+      (goal (>= (- x 1) 0)))"""
+    p, diags = parse_problem(text)
+    assert p is not None, diags
+    t0 = time.perf_counter()
+    result = run_mcts(p, MctsConfig(seed=0, time_limit=0.3, reject_budget=10 ** 9))
+    assert result.outcome == "timeout"
+    assert result.expansions == 1
+    assert time.perf_counter() - t0 < 0.3 + 0.5
 
 
 def test_progressive_widening_cap():

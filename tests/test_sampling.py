@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,9 @@ def test_snap():
     # grids finer than the float range leave the value as it is
     assert snap(5.0, 308) == 5.0
     assert snap(1.5, 400) == 1.5
+    # a precomputed scale gives the same grid
+    for value in (0.123449, -0.9996, 0.0005, -0.0005, 1e300):
+        assert snap(value, 3, 1000) == snap(value, 3)
 
 
 # -- systematic --------------------------------------------------------------
@@ -260,6 +264,57 @@ def test_uniform_counts_rejections():
     assert max(t for t in trials) > 1
     # geometric with p=1/2: average around 2
     assert 1.5 < sum(trials) / len(trials) < 2.6
+
+
+@pytest.mark.parametrize("digits", [0, 3, 400])
+def test_uniform_draws_what_random_uniform_draws(digits):
+    """The rng calls, in order, of the loop the sampler spells out."""
+    text = """(problem r (bools) (nums (x 0.0)) (controls (u -3 5) (v 0 1))
+      (action a (pre (<= (- u v) 0)) (eff (assign x u)))
+      (action b (pre (>= (- u 4.5) 0)) (eff (assign x v)))
+      (goal (and)))"""
+    p, _ = parse_problem(text)
+
+    def reference(rng, budget):
+        for trial in range(1, budget + 1):
+            action = p.actions[rng.randrange(len(p.actions))]
+            mu = {spec.name: snap(rng.uniform(spec.lower, spec.upper), digits)
+                  for spec in p.controls}
+            if try_apply(p.init, action, mu) is not None:
+                return action.name, mu, trial
+        return None, None, budget
+
+    got, want = random.Random(5), random.Random(5)
+    for _ in range(300):
+        out = sample_uniform(p.init, p, got, budget=3, grid_digits=digits)
+        name = out.decision.action if out.ok else None
+        mu = out.decision.controls if out.ok else None
+        assert (name, mu, out.trials) == reference(want, 3)
+    assert got.random() == want.random()
+
+
+def test_deadline_cuts_sampling_short():
+    text = """(problem imp (bools) (nums (x 0.0)) (controls (u 0 1))
+      (action a (pre (> (- x x) 0)) (eff (assign x u)))
+      (goal (and)))"""
+    p, _ = parse_problem(text)
+    h = make_heuristic(p)
+    past = time.perf_counter() - 1.0
+    calls = [
+        lambda deadline: sample_uniform(p.init, p, random.Random(0), 10 ** 9, 3, deadline),
+        lambda deadline: sample_systematic(p.init, NodeSamplerState(), p, 10 ** 9, 3,
+                                           deadline),
+        lambda deadline: sample_heuristic(p.init, p, h, random.Random(0), 10 ** 9, 3,
+                                          candidates=5, deadline=deadline),
+    ]
+    for call in calls:
+        out = call(past)
+        assert not out.ok and 0 < out.trials < 1000
+    # a deadline far off draws what no deadline draws
+    p = counters()
+    a = sample_uniform(p.init, p, random.Random(1), 50, 3, time.perf_counter() + 600)
+    b = sample_uniform(p.init, p, random.Random(1), 50, 3)
+    assert (a.decision, a.trials) == (b.decision, b.trials)
 
 
 def test_uniform_no_actions_fails():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -117,6 +118,19 @@ def test_impossible_action_hits_budget():
     assert result.root.children == []
     assert result.reexpansions == 999
     assert result.reexpansion_rate == pytest.approx(99.9)
+
+
+@pytest.mark.parametrize("mode,sampler", [("sg", "uniform"), ("sg", "heuristic"),
+                                          ("sg", "systematic"), ("sa", "uniform")])
+def test_time_limit_cuts_a_sampling_call_short(mode, sampler):
+    """A sampling call of up to a billion trials ends at the run's deadline."""
+    cfg = SearchConfig(mode=mode, sampler=sampler, seed=0, time_limit=0.3,
+                       reject_budget=10 ** 9)
+    t0 = time.perf_counter()
+    result = run_search(impossible_problem(), cfg)
+    assert result.outcome == "timeout"
+    assert result.expansions == 1
+    assert time.perf_counter() - t0 < 0.3 + 0.5
 
 
 def test_config_validation():
