@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (solve requires a plan), 1 when a solve run ends
 without a plan or, under `--assert on`, breaks a search invariant, 2 on bad
-input.
+input. main turns any OSError or ValueError into `error: ...` and exit 2.
 """
 
 from __future__ import annotations
@@ -60,12 +60,8 @@ def config_from_args(args):
 
 
 def _load_problem(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     problem, diags = parse_problem(text)
     if problem is not None:
         diags = validate(problem)
@@ -79,15 +75,10 @@ def _cmd_solve(args) -> int:
     problem = _load_problem(args.file)
     if problem is None:
         return 2
-    try:
-        config = config_from_args(args)
-        check = (TraceCheck(config.rectifier) if args.check == "on"
-                 else None)
-        result = run_algo(problem, config, args.seed, args.time_limit,
-                          args.expansion_limit, trace=check)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = config_from_args(args)
+    check = TraceCheck(config.rectifier) if args.check == "on" else None
+    result = run_algo(problem, config, args.seed, args.time_limit,
+                      args.expansion_limit, trace=check)
     print(f"outcome={result.outcome} expansions={result.expansions} "
           f"reexp_rate={result.reexpansion_rate:.4f} "
           f"time_s={result.time_s:.3f}", file=sys.stderr)
@@ -121,9 +112,6 @@ def _cmd_gen(args) -> int:
         print(f"error: missing parameter {exc.args[0]!r} for {args.domain}",
               file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     text = serialize_problem(problem)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -135,13 +123,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        cfg = load_suite(text)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = load_suite(fh.read())
     if args.workers is not None:
         cfg.workers = args.workers
 
@@ -155,29 +138,16 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        records = read_records(f"{args.dir}/runs.csv")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = read_records(f"{args.dir}/runs.csv")
     if args.best_of:
-        ids = args.best_of.split(",")
-        try:
-            records = list(records) + best_of(records, ids)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        if args.table:
-            sys.stdout.write(coverage_csv(records, args.row, args.col))
-        elif args.survival:
-            sys.stdout.write(survival_csv(records))
-        else:
-            algo_a, algo_b = args.compare
-            sys.stdout.write(compare_csv(records, algo_a, algo_b, args.metric))
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        records += best_of(records, args.best_of.split(","))
+    if args.table:
+        sys.stdout.write(coverage_csv(records, args.row, args.col))
+    elif args.survival:
+        sys.stdout.write(survival_csv(records))
+    else:
+        algo_a, algo_b = args.compare
+        sys.stdout.write(compare_csv(records, algo_a, algo_b, args.metric))
     return 0
 
 
@@ -232,7 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

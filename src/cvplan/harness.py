@@ -380,30 +380,30 @@ def _write_meta(cfg: SuiteConfig, records: Sequence[RunRecord], path: str):
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip
-
-def write_records(records: Sequence[RunRecord], path: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for record in records:
-            writer.writerow(record.csv_row())
-
+# reading runs.csv
 
 def read_records(path: str) -> List[RunRecord]:
+    """The records of a runs.csv file. A missing column, a short row or a
+    value of the wrong type raises ValueError."""
     records: List[RunRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(RunRecord(
-                instance=row["instance"],
-                algorithm=row["algorithm"],
-                seed=int(row["seed"]),
-                outcome=row["outcome"],
-                plan_len=int(row["plan_len"]) if row["plan_len"] else None,
-                expansions=int(row["expansions"]),
-                reexp_rate=float(row["reexp_rate"]),
-                time_s=float(row["time_s"]),
-            ))
+        reader = csv.DictReader(fh)
+        try:
+            for row in reader:
+                records.append(RunRecord(
+                    instance=row["instance"],
+                    algorithm=row["algorithm"],
+                    seed=int(row["seed"]),
+                    outcome=row["outcome"],
+                    plan_len=int(row["plan_len"]) if row["plan_len"] else None,
+                    expansions=int(row["expansions"]),
+                    reexp_rate=float(row["reexp_rate"]),
+                    time_s=float(row["time_s"]),
+                ))
+        except KeyError as exc:
+            raise ValueError(f"{path}: no {exc.args[0]!r} column") from None
+        except (csv.Error, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return records
 
 

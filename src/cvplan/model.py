@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 
 class ModelError(Exception):
@@ -251,24 +251,34 @@ def replay_plan(problem: Problem, plan: Sequence[Decision]) -> State:
 # ---------------------------------------------------------------------------
 # canonical state keys
 
-def round_half_away(value: float, digits: int):
+#: state keys round numerics to this many decimal digits
+KEY_DIGITS = 6
+_KEY_SCALE = 10 ** KEY_DIGITS
+
+
+def round_half_away(value: float, digits: int, scale: Optional[int] = None):
     """Scale by 10**digits and round halves away from zero to an integer.
+    A caller rounding many values passes scale = 10**digits, computed once.
 
     Non-finite values map to their repr so keys stay hashable and distinct.
     """
-    scaled = value * (10 ** digits)
+    scaled = value * (10 ** digits if scale is None else scale)
     if not math.isfinite(scaled):
         return repr(scaled)
     magnitude = math.floor(abs(scaled) + 0.5)
     return magnitude if scaled >= 0 else -magnitude
 
 
-def state_key(state: State, digits: int = 6):
-    """Canonical hashable key: exact booleans, numerics rounded to `digits`."""
-    return (
-        tuple(sorted(state.bools.items())),
-        tuple((name, round_half_away(value, digits)) for name, value in sorted(state.nums.items())),
-    )
+def state_key(state: State, problem: Problem) -> tuple:
+    """Canonical hashable key: the booleans in problem.bools order, then the
+    numerics in problem.nums order, rounded to KEY_DIGITS digits."""
+    bools, nums = state.bools, state.nums
+    try:
+        return (*[bools[name] for name in problem.bools],
+                *[round_half_away(nums[name], KEY_DIGITS, _KEY_SCALE)
+                  for name in problem.nums])
+    except KeyError as exc:
+        raise ModelError(f"state lacks declared variable {exc.args[0]!r}") from None
 
 
 def iter_exprs(expr: NumericExpr) -> Iterator[NumericExpr]:

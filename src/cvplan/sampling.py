@@ -36,13 +36,6 @@ _CLOCK_EVERY = 256
 
 
 @dataclass
-class NodeSamplerState:
-    """Per-node sampling memory: systematic counter and exhaustion flag."""
-    counter: int = 0
-    exhausted: bool = False
-
-
-@dataclass
 class SampleOutcome:
     """Result of one sampling call.
 
@@ -156,14 +149,15 @@ def _controls_for_tuple(problem: Problem, idx: Tuple[int, ...], digits: int) -> 
     return mu
 
 
-def sample_systematic(state: State, node_state: NodeSamplerState, problem: Problem,
+def sample_systematic(state: State, start: int, problem: Problem,
                       budget: int = 100, grid_digits: int = 0,
                       deadline: Optional[float] = None) -> SampleOutcome:
-    """Deterministic sampling: advance the node's counter past inapplicable
-    pairs until an applicable decision is found or the budget runs out.
+    """Deterministic sampling: the t-th trial tries decision number
+    start + t, until one applies or the budget runs out. A node that passes
+    its cumulative trial count as start resumes where it left off.
 
-    With no control variables the decision set is finite; once the counter
-    passes it the node is flagged exhausted. deadline, a time.perf_counter()
+    With no control variables the decision set is finite; a call that
+    reaches its end reports exhaustion. deadline, a time.perf_counter()
     value, cuts a call short as in sample_uniform.
     """
     n_actions = len(problem.actions)
@@ -175,21 +169,17 @@ def sample_systematic(state: State, node_state: NodeSamplerState, problem: Probl
             if perf_counter() > deadline:
                 break
             next_check += _CLOCK_EVERY
-        i = node_state.counter
+        i = start + trials
         if n_actions == 0 or (dims == 0 and i >= n_actions):
-            node_state.exhausted = True
             return SampleOutcome(trials=trials, exhausted=True)
         action = problem.actions[i % n_actions]
         idx = dyadic_tuple(dims, i // n_actions)
-        node_state.counter += 1
         trials += 1
         mu = _controls_for_tuple(problem, idx, grid_digits)
         succ = try_apply(state, action, mu)
         if succ is not None:
-            if dims == 0 and node_state.counter >= n_actions:
-                node_state.exhausted = True
             return SampleOutcome(Decision(action.name, mu), succ, trials,
-                                 exhausted=node_state.exhausted)
+                                 exhausted=dims == 0 and i + 1 >= n_actions)
     return SampleOutcome(trials=trials)
 
 
@@ -273,19 +263,20 @@ def sample_heuristic(state: State, problem: Problem, h: Callable[[State], float]
 def make_sampler(cfg, problem: Problem,
                  h: Optional[Callable[[State], float]] = None):
     """Bind the sampler a SearchConfig names to a problem:
-    (state, node_state, rng, deadline=None) -> SampleOutcome."""
+    (state, start, rng, deadline=None) -> SampleOutcome, start being the
+    trials already spent on the node (read by the systematic sampler only)."""
     if cfg.sampler == "systematic":
-        def sampler(state, node_state, rng, deadline=None):
-            return sample_systematic(state, node_state, problem,
+        def sampler(state, start, rng, deadline=None):
+            return sample_systematic(state, start, problem,
                                      cfg.reject_budget, cfg.grid_digits, deadline)
     elif cfg.sampler == "uniform":
-        def sampler(state, node_state, rng, deadline=None):
+        def sampler(state, start, rng, deadline=None):
             return sample_uniform(state, problem, rng,
                                   cfg.reject_budget, cfg.grid_digits, deadline)
     elif cfg.sampler == "heuristic":
         if h is None:
             raise ValueError("heuristic sampling needs a heuristic")
-        def sampler(state, node_state, rng, deadline=None):
+        def sampler(state, start, rng, deadline=None):
             return sample_heuristic(state, problem, h, rng,
                                     cfg.reject_budget, cfg.grid_digits,
                                     cfg.beta, cfg.eps, cfg.candidates, deadline)

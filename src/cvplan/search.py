@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .heuristics import make_heuristic
 from .model import Decision, Problem, State, goal_test, state_key
-from .sampling import NodeSamplerState, make_sampler, sample_uniform
+from .sampling import make_sampler, sample_uniform
 
 #: priority rectifiers by CLI tag; each maps the partial-expansion counter
 #: n >= 0 to a nonnegative increment with r(0) = 0
@@ -68,23 +68,23 @@ class SearchConfig:
 
 
 class SearchNode:
-    """Search tree node; children are kept for instrumentation."""
+    """Search tree node; children are kept for instrumentation. trials
+    counts the sampler's trials on the node, over all its expansions."""
 
-    __slots__ = ("uid", "state", "key", "g", "h", "n", "f", "parent",
-                 "decision", "sampler_state", "children")
+    __slots__ = ("uid", "state", "g", "h", "n", "f", "trials", "parent",
+                 "decision", "children")
 
-    def __init__(self, uid: int, state: State, key, g: int, h: float,
+    def __init__(self, uid: int, state: State, g: int, h: float,
                  parent: Optional["SearchNode"], decision: Optional[Decision]):
         self.uid = uid
         self.state = state
-        self.key = key
         self.g = g
         self.h = h
         self.n = 0
         self.f = 0.0
+        self.trials = 0
         self.parent = parent
         self.decision = decision
-        self.sampler_state = NodeSamplerState()
         self.children: List["SearchNode"] = []
 
 
@@ -124,11 +124,15 @@ class SearchResult:
     plan: Optional[List[Decision]]
     expansions: int
     reexpansions: int
-    reexpansion_rate: float
     peak_open: int
     time_s: float
     #: tree root; a SearchNode for run_search, an MctsNode for run_mcts
     root: Optional[object] = None
+
+    @property
+    def reexpansion_rate(self) -> float:
+        """Re-expansions as a percentage of expansions (0.0 without any)."""
+        return 100.0 * self.reexpansions / self.expansions if self.expansions else 0.0
 
 
 def reconstruct_plan(node: SearchNode) -> List[Decision]:
@@ -191,12 +195,12 @@ def run_search(problem: Problem, cfg: SearchConfig,
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_limit
     uid_counter = itertools.count()
-    root = SearchNode(next(uid_counter), problem.init, state_key(problem.init),
-                      0, h_fn(problem.init), None, None)
+    root = SearchNode(next(uid_counter), problem.init, 0, h_fn(problem.init),
+                      None, None)
     root.f = f_value(root.g, root.h, 0, cfg.mode, rect)
     open_list = OpenList()
     open_list.push(root)
-    seen = {root.key} if cfg.duplicate_detection else None
+    seen = {state_key(problem.init, problem)} if cfg.duplicate_detection else None
 
     expansions = 0
     reexpansions = 0
@@ -231,20 +235,23 @@ def run_search(problem: Problem, cfg: SearchConfig,
         if node.n > 0:
             reexpansions += 1
 
-        sample = sampler(node.state, node.sampler_state, rng, deadline)
+        sample = sampler(node.state, node.trials, rng, deadline)
+        node.trials += sample.trials
         if sample.ok:
-            child_key = state_key(sample.successor)
-            if seen is not None and child_key in seen:
+            duplicate = False
+            if seen is not None:
+                child_key = state_key(sample.successor, problem)
+                duplicate = child_key in seen
+                seen.add(child_key)
+            if duplicate:
                 if emit:
                     emit(("duplicate", node.uid))
             else:
                 child = SearchNode(next(uid_counter), sample.successor,
-                                   child_key, node.g + 1,
-                                   h_fn(sample.successor), node, sample.decision)
+                                   node.g + 1, h_fn(sample.successor), node,
+                                   sample.decision)
                 child.f = f_value(child.g, child.h, 0, cfg.mode, rect)
                 node.children.append(child)
-                if seen is not None:
-                    seen.add(child_key)
                 open_list.push(child)
                 if emit:
                     emit(("insert", child.uid, child.f))
@@ -254,7 +261,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
 
         node.n += 1
         node.f = f_value(node.g, node.h, node.n, cfg.mode, rect)
-        if node.sampler_state.exhausted:
+        if sample.exhausted:
             if emit:
                 emit(("drop", node.uid))
         else:
@@ -265,13 +272,11 @@ def run_search(problem: Problem, cfg: SearchConfig,
             peak_open = len(open_list)
 
     plan = reconstruct_plan(goal_node) if goal_node is not None else None
-    rate = 100.0 * reexpansions / expansions if expansions else 0.0
     return SearchResult(
         outcome=outcome,
         plan=plan,
         expansions=expansions,
         reexpansions=reexpansions,
-        reexpansion_rate=rate,
         peak_open=peak_open,
         time_s=time.perf_counter() - t0,
         root=root,
@@ -472,8 +477,7 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
     def finish(out: str) -> SearchResult:
         return SearchResult(
             outcome=out, plan=plan, expansions=trials, reexpansions=0,
-            reexpansion_rate=0.0, peak_open=0,
-            time_s=time.perf_counter() - t0, root=root,
+            peak_open=0, time_s=time.perf_counter() - t0, root=root,
         )
 
     while True:

@@ -294,7 +294,7 @@ def _zero_control_walk(top=30):
 def test_criterion_10_finite_space_equivalence():
     prob = _zero_control_walk()
 
-    reachable = {state_key(prob.init)}
+    reachable = {state_key(prob.init, prob)}
     frontier = deque([prob.init])
     while frontier:
         state = frontier.popleft()
@@ -302,7 +302,7 @@ def test_criterion_10_finite_space_equivalence():
             succ = try_apply(state, action, {})
             if succ is None:
                 continue
-            key = state_key(succ)
+            key = state_key(succ, prob)
             if key not in reachable:
                 reachable.add(key)
                 frontier.append(succ)
@@ -316,7 +316,7 @@ def test_criterion_10_finite_space_equivalence():
     while stack:
         node = stack.pop()
         stack.extend(node.children)
-        generated.add(node.key)
+        generated.add(state_key(node.state, prob))
 
     ok = (len(reachable) == 961 and res.outcome == "exhausted"
           and generated == reachable)

@@ -70,6 +70,11 @@ class TestGen:
         assert main(["gen", "counters", "-p", "n=0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "f.txt"
+        assert main(["gen", "counters", "-p", "n=3", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSolve:
     def test_solved_prints_plan(self, counters_file, capsys):
@@ -163,6 +168,12 @@ class TestSolve:
         assert main(["solve", "/nonexistent.plan"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.plan"
+        bad.write_bytes(b"\xff\xfe(problem")
+        assert main(["solve", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.plan"
         bad.write_text("(problem")
@@ -219,6 +230,14 @@ class TestSuite:
         assert main(["suite", str(tmp_path / "nope.cfg"),
                      "-o", str(tmp_path / "o")]) == 2
 
+    def test_output_under_a_file(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(SUITE_CFG)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["suite", str(cfg), "-o", str(afile / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_workers_flag(self, tmp_path, capsys):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text(SUITE_CFG)
@@ -261,6 +280,21 @@ class TestReport:
 
     def test_missing_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "void"), "--table"]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace(",seed,", ",run,", 1),
+        lambda text: text.replace(",0,", ",zero,", 1),
+        lambda text: text.rsplit(",", 2)[0] + "\n",
+    ], ids=["no-seed-column", "non-integer-seed", "short-row"])
+    def test_malformed_runs_csv(self, suite_dir, capsys, edit):
+        runs = f"{suite_dir}/runs.csv"
+        with open(runs, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(runs, "w", encoding="utf-8") as fh:
+            fh.write(edit(text))
+        capsys.readouterr()
+        assert main(["report", suite_dir, "--table"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_requires_exactly_one_view(self, suite_dir):
         with pytest.raises(SystemExit):

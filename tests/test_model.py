@@ -92,6 +92,14 @@ def ref_try_apply(state, action, controls):
     return State(bools=new_bools, nums=new_nums)
 
 
+def ref_state_key(state, digits=6):
+    """The name-sorted key the flat state_key replaced."""
+    return (
+        tuple(sorted(state.bools.items())),
+        tuple((name, round_half_away(value, digits)) for name, value in sorted(state.nums.items())),
+    )
+
+
 def outcome(fn, *args):
     """fn(*args), or the ModelError class when it raises one."""
     try:
@@ -244,19 +252,38 @@ def test_round_half_away():
     assert round_half_away(math.nan, 6) == "nan"
 
 
+def key_problem(bools=(), nums=()):
+    """A problem that only declares state variables, for keying states."""
+    return Problem("keys", tuple(bools), tuple(nums), (), (), State(), TRUE)
+
+
 def test_state_key_rounding_and_order():
+    xy = key_problem(nums=("x", "y"))
     a = State(bools={}, nums={"x": 0.123456, "y": 1.0})
     b = State(bools={}, nums={"y": 1.0, "x": 0.123456 + 1e-9})
     c = State(bools={}, nums={"x": 0.12347, "y": 1.0})
-    assert state_key(a) == state_key(b)
-    assert state_key(a) != state_key(c)
+    assert state_key(a, xy) == state_key(b, xy)
+    assert state_key(a, xy) != state_key(c, xy)
+    p = key_problem(bools=("p",))
     d = State(bools={"p": True}, nums={})
     e = State(bools={"p": False}, nums={})
-    assert state_key(d) != state_key(e)
+    assert state_key(d, p) != state_key(e, p)
+    x = key_problem(nums=("x",))
     f = State(bools={}, nums={"x": math.inf})
     g = State(bools={}, nums={"x": -math.inf})
-    assert state_key(f) != state_key(g)
-    assert hash(state_key(f)) is not None
+    assert state_key(f, x) != state_key(g, x)
+    assert hash(state_key(f, x)) is not None
+
+
+def test_state_key_needs_every_declared_variable():
+    p = key_problem(bools=("p",), nums=("x", "y"))
+    with pytest.raises(ModelError, match="'y'"):
+        state_key(State(bools={"p": True}, nums={"x": 1.0}), p)
+    with pytest.raises(ModelError, match="'p'"):
+        state_key(State(bools={}, nums={"x": 1.0, "y": 2.0}), p)
+    # a variable the problem does not declare is not part of the key
+    extra = State(bools={"p": True, "q": False}, nums={"x": 1.0, "y": 2.0, "z": 3.0})
+    assert state_key(extra, p) == (True, 1_000_000, 2_000_000)
 
 
 def test_iterators_cover_all_nodes():
@@ -360,6 +387,37 @@ def test_compiled_action_matches_reference(pre, num_assigns, bool_assigns, valua
         assert got is ModelError
     else:
         assert same_state(got, want), (got, want)
+
+
+key_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 4e-7, 5e-7, -5e-7, 1.0000005, 1e300,
+                     math.inf, -math.inf, math.nan]),
+    st.floats())
+
+
+@st.composite
+def keyed_states(draw):
+    """A problem declaring some of BOOLS and NUMS in any order, and two
+    states over exactly those names, built in any dict order, the second
+    often close to the first."""
+    bools = draw(st.lists(st.sampled_from(BOOLS), unique=True))
+    nums = draw(st.lists(st.sampled_from(NUMS), unique=True))
+    a = State(bools={name: draw(st.booleans()) for name in draw(st.permutations(bools))},
+              nums={name: draw(key_values) for name in draw(st.permutations(nums))})
+    near = lambda v: st.sampled_from([v, v + 4e-7, v - 6e-7, v * (1 + 1e-15)])
+    b = State(bools={name: draw(st.booleans()) for name in draw(st.permutations(bools))},
+              nums={name: draw(st.one_of(near(a.nums[name]), key_values))
+                    for name in draw(st.permutations(nums))})
+    return key_problem(bools, nums), a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(keyed_states())
+def test_state_key_matches_reference(case):
+    problem, a, b = case
+    key_a, key_b = state_key(a, problem), state_key(b, problem)
+    assert (key_a == key_b) is (ref_state_key(a) == ref_state_key(b))
+    assert hash(key_a) is not None
 
 
 def test_unbound_names_raise_model_error():

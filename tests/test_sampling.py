@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -12,7 +13,7 @@ from cvplan.model import (
     TRUE, Var, replay_plan, try_apply,
 )
 from cvplan.sampling import (
-    NodeSamplerState, dyadic_tuple, dyadic_value,
+    dyadic_tuple, dyadic_value,
     heuristic_pick, heuristic_weights, make_sampler, sample_heuristic,
     sample_systematic, sample_uniform, snap,
 )
@@ -115,27 +116,29 @@ def test_snap():
 def test_systematic_first_decisions_round_robin():
     p = counters()
     s = State(bools={}, nums={"c0": 5.0, "c1": 5.0})  # everything applicable
-    node = NodeSamplerState()
+    trials = 0
     got = []
     for _ in range(8):
-        out = sample_systematic(s, node, p)
+        out = sample_systematic(s, trials, p)
+        trials += out.trials
         assert out.ok
         got.append((out.decision.action, out.decision.controls["u"]))
     assert got == [
         ("inc-c0", 0.0), ("dec-c0", 0.0), ("inc-c1", 0.0), ("dec-c1", 0.0),
         ("inc-c0", 1.0), ("dec-c0", 1.0), ("inc-c1", 1.0), ("dec-c1", 1.0),
     ]
-    assert node.counter == 8
-    out = sample_systematic(s, node, p)
+    assert trials == 8
+    out = sample_systematic(s, trials, p)
     assert (out.decision.action, out.decision.controls["u"]) == ("inc-c0", 0.5)
 
 
 def test_systematic_from_init_skips_impossible_decrements():
     p = counters()
-    node = NodeSamplerState()
+    trials = 0
     got = []
     for _ in range(6):
-        out = sample_systematic(p.init, node, p)
+        out = sample_systematic(p.init, trials, p)
+        trials += out.trials
         assert out.ok
         got.append((out.decision.action, out.decision.controls["u"]))
     # dec-c0/dec-c1 with u=1 are inapplicable at the all-zero initial state
@@ -143,7 +146,7 @@ def test_systematic_from_init_skips_impossible_decrements():
         ("inc-c0", 0.0), ("dec-c0", 0.0), ("inc-c1", 0.0), ("dec-c1", 0.0),
         ("inc-c0", 1.0), ("inc-c1", 1.0),
     ]
-    assert node.counter == 7
+    assert trials == 7
 
 
 def test_systematic_skips_inapplicable():
@@ -151,10 +154,11 @@ def test_systematic_skips_inapplicable():
     # from a state with c0 high, inc-c0 with u=... stays applicable; craft a
     # state where dec actions with u > 0 are the only inapplicable ones
     s = State(bools={}, nums={"c0": 10.0, "c1": 0.0})
-    node = NodeSamplerState()
+    trials = 0
     seen = []
     for _ in range(6):
-        out = sample_systematic(s, node, p)
+        out = sample_systematic(s, trials, p)
+        trials += out.trials
         assert out.ok
         seen.append((out.decision.action, out.decision.controls["u"]))
     # i=0: inc-c0 u=0 ok (10+0<=10); i=1: dec-c0 u=0 ok; i=2: inc-c1 u=0 ok;
@@ -164,14 +168,26 @@ def test_systematic_skips_inapplicable():
         ("inc-c0", 0.0), ("dec-c0", 0.0), ("inc-c1", 0.0), ("dec-c1", 0.0),
         ("dec-c0", 1.0), ("inc-c1", 1.0),
     ]
-    assert node.counter == 7  # one extra advance past the failure
+    assert trials == 7  # one extra trial past the failure
     assert seen.count(("inc-c0", 1.0)) == 0
+
+
+def test_systematic_resumes_from_start():
+    """A call from start = k draws what a fresh sampler draws after k trials:
+    the first applicable decision numbered k or more."""
+    text = """(problem t (bools) (nums (x 0.0)) (controls (u 0 1))
+      (action a (pre (>= (- u 0.9) 0)) (eff (assign x u)))
+      (goal (and)))"""
+    p, _ = parse_problem(text)
+    for k in range(40):
+        i = next(i for i in itertools.count(k) if dyadic_value(i) >= 0.9)
+        out = sample_systematic(p.init, k, p)
+        assert (out.decision.controls["u"], out.trials) == (dyadic_value(i), i + 1 - k)
 
 
 def test_systematic_successor_matches_model():
     p = counters()
-    node = NodeSamplerState()
-    out = sample_systematic(p.init, node, p)
+    out = sample_systematic(p.init, 0, p)
     expect = try_apply(p.init, p.action_by_name(out.decision.action),
                        out.decision.controls)
     assert out.successor == expect
@@ -182,23 +198,20 @@ def test_systematic_budget_failure_is_not_exhaustion():
       (action a (pre (> (- x x) 0)) (eff (assign x u)))
       (goal (and)))"""
     p, _ = parse_problem(text)
-    node = NodeSamplerState()
-    out = sample_systematic(p.init, node, p, budget=50)
+    out = sample_systematic(p.init, 0, p, budget=50)
     assert not out.ok
     assert out.trials == 50
     assert not out.exhausted
-    assert node.counter == 50
 
 
 def test_systematic_finite_exhaustion():
     p = no_control_problem(n_actions=2)
-    node = NodeSamplerState()
-    out1 = sample_systematic(p.init, node, p)
+    out1 = sample_systematic(p.init, 0, p)
     assert out1.ok and out1.decision.action == "a0" and not out1.exhausted
-    out2 = sample_systematic(p.init, node, p)
+    out2 = sample_systematic(p.init, out1.trials, p)
     assert out2.ok and out2.decision.action == "a1" and out2.exhausted
-    out3 = sample_systematic(p.init, node, p)
-    assert not out3.ok and out3.exhausted and node.exhausted
+    out3 = sample_systematic(p.init, out1.trials + out2.trials, p)
+    assert not out3.ok and out3.exhausted and out3.trials == 0
 
 
 def test_systematic_grid_snap():
@@ -206,10 +219,11 @@ def test_systematic_grid_snap():
       (action a (pre (and)) (eff (assign x u)))
       (goal (and)))"""
     p, _ = parse_problem(text)
-    node = NodeSamplerState()
+    trials = 0
     values = []
     for _ in range(9):
-        out = sample_systematic(p.init, node, p, grid_digits=2)
+        out = sample_systematic(p.init, trials, p, grid_digits=2)
+        trials += out.trials
         values.append(out.decision.controls["u"])
     # 3 * dyadic sequence snapped to 0.01 grid, halves away from zero
     assert values == [0.0, 3.0, 1.5, 0.75, 2.25, 0.38, 1.13, 1.88, 2.63]
@@ -302,8 +316,7 @@ def test_deadline_cuts_sampling_short():
     past = time.perf_counter() - 1.0
     calls = [
         lambda deadline: sample_uniform(p.init, p, random.Random(0), 10 ** 9, 3, deadline),
-        lambda deadline: sample_systematic(p.init, NodeSamplerState(), p, 10 ** 9, 3,
-                                           deadline),
+        lambda deadline: sample_systematic(p.init, 0, p, 10 ** 9, 3, deadline),
         lambda deadline: sample_heuristic(p.init, p, h, random.Random(0), 10 ** 9, 3,
                                           candidates=5, deadline=deadline),
     ]
@@ -382,10 +395,9 @@ def test_make_sampler_dispatch():
     uni_sampler = make_sampler(SearchConfig(sampler="uniform", grid_digits=0), p)
     heu_sampler = make_sampler(SearchConfig(sampler="heuristic", grid_digits=0),
                                p, h)
-    node = NodeSamplerState()
-    assert sys_sampler(p.init, node, rng).decision.action == "inc-c0"
-    assert uni_sampler(p.init, NodeSamplerState(), rng).ok
-    assert heu_sampler(p.init, NodeSamplerState(), rng).ok
+    assert sys_sampler(p.init, 0, rng).decision.action == "inc-c0"
+    assert uni_sampler(p.init, 0, rng).ok
+    assert heu_sampler(p.init, 0, rng).ok
     with pytest.raises(ValueError):
         make_sampler(SearchConfig(sampler="nope"), p)
     with pytest.raises(ValueError):
@@ -395,6 +407,6 @@ def test_make_sampler_dispatch():
 def test_make_sampler_applies_grid():
     p = counters()
     sampler = make_sampler(SearchConfig(sampler="uniform", grid_digits=2), p)
-    out = sampler(p.init, NodeSamplerState(), random.Random(1))
+    out = sampler(p.init, 0, random.Random(1))
     u = out.decision.controls["u"]
     assert abs(u * 100 - round(u * 100)) < 1e-9

@@ -149,7 +149,7 @@ def test_config_validation():
 
 def bfs_reachable(problem):
     frontier = [problem.init]
-    seen = {state_key(problem.init): problem.init}
+    seen = {state_key(problem.init, problem): problem.init}
     while frontier:
         state = frontier.pop()
         for action in problem.actions:
@@ -157,7 +157,7 @@ def bfs_reachable(problem):
             succ = try_apply(state, action, {})
             if succ is None:
                 continue
-            key = state_key(succ)
+            key = state_key(succ, problem)
             if key not in seen:
                 seen[key] = succ
                 frontier.append(succ)
@@ -175,7 +175,7 @@ def test_finite_space_exhausts_and_matches_bfs():
     stack = [result.root]
     while stack:
         node = stack.pop()
-        generated[node.key] = node.state
+        generated[state_key(node.state, p)] = node.state
         stack.extend(node.children)
     oracle = bfs_reachable(p)
     assert set(generated.keys()) == set(oracle.keys())
@@ -300,11 +300,11 @@ def test_drifted_nodes_flags_a_stale_f():
 
 
 def test_reconstruct_plan_orders_decisions():
-    root = SearchNode(0, State(bools={}, nums={"x": 0.0}), ("r",), 0, 0.0,
+    root = SearchNode(0, State(bools={}, nums={"x": 0.0}), 0, 0.0,
                       None, None)
-    mid = SearchNode(1, State(bools={}, nums={"x": 1.0}), ("m",), 1, 0.0,
+    mid = SearchNode(1, State(bools={}, nums={"x": 1.0}), 1, 0.0,
                      root, Decision("first", {"u": 1.0}))
-    leaf = SearchNode(2, State(bools={}, nums={"x": 2.0}), ("l",), 2, 0.0,
+    leaf = SearchNode(2, State(bools={}, nums={"x": 2.0}), 2, 0.0,
                       mid, Decision("second", {"u": 0.5}))
     assert reconstruct_plan(root) == []
     assert reconstruct_plan(leaf) == [
@@ -333,7 +333,7 @@ def test_solution_bound_negative_and_mode_guard():
                        expansion_limit=20000, time_limit=30.0)
     result = run_search(p, cfg)
     # corrupt: pretend the root was never re-expanded and had a zero estimate
-    fake_root = SearchNode(0, p.init, state_key(p.init), 0, 0.0, None, None)
+    fake_root = SearchNode(0, p.init, 0, 0.0, None, None)
     if len(result.plan) > 0:
         assert not solution_cost_within_bound(result, fake_root, cfg)
     with pytest.raises(ValueError):
