@@ -129,8 +129,9 @@ def _cmd_suite(args) -> int:
         cfg.workers = args.workers
 
     def progress(record):
+        reason = f" ({record.error})" if record.error else ""
         print(f"{record.instance} {record.algorithm} seed={record.seed} "
-              f"-> {record.outcome}", file=sys.stderr)
+              f"-> {record.outcome}{reason}", file=sys.stderr)
 
     run_suite(cfg, out_dir=args.output, progress=progress)
     print(f"suite written to {args.output}", file=sys.stderr)

@@ -2,9 +2,11 @@
 
 An action compiles to `(state, controls) -> successor State or None`, a
 constraint to `(state, controls) -> bool` and an expression to
-`(state, controls) -> float`. The source is three-address code, exec'd once
-per object; model caches the function on the object and imports this
-module on the first evaluation, so importing cvplan does not pay for it.
+`(state, controls) -> float`, and an action's state test, its top-level
+precondition conjuncts that read no control, to `(state) -> bool`. The
+source is three-address code, exec'd once per object; model caches the
+function on the object and imports this module on the first evaluation,
+so importing cvplan does not pay for it.
 The code does the float operations the tree spells, in the tree's order:
 left operands first, `and`/`or` short-circuiting left to right, `BoolEq` as
 an `is` test and `Pow` through _pow_limit. An unbound variable raises
@@ -191,13 +193,13 @@ class _Emitter:
         self.reads.update("bn")
         return name
 
-    def build(self) -> Callable:
+    def build(self, params: str = "state, c") -> Callable:
         """exec the source written so far and return the function."""
         bool_names = self.const(frozenset(self.bool_names))
         src = ["def _make(K):",
                f"    {', '.join(f'k{i}' for i in range(len(self.consts)))}, = K"]
         src += ["    " + line for helper in self.helpers for line in helper]
-        src.append("    def run(state, c):")
+        src.append(f"    def run({params}):")
         src += [f"        {m} = state.{'bools' if m == 'b' else 'nums'}"
                 for m in sorted(self.reads)]
         src.append("        try:")
@@ -236,6 +238,53 @@ def _compile_action(action: Action) -> Callable[[State, ControlValuation], Optio
         em.emit(0, f"nn[{em.key(name)}] = {value}")
     em.emit(0, "return State(nb, nn)")
     return em.build()
+
+
+def _conjuncts(con: Constraint):
+    """con's top-level conjuncts in order, nested ands flattened as
+    _Emitter.require flattens them."""
+    if isinstance(con, And):
+        for item in con.items:
+            yield from _conjuncts(item)
+    else:
+        yield con
+
+
+def _reads_control(con: Constraint) -> bool:
+    stack = [con]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            if node.kind == "control":
+                return True
+        elif isinstance(node, (And, Or)):
+            stack.extend(node.items)
+        elif isinstance(node, Not):
+            stack.append(node.item)
+        elif isinstance(node, Cmp):
+            stack.append(node.expr)
+        elif isinstance(node, (Add, Sub, Mul)):
+            stack += (node.lhs, node.rhs)
+        elif isinstance(node, Neg):
+            stack.append(node.arg)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+    return False
+
+
+def compile_state_test(action: Action) -> Optional[Callable[[State], bool]]:
+    """`(state) -> bool` over the top-level precondition conjuncts of action
+    that read no control, in their order; None when every conjunct reads
+    one. When it is False, no control value makes action applicable."""
+    free = [con for con in _conjuncts(action.precondition) if not _reads_control(con)]
+    if not free:
+        return None
+    em = _Emitter()
+    for con in free:
+        em.require(con, 0, "return False")
+    em.emit(0, "return True")
+    # helpers for deep and/or trees take c, which these conjuncts never read
+    return em.build("state, c=None")
 
 
 def compile_node(node) -> Callable:

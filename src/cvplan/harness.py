@@ -45,6 +45,8 @@ class RunRecord:
     expansions: int
     reexp_rate: float
     time_s: float
+    #: why an "error" cell failed, as "Type: message"; not in runs.csv
+    error: str = ""
 
     @property
     def domain(self) -> str:
@@ -293,19 +295,20 @@ def run_one(problem: Problem, spec: AlgoSpec, seed: int, instance_id: str,
     )
 
 
-def _error_record(instance_id: str, algo_id: str, seed: int) -> RunRecord:
-    return RunRecord(instance_id, algo_id, seed, "error", None, 0, 0.0, 0.0)
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _cell_worker(args) -> RunRecord:
-    problem, spec, seed, instance_id, time_limit, expansion_limit = args
-    if problem is None:
-        return _error_record(instance_id, spec.algo_id, seed)
-    try:
-        return run_one(problem, spec, seed, instance_id,
-                       time_limit, expansion_limit)
-    except Exception:
-        return _error_record(instance_id, spec.algo_id, seed)
+    problem, load_error, spec, seed, instance_id, time_limit, expansion_limit = args
+    error = load_error
+    if problem is not None:
+        try:
+            return run_one(problem, spec, seed, instance_id,
+                           time_limit, expansion_limit)
+        except Exception as exc:
+            error = _reason(exc)
+    return RunRecord(instance_id, spec.algo_id, seed, "error", None, 0, 0.0, 0.0, error)
 
 
 def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
@@ -316,20 +319,21 @@ def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
     With out_dir set, records stream into <out_dir>/runs.csv in canonical
     cell order as they finish (an interrupted suite loses at most the
     in-flight cells); on completion meta.txt is written next to it.
-    Instances that fail to load occupy their cells with outcome "error".
+    Instances that fail to load occupy their cells with outcome "error", as
+    do cells whose run raises; RunRecord.error says why.
     """
     if not cfg.instances or not cfg.algorithms:
         raise ValueError("suite needs at least one instance and one algorithm")
-    problems: List[Tuple[str, Optional[Problem]]] = []
+    problems: List[Tuple[str, Optional[Problem], str]] = []
     for source in cfg.instances:
         try:
-            problems.append((source.instance_id, source.load()))
-        except Exception:
-            problems.append((source.instance_id, None))
+            problems.append((source.instance_id, source.load(), ""))
+        except Exception as exc:
+            problems.append((source.instance_id, None, _reason(exc)))
 
-    cells = [(problem, spec, seed, instance_id, cfg.time_limit,
+    cells = [(problem, load_error, spec, seed, instance_id, cfg.time_limit,
               cfg.expansion_limit)
-             for instance_id, problem in problems
+             for instance_id, problem, load_error in problems
              for spec in cfg.algorithms for seed in cfg.seeds]
 
     stream = None

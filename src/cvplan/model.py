@@ -14,19 +14,29 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 
 class ModelError(Exception):
     """Structural error: unbound variable, inapplicable decision, bad plan."""
 
 
-class _Compiles:
-    """Base of the model objects that compile to a Python function on first
-    evaluation. The function is a cached_property `_compiled`, so it lives
-    in the instance __dict__, out of sight of the dataclass fields and so
-    of ==, hash and repr; __getstate__ keeps it out of pickles and copies.
+class _Cached:
+    """Base of the model objects that cache data derived from themselves,
+    such as compiled functions, in cached_properties. These live in the
+    instance __dict__, out of sight of the dataclass fields and so of ==,
+    hash and repr; __getstate__ keeps them out of pickles and copies.
     """
+
+    def __getstate__(self):
+        cls = type(self)
+        return {k: v for k, v in self.__dict__.items()
+                if not isinstance(getattr(cls, k, None), cached_property)}
+
+
+class _Compiles(_Cached):
+    """Base of the model objects that compile to a Python function, the
+    cached_property `_compiled`, on first evaluation."""
 
     @cached_property
     def _compiled(self):
@@ -34,9 +44,6 @@ class _Compiles:
         # code generator: the first evaluation in a search pays for it
         from .codegen import compile_node
         return compile_node(self)
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
 
 
 class _Numeric(_Compiles):
@@ -152,6 +159,11 @@ class Action(_Compiles):
     precondition: Constraint
     effect: Effect
 
+    @cached_property
+    def _state_test(self) -> Optional[Callable[[State], bool]]:
+        from .codegen import compile_state_test
+        return compile_state_test(self)
+
 
 @dataclass(frozen=True)
 class ControlVarSpec:
@@ -183,7 +195,7 @@ class Decision:
 
 
 @dataclass(frozen=True)
-class Problem:
+class Problem(_Cached):
     name: str
     bools: Tuple[str, ...]
     nums: Tuple[str, ...]
@@ -191,6 +203,20 @@ class Problem:
     actions: Tuple[Action, ...]
     init: State
     goal: Constraint
+
+    @cached_property
+    def _state_tests(self) -> Tuple[Tuple[int, Callable[[State], bool]], ...]:
+        """(index, state test) of each action that has a state test."""
+        return tuple((i, action._state_test) for i, action in enumerate(self.actions)
+                     if action._state_test is not None)
+
+    @cached_property
+    def _control_box(self) -> Tuple[Tuple[Tuple[str, float, float], ...], float]:
+        """(name, lower, upper - lower) per control, the ints converted to
+        float as float arithmetic converts them (so bounds beyond the float
+        range raise OverflowError), and the largest |bound|, at least 1."""
+        box = tuple((s.name, float(s.lower), float(s.upper - s.lower)) for s in self.controls)
+        return box, max([1.0] + [max(abs(lower), abs(lower + width)) for _, lower, width in box])
 
     def action_by_name(self, name: str) -> Action:
         for act in self.actions:
@@ -230,6 +256,17 @@ def try_apply(state: State, action: Action, controls: ControlValuation):
     """Successor state if the precondition holds under (state, controls),
     else None."""
     return action._compiled(state, controls)
+
+
+def liveness(state: State, problem: Problem) -> List[bool]:
+    """Per action of problem, False when a top-level precondition conjunct
+    that reads no control fails in state, so that no control value makes
+    the action applicable; True otherwise."""
+    alive = [True] * len(problem.actions)
+    for i, test in problem._state_tests:
+        if not test(state):
+            alive[i] = False
+    return alive
 
 
 def goal_test(state: State, goal: Constraint) -> bool:

@@ -7,9 +7,16 @@ Three strategies produce (action, control valuation) pairs for a state:
   affinely onto each control box, with multi-dimensional boxes enumerated
   diagonally by total refinement level.
 * uniform: action uniform over all actions, controls uniform over the box,
-  rejection sampling with a bounded trial budget.
+  rejection sampling with a bounded budget of draws.
 * heuristic: draws N uniform candidates and picks one with probability
   proportional to (1 / (h(successor) + eps)) ** beta.
+
+A draw picks one decision; a trial is a draw whose precondition is checked,
+and SampleOutcome.trials counts trials. reject_budget bounds the draws of
+one call. The uniform sampler first runs each action's state test, its
+precondition conjuncts that read no control: a draw of an action that fails
+it is rejected unchecked, and a state where every action fails it is
+exhausted, so the search drops its node.
 
 Sampled control values can be snapped to a 10**-d grid (d = 0 disables).
 make_sampler binds the strategy a SearchConfig names.
@@ -24,14 +31,14 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .model import Decision, Problem, State, try_apply
+from .model import Decision, Problem, State, liveness, try_apply
 
 SAMPLER_KINDS = ("systematic", "uniform", "heuristic")
 
 #: above this many grid digits, 10**digits is beyond the float range
 _MAX_GRID_DIGITS = sys.float_info.max_10_exp
 
-#: a sampler given a deadline reads the clock once per this many trials
+#: a sampler given a deadline reads the clock once per this many draws
 _CLOCK_EVERY = 256
 
 
@@ -41,8 +48,10 @@ class SampleOutcome:
 
     decision/successor are None on failure, which includes a call cut short
     at its deadline. trials counts precondition checks performed. exhausted
-    marks a finite decision set that has been fully enumerated (systematic
-    sampling only).
+    marks a state with no decision left to try, so that the search drops
+    the node: a finite decision set fully enumerated (systematic sampling),
+    or a state in which no action passes its state test (uniform and
+    heuristic sampling).
     """
     decision: Optional[Decision] = None
     successor: Optional[State] = None
@@ -141,11 +150,12 @@ def dyadic_tuple(dims: int, t: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # strategies
 
-def _controls_for_tuple(problem: Problem, idx: Tuple[int, ...], digits: int) -> Dict[str, float]:
+def _controls_for_tuple(problem: Problem, idx: Tuple[int, ...], digits: int,
+                        scale: Optional[int]) -> Dict[str, float]:
     mu: Dict[str, float] = {}
     for spec, j in zip(problem.controls, idx):
         value = spec.lower + dyadic_value(j) * (spec.upper - spec.lower)
-        mu[spec.name] = snap(value, digits)
+        mu[spec.name] = snap(value, digits, scale)
     return mu
 
 
@@ -162,6 +172,7 @@ def sample_systematic(state: State, start: int, problem: Problem,
     """
     n_actions = len(problem.actions)
     dims = len(problem.controls)
+    scale = 10 ** grid_digits if 0 < grid_digits <= _MAX_GRID_DIGITS else None
     trials = 0
     next_check = _CLOCK_EVERY if deadline is not None else -1
     while trials < budget:
@@ -175,7 +186,7 @@ def sample_systematic(state: State, start: int, problem: Problem,
         action = problem.actions[i % n_actions]
         idx = dyadic_tuple(dims, i // n_actions)
         trials += 1
-        mu = _controls_for_tuple(problem, idx, grid_digits)
+        mu = _controls_for_tuple(problem, idx, grid_digits, scale)
         succ = try_apply(state, action, mu)
         if succ is not None:
             return SampleOutcome(Decision(action.name, mu), succ, trials,
@@ -188,33 +199,62 @@ def sample_uniform(state: State, problem: Problem, rng: random.Random,
                    deadline: Optional[float] = None) -> SampleOutcome:
     """Rejection sampling: uniform action, uniform controls over the box.
 
-    The draws are rng.randrange over the actions and, per control,
-    rng.uniform(lower, upper), spelled out as Random.uniform computes it.
+    Each of up to `budget` draws picks an action uniformly over all
+    actions, as rng.randrange would. An action whose state test fails
+    (model.liveness) cannot apply for any control value: its draw ends
+    there, with no control drawn and no precondition checked. Any other
+    draw takes, per control, rng.uniform(lower, upper), snaps it as snap
+    does, and is a trial: one precondition check. The call thus has the
+    law of drawing controls for every draw, while only the rng stream
+    differs. With no action that passes its state test the call returns
+    exhausted, with 0 trials and the rng untouched.
+
     With a deadline, a time.perf_counter() value, the clock is read every
-    _CLOCK_EVERY trials, and a call found past it fails with the trials
-    it made.
+    _CLOCK_EVERY draws, and a call found past it fails with the trials it
+    made.
     """
-    actions = problem.actions
+    alive = liveness(state, problem)
+    if not any(alive):
+        return SampleOutcome(exhausted=True)
+    actions, apply = problem.actions, try_apply
     n_actions = len(actions)
-    if n_actions == 0:
-        return SampleOutcome()
-    randrange, uniform01 = rng.randrange, rng.random
-    box = [(spec.name, spec.lower, spec.upper - spec.lower) for spec in problem.controls]
+    bits = n_actions.bit_length()
+    getrandbits, uniform01, floor = rng.getrandbits, rng.random, math.floor
+    box, bound = problem._control_box
     scale = 10 ** grid_digits if 0 < grid_digits <= _MAX_GRID_DIGITS else None
+    # snap inline, in float arithmetic, which rounds as snap does while
+    # every |value| * 10**digits, and so every magnitude, is within 2**52
+    inline = scale is not None and bound * scale <= 2 ** 52
+    if inline:
+        scale = float(scale)
+    trials = 0
     next_check = _CLOCK_EVERY if deadline is not None else -1
-    for trial in range(1, budget + 1):
-        if trial == next_check:
+    for draw in range(1, budget + 1):
+        if draw == next_check:
             if perf_counter() > deadline:
-                return SampleOutcome(trials=trial - 1)
+                return SampleOutcome(trials=trials)
             next_check += _CLOCK_EVERY
-        action = actions[randrange(n_actions)]
+        # Random.randrange(n_actions), spelled out
+        i = getrandbits(bits)
+        while i >= n_actions:
+            i = getrandbits(bits)
+        if not alive[i]:
+            continue
+        trials += 1
         mu = {}
-        for name, lower, width in box:
-            mu[name] = snap(lower + width * uniform01(), grid_digits, scale)
-        succ = try_apply(state, action, mu)
+        if inline:
+            for name, lower, width in box:
+                scaled = (lower + width * uniform01()) * scale
+                mu[name] = (floor(scaled + 0.5) if scaled >= 0
+                            else -floor(0.5 - scaled)) / scale
+        else:
+            for name, lower, width in box:
+                mu[name] = snap(lower + width * uniform01(), grid_digits, scale)
+        action = actions[i]
+        succ = apply(state, action, mu)
         if succ is not None:
-            return SampleOutcome(Decision(action.name, mu), succ, trial)
-    return SampleOutcome(trials=budget)
+            return SampleOutcome(Decision(action.name, mu), succ, trials)
+    return SampleOutcome(trials=trials)
 
 
 def heuristic_weights(h_values: Sequence[float], beta: float = 1.0,
@@ -242,12 +282,15 @@ def sample_heuristic(state: State, problem: Problem, h: Callable[[State], float]
     Candidates whose rejection budget runs out simply do not materialize; with
     no candidate at all the call fails. On heuristic plateaus the selection is
     uniform over the candidates. A call whose candidate draw is cut short at
-    the deadline fails.
+    the deadline fails. A state where sample_uniform finds no action that
+    can apply makes the call exhausted.
     """
     found: List[SampleOutcome] = []
     trials = 0
     for _ in range(candidates):
         out = sample_uniform(state, problem, rng, budget, grid_digits, deadline)
+        if out.exhausted:
+            return out
         trials += out.trials
         if out.ok:
             found.append(out)

@@ -13,8 +13,9 @@ partially expanded; priorities are
 with g the number of actions from the root and r one of the rectifiers below
 (r(0) = 0, strictly increasing). Goal states are recognized when extracted,
 not when generated. Duplicate successors (by canonical state key) are
-discarded, and a node whose finite decision set is exhausted is removed
-instead of reinserted, so searches over purely finite spaces terminate.
+discarded, and a node the sampler reports exhausted (a finite decision set
+enumerated, or a state where no action can apply) is removed instead of
+reinserted, so searches over purely finite spaces terminate.
 
 run_mcts implements the baseline: UCT with progressive widening, which caps
 a node's children at ceil(k * visits**alpha) so sampling can widen the tree

@@ -238,6 +238,13 @@ class TestSuite:
         assert main(["suite", str(cfg), "-o", str(afile / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_progress_line_gives_the_error_reason(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"instance = file {tmp_path / 'gone.plan'}\n"
+                       "algo = a algo=sg\n")
+        assert main(["suite", str(cfg), "-o", str(tmp_path / "o")]) == 0
+        assert "file/gone a seed=0 -> error (FileNotFoundError: " in capsys.readouterr().err
+
     def test_workers_flag(self, tmp_path, capsys):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text(SUITE_CFG)

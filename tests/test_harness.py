@@ -233,7 +233,9 @@ class TestRunSuite:
         records = run_suite(cfg)
         assert len(records) == 4
         assert [r.outcome for r in records[:2]] == ["error", "error"]
-        assert all(r.outcome == "solved" for r in records[2:])
+        assert all(r.error.startswith("FileNotFoundError: ") and "/nonexistent/foo.plan"
+                   in r.error for r in records[:2])
+        assert all(r.outcome == "solved" and r.error == "" for r in records[2:])
 
     def test_unparseable_file_yields_error_cells(self, tmp_path):
         bad = tmp_path / "bad.plan"
@@ -242,6 +244,19 @@ class TestRunSuite:
         records = run_suite(cfg)
         assert records[0].outcome == "error"
         assert records[0].instance == "file/bad"
+        assert records[0].error.startswith(f"ValueError: {bad}: ")
+
+    def test_engine_exception_gives_its_reason(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr("cvplan.harness.run_search", boom)
+        cfg = load_suite("instance = counters n=2 m=10 u=1\n"
+                         "algo = a algo=sg sampler=uniform\n")
+        records = run_suite(cfg, out_dir=str(tmp_path))
+        assert (records[0].outcome, records[0].error) == ("error", "RuntimeError: boom")
+        # runs.csv keeps its documented columns
+        header, row = (tmp_path / "runs.csv").read_text().splitlines()
+        assert tuple(header.split(",")) == CSV_HEADER and "boom" not in row
 
     def test_file_instance_solves(self, tmp_path):
         from cvplan.domains import make_counters

@@ -59,7 +59,7 @@ def test_trial_budget():
 def test_time_limit_cuts_a_sampling_call_short():
     """A sampling call of up to a billion trials ends at the run's deadline."""
     text = """(problem imp (bools) (nums (x 0.0)) (controls (u 0 1))
-      (action a (pre (> (- x x) 0)) (eff (assign x u)))
+      (action a (pre (> (- u u) 0)) (eff (assign x u)))
       (goal (>= (- x 1) 0)))"""
     p, diags = parse_problem(text)
     assert p is not None, diags

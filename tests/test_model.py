@@ -5,14 +5,14 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cvplan.domains import default_ladder, generate
+from cvplan.domains import default_ladder, generate, make_drone
 from cvplan.dsl import parse_problem
 from cvplan.heuristics import make_heuristic
 from cvplan.model import (
     CMP_OPS, Action, Add, And, BoolEq, Cmp, Const, ControlVarSpec, Decision,
     Effect, ModelError, Mul, Neg, Not, Or, Pow, Problem, State, Sub, TRUE, Var,
     eval_constraint, eval_expr, goal_test, iter_constraints, iter_exprs,
-    replay_plan, round_half_away, state_key, try_apply,
+    liveness, replay_plan, round_half_away, state_key, try_apply,
 )
 from cvplan.search import SearchConfig, run_search
 
@@ -497,11 +497,47 @@ def test_odd_names_in_a_handbuilt_problem():
     assert goal_test(replay_plan(p, result.plan), p.goal)
 
 
+def ref_conjuncts(con):
+    if isinstance(con, And):
+        return [c for item in con.items for c in ref_conjuncts(item)]
+    return [con]
+
+
+def ref_reads_control(con):
+    return any(isinstance(e, Var) and e.kind == "control"
+               for node in iter_constraints(con) if isinstance(node, Cmp)
+               for e in iter_exprs(node.expr))
+
+
+@settings(max_examples=400, deadline=None)
+@given(constraints, valuations())
+def test_state_test_matches_reference(pre, valuation):
+    """liveness evaluates the top-level conjuncts that read no control;
+    where they fail, no control value makes the action applicable."""
+    state, controls = valuation
+    action = Action(ODD, pre, Effect())
+    problem = Problem("p", BOOLS, NUMS, (), (action,), state, TRUE)
+    free = And(tuple(c for c in ref_conjuncts(pre) if not ref_reads_control(c)))
+    live = outcome(liveness, state, problem)
+    live = live if live is ModelError else live[0]
+    assert live is outcome(ref_eval_constraint, free, state, {})
+    if live is False:
+        assert outcome(ref_try_apply, state, action, controls) in (None, ModelError)
+
+
+def test_drone_state_tests():
+    p = make_drone(4, 2, points=[(0, 0, 0), (4, 4, 4)])
+    move, near, far = p.actions
+    assert move._state_test is None          # every move conjunct reads a control
+    assert liveness(p.init, p) == [True, True, False]
+
+
 def test_compiled_code_stays_out_of_equality_repr_and_pickles():
     p = generate(default_ladder()[5])          # sailing: the goal has conjuncts
     text, action_hash = repr(p), hash(p.actions[0])
     run_search(p, SearchConfig(seed=0, expansion_limit=300))
     make_heuristic(p)(p.init)
+    assert "_state_tests" in p.__dict__ and "_control_box" in p.__dict__
     assert repr(p) == text
     assert hash(p.actions[0]) == action_hash
     copy = pickle.loads(pickle.dumps(p))

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -257,7 +258,7 @@ def test_uniform_respects_bounds_and_model():
 
 def test_uniform_budget_exhaustion():
     text = """(problem imp (bools) (nums (x 0.0)) (controls (u 0 1))
-      (action a (pre (> (- x x) 0)) (eff (assign x u)))
+      (action a (pre (> (- u u) 0)) (eff (assign x u)))
       (goal (and)))"""
     p, _ = parse_problem(text)
     out = sample_uniform(p.init, p, random.Random(0), budget=37)
@@ -280,36 +281,104 @@ def test_uniform_counts_rejections():
     assert 1.5 < sum(trials) / len(trials) < 2.6
 
 
-@pytest.mark.parametrize("digits", [0, 3, 400])
+def reference_uniform(state, problem, rng, budget, digits):
+    """The rejection loop before state tests: every draw takes
+    rng.randrange over the actions and rng.uniform per control, snaps, and
+    checks the precondition. Returns (action name, controls, trials), or
+    (None, None, budget) when the budget runs out."""
+    for trial in range(1, budget + 1):
+        action = problem.actions[rng.randrange(len(problem.actions))]
+        mu = {spec.name: snap(rng.uniform(spec.lower, spec.upper), digits)
+              for spec in problem.controls}
+        if try_apply(state, action, mu) is not None:
+            return action.name, mu, trial
+    return None, None, budget
+
+
+#: preconditions that each read a control, so that no state test rejects
+#: a draw and the sampler must draw what reference_uniform draws
+CONTROL_PRES = ["(<= (- u v) 0)", "(>= (- u 4.5) 0)", "(<= (- (* u u) 4) 0)",
+                "(>= (+ u v) 9)", "(<= (- v 0.5) 0)"]
+
+
+@pytest.mark.parametrize("digits", [0, 3, 14, 16, 308, 400])
 def test_uniform_draws_what_random_uniform_draws(digits):
-    """The rng calls, in order, of the loop the sampler spells out."""
-    text = """(problem r (bools) (nums (x 0.0)) (controls (u -3 5) (v 0 1))
-      (action a (pre (<= (- u v) 0)) (eff (assign x u)))
-      (action b (pre (>= (- u 4.5) 0)) (eff (assign x v)))
-      (goal (and)))"""
-    p, _ = parse_problem(text)
+    """The rng calls, in order, of the loop the sampler spells out. With 1,
+    3 and 5 actions the spelled-out randrange must redraw; on this +-10 box
+    inline snapping stops short of 16 digits, and value * 10**308 is beyond
+    the float range for most values."""
+    for n_actions in (1, 2, 3, 5):
+        actions = "".join(f"(action a{i} (pre {pre}) (eff (assign x u)))"
+                          for i, pre in enumerate(CONTROL_PRES[:n_actions]))
+        p, diags = parse_problem("(problem r (bools) (nums (x 0.0)) "
+                                 f"(controls (u -10 10) (v 0 1)) {actions} (goal (and)))")
+        assert p is not None, diags
+        got, want = random.Random(5), random.Random(5)
+        for _ in range(300):
+            out = sample_uniform(p.init, p, got, budget=3, grid_digits=digits)
+            name = out.decision.action if out.ok else None
+            mu = out.decision.controls if out.ok else None
+            assert (name, mu, out.trials) == reference_uniform(p.init, p, want, 3, digits)
+        assert got.random() == want.random()
 
-    def reference(rng, budget):
-        for trial in range(1, budget + 1):
-            action = p.actions[rng.randrange(len(p.actions))]
-            mu = {spec.name: snap(rng.uniform(spec.lower, spec.upper), digits)
-                  for spec in p.controls}
-            if try_apply(p.init, action, mu) is not None:
-                return action.name, mu, trial
-        return None, None, budget
 
-    got, want = random.Random(5), random.Random(5)
-    for _ in range(300):
-        out = sample_uniform(p.init, p, got, budget=3, grid_digits=digits)
-        name = out.decision.action if out.ok else None
-        mu = out.decision.controls if out.ok else None
-        assert (name, mu, out.trials) == reference(want, 3)
-    assert got.random() == want.random()
+# chi-square critical value, 2 degrees of freedom, significance 0.01
+CHI2_CRIT_DF2 = 9.210
+
+#: dead (x >= 1 fails at x = 0, whatever u), partly applicable (u <= 0.3)
+#: and always applicable actions
+DEAD_PARTLY_ALWAYS = """(problem law (bools) (nums (x 0.0)) (controls (u 0 1))
+  (action dead (pre (and (<= (- u 0.5) 0) (>= (- x 1) 0))) (eff (assign x u)))
+  (action partly (pre (<= (- u 0.3) 0)) (eff (assign x u)))
+  (action always (pre (and)) (eff (assign x u)))
+  (goal (and)))"""
+
+
+def test_uniform_keeps_the_law_of_the_rejection_loop():
+    """Chi-square homogeneity of the call outcome (the accepted action, or
+    failure) between sample_uniform and reference_uniform, which checks the
+    dead action's precondition on each draw of it."""
+    p, diags = parse_problem(DEAD_PARTLY_ALWAYS)
+    assert p is not None, diags
+    calls, budget = 10_000, 2
+    rng_got, rng_want = random.Random(0), random.Random(1)
+    got, want = Counter(), Counter()
+    for _ in range(calls):
+        out = sample_uniform(p.init, p, rng_got, budget, 3)
+        got[out.decision.action if out.ok else None] += 1
+        want[reference_uniform(p.init, p, rng_want, budget, 3)[0]] += 1
+    assert set(got) == set(want) == {"partly", "always", None}
+    chi2 = 0.0
+    for outcome in got:
+        expected = (got[outcome] + want[outcome]) / 2     # equal sample sizes
+        chi2 += ((got[outcome] - expected) ** 2 + (want[outcome] - expected) ** 2) / expected
+    assert chi2 < CHI2_CRIT_DF2, (chi2, got, want)
+
+
+def test_uniform_dead_state_is_exhausted():
+    """With no action that can apply, the call is exhausted at once: no
+    trial, and the rng untouched."""
+    p, _ = parse_problem("""(problem dead (bools) (nums (x 0.0)) (controls (u 0 1))
+      (action far (pre (and (<= (- u 0.5) 0) (>= (- x 1) 0))) (eff (assign x u)))
+      (action near (pre (and (<= (- u 0.3) 0) (> x 0))) (eff (assign x u)))
+      (goal (and)))""")
+    rng = random.Random(3)
+    before = rng.getstate()
+    out = sample_uniform(p.init, p, rng)
+    assert (out.ok, out.trials, out.exhausted) == (False, 0, True)
+    assert rng.getstate() == before
+    out = sample_heuristic(p.init, p, make_heuristic(p), rng)
+    assert (out.ok, out.trials, out.exhausted) == (False, 0, True)
+    assert rng.getstate() == before
+    # where one action can apply, the call draws as usual
+    live = State(bools={}, nums={"x": 0.5})
+    out = sample_uniform(live, p, rng)
+    assert out.ok and not out.exhausted and out.decision.action == "near"
 
 
 def test_deadline_cuts_sampling_short():
     text = """(problem imp (bools) (nums (x 0.0)) (controls (u 0 1))
-      (action a (pre (> (- x x) 0)) (eff (assign x u)))
+      (action a (pre (> (- u u) 0)) (eff (assign x u)))
       (goal (and)))"""
     p, _ = parse_problem(text)
     h = make_heuristic(p)
@@ -333,7 +402,7 @@ def test_deadline_cuts_sampling_short():
 def test_uniform_no_actions_fails():
     p = Problem("e", (), ("x",), (), (), State(bools={}, nums={"x": 0.0}), TRUE)
     out = sample_uniform(p.init, p, random.Random(0))
-    assert not out.ok and out.trials == 0
+    assert not out.ok and out.trials == 0 and out.exhausted
 
 
 # -- heuristic-guided ---------------------------------------------------------
@@ -375,7 +444,7 @@ def test_sample_heuristic_valid_and_deterministic():
 
 def test_sample_heuristic_fails_when_no_candidates():
     text = """(problem imp (bools) (nums (x 0.0)) (controls (u 0 1))
-      (action a (pre (> (- x x) 0)) (eff (assign x u)))
+      (action a (pre (> (- u u) 0)) (eff (assign x u)))
       (goal (and)))"""
     p, _ = parse_problem(text)
     h = make_heuristic(p)

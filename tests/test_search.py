@@ -21,7 +21,7 @@ def solved_goal():
 
 def impossible_problem():
     text = """(problem imp (bools) (nums (x 0.0)) (controls (u 0 1))
-      (action a (pre (> (- x x) 0)) (eff (assign x u)))
+      (action a (pre (> (- u u) 0)) (eff (assign x u)))
       (goal (>= (- x 1) 0)))"""
     p, diags = parse_problem(text)
     assert p is not None, diags
@@ -118,6 +118,23 @@ def test_impossible_action_hits_budget():
     assert result.root.children == []
     assert result.reexpansions == 999
     assert result.reexpansion_rate == pytest.approx(99.9)
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "heuristic"])
+def test_dead_root_is_dropped(sampler):
+    """A state where no action passes its state test has no decision to
+    draw: its node is dropped on its first extraction."""
+    p, diags = parse_problem("""(problem dead (bools) (nums (x 0.0)) (controls (u 0 1))
+      (action a (pre (and (<= (- u 1) 0) (>= (- x 1) 0))) (eff (assign x u)))
+      (goal (>= (- x 1) 0)))""")
+    assert p is not None, diags
+    events = []
+    result = run_search(p, SearchConfig(sampler=sampler, seed=0, expansion_limit=1000),
+                        trace=events)
+    assert (result.outcome, result.expansions) == ("exhausted", 1)
+    assert result.root.trials == 0 and result.root.children == []
+    assert events[-2:] == [("fail", 0), ("drop", 0)]
+    assert validate_trace(events, "log") == []
 
 
 @pytest.mark.parametrize("mode,sampler", [("sg", "uniform"), ("sg", "heuristic"),
