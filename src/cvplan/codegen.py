@@ -2,15 +2,18 @@
 
 An action compiles to `(state, controls) -> successor State or None`, a
 constraint to `(state, controls) -> bool` and an expression to
-`(state, controls) -> float`, and an action's state test, its top-level
-precondition conjuncts that read no control, to `(state) -> bool`. The
-source is three-address code, exec'd once per object; model caches the
-function on the object and imports this module on the first evaluation,
-so importing cvplan does not pay for it.
+`(state, controls) -> float`; an action's state test, its top-level
+precondition conjuncts that read no control, to `(state) -> bool`, and a
+goal's count of failed top-level conjuncts to `(state) -> float`. Each is
+compiled for one state layout and reads and writes the state's value
+tuples by constant index. The source is three-address code, exec'd once
+per object and layout; model caches the function on the object and
+imports this module on the first evaluation, so importing cvplan does not
+pay for it. A problem's state key compiles once, for the problem's layout.
 The code does the float operations the tree spells, in the tree's order:
 left operands first, `and`/`or` short-circuiting left to right, `BoolEq` as
-an `is` test and `Pow` through _pow_limit. An unbound variable raises
-ModelError.
+an `is` test and `Pow` through _pow_limit. A variable that is unbound, in
+the controls or in the layout, raises ModelError where its read would.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import math
 from typing import Callable, Dict, List, Optional
 
 from .model import (
-    Action, Add, And, BoolEq, Cmp, Const, Constraint, ControlValuation, ModelError,
-    Mul, Neg, Not, NumericExpr, Or, Pow, State, Sub, Var,
+    _EMPTY, Action, Add, And, BoolEq, Cmp, Const, Constraint, ControlValuation,
+    KEY_DIGITS, Layout, ModelError, Mul, Neg, Not, NumericExpr, Or, Pow, Problem, State,
+    Sub, Var, conjuncts, key_by_name, layout_of,
 )
 
 #: the Python spelling of each comparison against zero
@@ -43,6 +47,11 @@ def _pow_limit(base: float, exponent: int) -> float:
     return -limit if base < 0 and exponent % 2 == 1 else limit
 
 
+def _absent(name):
+    """A read of a name that the layout lacks: fail as a dict lookup would."""
+    raise KeyError(name)
+
+
 def _unbound(exc: KeyError, bool_names: frozenset) -> ModelError:
     name = exc.args[0]
     kind = "boolean variable" if name in bool_names else "variable"
@@ -50,17 +59,19 @@ def _unbound(exc: KeyError, bool_names: frozenset) -> ModelError:
 
 
 class _Emitter:
-    """Python source for one compiled function `(state, c)`, as three-address
-    code: each interior expression node gets a local of its own, so the
-    source nests no parentheses however deep the tree.
+    """Python source for one compiled function `(state, c)` over states of
+    one layout, as three-address code: each interior expression node gets a
+    local of its own, so the source nests no parentheses however deep the
+    tree.
 
     Constants, exponents and names that are not str reach the code through
     the tuple K, never as literals; str names enter only as repr() dict
-    keys. In the body, b and n are the state's bools and nums and c the
-    control valuation.
+    keys of c. In the body, b and n are the state's value tuples, read by
+    index, and c the control valuation.
     """
 
-    def __init__(self):
+    def __init__(self, layout: Layout):
+        self.layout = layout
         self.consts: list = []
         self._const_index: Dict[int, int] = {}
         self.bool_names: set = set()
@@ -82,6 +93,21 @@ class _Emitter:
     def key(self, name) -> str:
         return repr(name) if type(name) is str else self.const(name)
 
+    def read(self, name, tuple_name: str) -> str:
+        """The operand that reads state variable name from b or n."""
+        names = self.layout.bool_index if tuple_name == "b" else self.layout.num_index
+        index = names.get(name)
+        if index is None:
+            return f"_absent({self.const(name)})"
+        self.reads.add(tuple_name)
+        return f"{tuple_name}[{index}]"
+
+    @staticmethod
+    def may_raise(operand: str) -> bool:
+        """Whether evaluating operand can raise: a control read or an
+        absent name. Reads by index cannot, and the state cannot change."""
+        return operand.startswith(("c[", "_absent("))
+
     def assign(self, indent: int, source: str) -> str:
         self._temps += 1
         local = f"t{self._temps}"
@@ -100,16 +126,14 @@ class _Emitter:
             if isinstance(node, Const):
                 operands.append(self.const(node.value))
             elif isinstance(node, Var):
-                mapping = "c" if node.kind == "control" else "n"
-                if mapping == "n":
-                    self.reads.add("n")
-                operands.append(f"{mapping}[{self.key(node.name)}]")
+                operands.append(f"c[{self.key(node.name)}]" if node.kind == "control"
+                                else self.read(node.name, "n"))
             elif isinstance(node, (Add, Sub, Mul)):
                 if phase == 0:
                     stack += ((node, 1), (node.lhs, 0))
                 elif phase == 1:
                     # look a left-hand variable up before the right side runs
-                    if operands[-1].endswith("]") and not isinstance(node.rhs, (Const, Var)):
+                    if self.may_raise(operands[-1]) and not isinstance(node.rhs, (Const, Var)):
                         operands.append(self.assign(indent, operands.pop()))
                     stack += ((node, 2), (node.rhs, 0))
                 else:
@@ -142,9 +166,8 @@ class _Emitter:
         return f"{self.expr(con.expr, indent)} {op} 0"
 
     def _flag(self, con: BoolEq) -> str:
-        self.reads.add("b")
         self.bool_names.add(con.name)
-        return f"b[{self.key(con.name)}] is {self.const(con.value)}"
+        return f"{self.read(con.name, 'b')} is {self.const(con.value)}"
 
     def require(self, con: Constraint, indent: int, fail: str):
         """Emit code that runs the statement `fail` unless con holds."""
@@ -200,54 +223,64 @@ class _Emitter:
                f"    {', '.join(f'k{i}' for i in range(len(self.consts)))}, = K"]
         src += ["    " + line for helper in self.helpers for line in helper]
         src.append(f"    def run({params}):")
-        src += [f"        {m} = state.{'bools' if m == 'b' else 'nums'}"
+        src += [f"        {m} = state.{'bool_values' if m == 'b' else 'num_values'}"
                 for m in sorted(self.reads)]
         src.append("        try:")
         src += ["            " + line for line in self.lines]
         src += ["        except KeyError as exc:",
                 f"            raise _unbound(exc, {bool_names}) from None",
                 "    return run"]
-        namespace = {"State": State, "_pow_limit": _pow_limit, "_unbound": _unbound}
+        namespace = {"State": State, "_new": object.__new__, "_pow_limit": _pow_limit,
+                     "_absent": _absent, "_unbound": _unbound, "_EMPTY": _EMPTY}
         exec(compile("\n".join(src), "<cvplan compiled>", "exec"), namespace)
         return namespace["_make"](tuple(self.consts))
 
 
-def _compile_expr(expr: NumericExpr) -> Callable[[State, ControlValuation], float]:
-    em = _Emitter()
+def _compile_expr(expr: NumericExpr,
+                  layout: Layout) -> Callable[[State, ControlValuation], float]:
+    em = _Emitter(layout)
     em.emit(0, f"return {em.expr(expr, 0)}")
     return em.build()
 
 
-def _compile_constraint(con: Constraint) -> Callable[[State, ControlValuation], bool]:
-    em = _Emitter()
+def _compile_constraint(con: Constraint,
+                        layout: Layout) -> Callable[[State, ControlValuation], bool]:
+    em = _Emitter(layout)
     em.require(con, 0, "return False")
     em.emit(0, "return True")
     return em.build()
 
 
-def _compile_action(action: Action) -> Callable[[State, ControlValuation], Optional[State]]:
-    em = _Emitter()
+def _tuple(items) -> str:
+    """The source of a tuple display of the operands items."""
+    joined = ", ".join(items)
+    return f"({joined},)" if joined else "()"
+
+
+def _compile_action(action: Action,
+                    layout: Layout) -> Callable[[State, ControlValuation], Optional[State]]:
+    """The successor is a tuple display per value tuple, or the parent's
+    tuple where the effect assigns none of its variables. An assigned name
+    the layout lacks extends the successor's layout, as it would extend a
+    dict: appended at its first assignment, the last assignment winning."""
+    em = _Emitter(layout)
     em.require(action.precondition, 0, "return None")
-    em.emit(0, "nb = dict(state.bools)")
+    em.reads.update("bn")
+    bools = {name: f"b[{i}]" for i, name in enumerate(layout.bools)}
     for name, value in action.effect.bool_assigns:
-        em.emit(0, f"nb[{em.key(name)}] = {em.const(value)}")
-    em.emit(0, "nn = dict(state.nums)")
+        bools[name] = em.const(value)
+    nums = {name: f"n[{i}]" for i, name in enumerate(layout.nums)}
     for name, expr in action.effect.num_assigns:
-        # all right-hand sides read the pre-state
+        # all right-hand sides read the pre-state, evaluated in this order
         value = em.expr(expr, 0)
-        em.emit(0, f"nn[{em.key(name)}] = {value}")
-    em.emit(0, "return State(nb, nn)")
+        nums[name] = em.assign(0, value) if em.may_raise(value) else value
+    successor = layout_of(tuple(bools), tuple(nums))
+    em.emit(0, "s = _new(State)")
+    em.emit(0, f"s.layout = {em.const(successor)}")
+    em.emit(0, f"s.bool_values = {_tuple(bools.values()) if action.effect.bool_assigns else 'b'}")
+    em.emit(0, f"s.num_values = {_tuple(nums.values()) if action.effect.num_assigns else 'n'}")
+    em.emit(0, "return s")
     return em.build()
-
-
-def _conjuncts(con: Constraint):
-    """con's top-level conjuncts in order, nested ands flattened as
-    _Emitter.require flattens them."""
-    if isinstance(con, And):
-        for item in con.items:
-            yield from _conjuncts(item)
-    else:
-        yield con
 
 
 def _reads_control(con: Constraint) -> bool:
@@ -272,25 +305,60 @@ def _reads_control(con: Constraint) -> bool:
     return False
 
 
-def compile_state_test(action: Action) -> Optional[Callable[[State], bool]]:
+def compile_state_test(action: Action, layout: Layout) -> Optional[Callable[[State], bool]]:
     """`(state) -> bool` over the top-level precondition conjuncts of action
     that read no control, in their order; None when every conjunct reads
     one. When it is False, no control value makes action applicable."""
-    free = [con for con in _conjuncts(action.precondition) if not _reads_control(con)]
+    free = [con for con in conjuncts(action.precondition) if not _reads_control(con)]
     if not free:
         return None
-    em = _Emitter()
+    em = _Emitter(layout)
     for con in free:
         em.require(con, 0, "return False")
     em.emit(0, "return True")
-    # helpers for deep and/or trees take c, which these conjuncts never read
-    return em.build("state, c=None")
+    return em.build("state, c=_EMPTY")
 
 
-def compile_node(node) -> Callable:
-    """The function an action, constraint or expression compiles to."""
+def compile_goal_count(goal: Constraint, layout: Layout) -> Callable[[State], float]:
+    """`(state) -> float`: how many of goal's top-level conjuncts fail in
+    state, each tested in order as goal_test would test it."""
+    em = _Emitter(layout)
+    em.emit(0, "u = 0")
+    for con in conjuncts(goal):
+        em.require(con, 0, "u += 1")
+    em.emit(0, "return float(u)")
+    return em.build("state, c=_EMPTY")
+
+
+def compile_state_key(problem: Problem) -> Callable[[State], tuple]:
+    """`(state) -> model.state_key(state, problem)`. A state in the
+    problem's layout has its booleans as they are and each numeric rounded
+    inline as round_half_away rounds a finite value; floor raises on an
+    infinite or nan one, and such a state, or one in another layout, keys
+    through key_by_name."""
+    layout = layout_of(tuple(problem.bools), tuple(problem.nums))
+    em = _Emitter(layout)
+    em.reads.update("bn")
+    slow = f"return {em.const(key_by_name)}(state, {em.const(problem)})"
+    em.emit(0, f"if state.layout is not {em.const(layout)}: {slow}")
+    scale, floor = em.const(10 ** KEY_DIGITS), em.const(math.floor)
+    em.emit(0, "try:")
+    rounded = []
+    for i in range(len(layout.nums)):
+        em.emit(1, f"s{i} = n[{i}] * {scale}")
+        rounded.append(f"{floor}(s{i} + 0.5) if s{i} >= 0 else -{floor}(0.5 - s{i})")
+    nums = _tuple(rounded)
+    em.emit(1, f"return {('b + ' + nums if rounded else 'b') if layout.bools else nums}")
+    em.emit(0, "except (OverflowError, ValueError):")
+    em.emit(1, slow)
+    return em.build("state")
+
+
+def compile_node(node, layout: Layout) -> Callable:
+    """The function an action, constraint or expression compiles to for
+    states of layout."""
     if isinstance(node, Action):
-        return _compile_action(node)
+        return _compile_action(node, layout)
     if isinstance(node, (Cmp, BoolEq, And, Or, Not)):
-        return _compile_constraint(node)
-    return _compile_expr(node)
+        return _compile_constraint(node, layout)
+    return _compile_expr(node, layout)

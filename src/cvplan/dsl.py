@@ -400,7 +400,7 @@ class _Interp:
             nums=tuple(self.nums.keys()),
             controls=tuple(self.controls),
             actions=tuple(actions),
-            init=State(bools=dict(self.bools), nums=dict(self.nums)),
+            init=State(bools=self.bools, nums=self.nums),
             goal=goal,
         )
 

@@ -8,30 +8,20 @@ from __future__ import annotations
 
 from typing import Callable, Tuple
 
-from .model import And, Constraint, Problem, State, compile_constraint
+from .model import Constraint, Problem, State, conjuncts
 
 
 def goal_conjuncts(goal: Constraint) -> Tuple[Constraint, ...]:
     """Flatten nested conjunctions; any non-conjunction node is one conjunct."""
-    if isinstance(goal, And):
-        out = []
-        for item in goal.items:
-            out.extend(goal_conjuncts(item))
-        return tuple(out)
-    return (goal,)
+    return tuple(conjuncts(goal))
 
 
 def make_heuristic(problem: Problem) -> Callable[[State], float]:
-    """The number of unsatisfied top-level goal conjuncts of a state, with
-    each conjunct compiled once."""
-    tests = [compile_constraint(con) for con in goal_conjuncts(problem.goal)]
-    no_controls = {}
+    """The number of unsatisfied top-level goal conjuncts of a state, counted
+    by one function compiled per state layout."""
+    counts = problem._goal_count
 
     def h(state: State) -> float:
-        unsat = 0
-        for holds in tests:
-            if not holds(state, no_controls):
-                unsat += 1
-        return float(unsat)
+        return counts[state.layout](state)
 
     return h

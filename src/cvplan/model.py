@@ -10,9 +10,11 @@ epsilon is applied anywhere in the semantics.
 
 from __future__ import annotations
 
+import collections.abc
 import math
+import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -34,16 +36,30 @@ class _Cached:
                 if not isinstance(getattr(cls, k, None), cached_property)}
 
 
+class _PerLayout(dict):
+    """layout -> make(layout), made on the first lookup of each layout."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[["Layout"], object]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, layout: "Layout"):
+        made = self[layout] = self.make(layout)
+        return made
+
+
 class _Compiles(_Cached):
-    """Base of the model objects that compile to a Python function, the
-    cached_property `_compiled`, on first evaluation."""
+    """Base of the model objects that compile to Python functions, one per
+    state layout: `_compiled[layout]`, made on first evaluation. Like the
+    other compiled caches, it imports cvplan.codegen on first use, so that
+    importing cvplan does not compile the code generator."""
 
     @cached_property
-    def _compiled(self):
-        # imported here, so that importing cvplan does not compile the
-        # code generator: the first evaluation in a search pays for it
+    def _compiled(self) -> _PerLayout:
         from .codegen import compile_node
-        return compile_node(self)
+        return _PerLayout(partial(compile_node, self))
 
 
 class _Numeric(_Compiles):
@@ -160,9 +176,11 @@ class Action(_Compiles):
     effect: Effect
 
     @cached_property
-    def _state_test(self) -> Optional[Callable[[State], bool]]:
+    def _state_test(self) -> _PerLayout:
+        """layout -> `(state) -> bool` over the top-level precondition
+        conjuncts that read no control, or None when there are none."""
         from .codegen import compile_state_test
-        return compile_state_test(self)
+        return _PerLayout(partial(compile_state_test, self))
 
 
 @dataclass(frozen=True)
@@ -173,21 +191,105 @@ class ControlVarSpec:
     upper: int
 
 
-@dataclass(frozen=True)
+class Layout:
+    """The variable names of a state, booleans and numerics, in the order
+    its value tuples hold them. layout_of interns layouts, so that equal
+    layouts are one object and compare by identity."""
+
+    __slots__ = ("bools", "nums", "bool_index", "num_index", "__weakref__")
+
+    def __init__(self, bools: Tuple[str, ...], nums: Tuple[str, ...]):
+        self.bools, self.nums = bools, nums
+        self.bool_index = {name: i for i, name in enumerate(bools)}
+        self.num_index = {name: i for i, name in enumerate(nums)}
+
+
+#: the live layouts; weak, so that layouts no state or compiled code uses go
+_LAYOUTS: "weakref.WeakValueDictionary[tuple, Layout]" = weakref.WeakValueDictionary()
+
+
+def layout_of(bools: Tuple[str, ...], nums: Tuple[str, ...]) -> Layout:
+    """The one Layout of these boolean and numeric names, in this order."""
+    key = (bools, nums)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _LAYOUTS[key] = Layout(bools, nums)
+    return layout
+
+
+class _Values(collections.abc.Mapping):
+    """Read-only name -> value view of one of a State's value tuples."""
+
+    __slots__ = ("_index", "_values")
+
+    def __init__(self, index: Dict[str, int], values: tuple):
+        self._index, self._values = index, values
+
+    def __getitem__(self, name):
+        return self._values[self._index[name]]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+_EMPTY: Mapping = MappingProxyType({})
+
+
 class State:
     """Total valuation of the declared boolean and numeric state variables.
 
-    Treated as immutable: try_apply() always builds a fresh State.
+    The values sit in two tuples, bool_values and num_values, in the order
+    of layout: the names in the order the constructor receives them.
+    try_apply's successors keep their parent's layout. bools and nums are
+    read-only name -> value views. Immutable by contract: nothing assigns
+    to a State after construction, and try_apply always builds a fresh one.
     """
-    bools: Dict[str, bool] = field(default_factory=dict)
-    nums: Dict[str, float] = field(default_factory=dict)
+
+    __slots__ = ("layout", "bool_values", "num_values")
+
+    def __init__(self, bools: Mapping[str, bool] = _EMPTY,
+                 nums: Mapping[str, float] = _EMPTY):
+        self.layout = layout_of(tuple(bools), tuple(nums))
+        self.bool_values = tuple(bools.values())
+        self.num_values = tuple(nums.values())
+
+    @property
+    def bools(self) -> Mapping[str, bool]:
+        return _Values(self.layout.bool_index, self.bool_values)
+
+    @property
+    def nums(self) -> Mapping[str, float]:
+        return _Values(self.layout.num_index, self.num_values)
+
+    def __eq__(self, other):
+        if other.__class__ is not State:
+            return NotImplemented
+        if self.layout is other.layout:
+            return (self.bool_values == other.bool_values
+                    and self.num_values == other.num_values)
+        return self.bools == other.bools and self.nums == other.nums
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"State(bools={self.bools!r}, nums={self.nums!r})"
+
+    def __reduce__(self):
+        # by names, so that a pickle or copy interns its layout afresh
+        return State, (dict(self.bools), dict(self.nums))
 
 
 #: control valuation mu: control name -> value within bounds
 ControlValuation = Mapping[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """An action name paired with a control valuation."""
     action: str
@@ -205,10 +307,24 @@ class Problem(_Cached):
     goal: Constraint
 
     @cached_property
-    def _state_tests(self) -> Tuple[Tuple[int, Callable[[State], bool]], ...]:
-        """(index, state test) of each action that has a state test."""
-        return tuple((i, action._state_test) for i, action in enumerate(self.actions)
-                     if action._state_test is not None)
+    def _state_tests(self) -> _PerLayout:
+        """layout -> (index, state test) of each action that has a state
+        test for that layout."""
+        return _PerLayout(lambda layout: tuple(
+            (i, test) for i, test in enumerate(a._state_test[layout] for a in self.actions)
+            if test is not None))
+
+    @cached_property
+    def _goal_count(self) -> _PerLayout:
+        """layout -> `(state) -> float`, the number of the goal's top-level
+        conjuncts that fail in state."""
+        from .codegen import compile_goal_count
+        return _PerLayout(partial(compile_goal_count, self.goal))
+
+    @cached_property
+    def _state_key(self) -> Callable[[State], tuple]:
+        from .codegen import compile_state_key
+        return compile_state_key(self)
 
     @cached_property
     def _control_box(self) -> Tuple[Tuple[Tuple[str, float, float], ...], float]:
@@ -227,35 +343,27 @@ class Problem(_Cached):
 
 # ---------------------------------------------------------------------------
 # evaluation: each action, constraint and expression runs as the Python
-# function cvplan.codegen compiles it to on its first evaluation
-
-_NO_CONTROLS: ControlValuation = MappingProxyType({})
-
+# function cvplan.codegen compiles it to, for the state's layout, on its
+# first evaluation in that layout
 
 def eval_expr(expr: NumericExpr, state: State, controls: ControlValuation) -> float:
     """Evaluate a polynomial expression under a state and control valuation."""
     if not isinstance(expr, _Numeric):
         raise ModelError(f"not a numeric expression: {expr!r}")
-    return expr._compiled(state, controls)
-
-
-def compile_constraint(con: Constraint) -> Callable[[State, ControlValuation], bool]:
-    """The compiled form of con, `(state, controls) -> bool`, made on first
-    use and cached on con. Comparisons are exact (no tolerance)."""
-    if not isinstance(con, _Condition):
-        raise ModelError(f"not a constraint: {con!r}")
-    return con._compiled
+    return expr._compiled[state.layout](state, controls)
 
 
 def eval_constraint(con: Constraint, state: State, controls: ControlValuation) -> bool:
     """Evaluate a constraint. Comparisons are exact (no tolerance)."""
-    return compile_constraint(con)(state, controls)
+    if not isinstance(con, _Condition):
+        raise ModelError(f"not a constraint: {con!r}")
+    return con._compiled[state.layout](state, controls)
 
 
 def try_apply(state: State, action: Action, controls: ControlValuation):
     """Successor state if the precondition holds under (state, controls),
     else None."""
-    return action._compiled(state, controls)
+    return action._compiled[state.layout](state, controls)
 
 
 def liveness(state: State, problem: Problem) -> List[bool]:
@@ -263,7 +371,7 @@ def liveness(state: State, problem: Problem) -> List[bool]:
     that reads no control fails in state, so that no control value makes
     the action applicable; True otherwise."""
     alive = [True] * len(problem.actions)
-    for i, test in problem._state_tests:
+    for i, test in problem._state_tests[state.layout]:
         if not test(state):
             alive[i] = False
     return alive
@@ -271,7 +379,7 @@ def liveness(state: State, problem: Problem) -> List[bool]:
 
 def goal_test(state: State, goal: Constraint) -> bool:
     """True iff the goal constraint holds; goals never read control variables."""
-    return goal._compiled(state, _NO_CONTROLS)
+    return goal._compiled[state.layout](state, _EMPTY)
 
 
 def replay_plan(problem: Problem, plan: Sequence[Decision]) -> State:
@@ -308,7 +416,15 @@ def round_half_away(value: float, digits: int, scale: Optional[int] = None):
 
 def state_key(state: State, problem: Problem) -> tuple:
     """Canonical hashable key: the booleans in problem.bools order, then the
-    numerics in problem.nums order, rounded to KEY_DIGITS digits."""
+    numerics in problem.nums order, rounded to KEY_DIGITS digits as
+    round_half_away rounds them. A state in the problem's layout keys
+    through a function compiled for the problem; others go by name."""
+    return problem._state_key(state)
+
+
+def key_by_name(state: State, problem: Problem) -> tuple:
+    """state_key, reading each declared variable by name: the reference,
+    and the way for states in a layout other than the problem's."""
     bools, nums = state.bools, state.nums
     try:
         return (*[bools[name] for name in problem.bools],
@@ -328,6 +444,15 @@ def iter_exprs(expr: NumericExpr) -> Iterator[NumericExpr]:
         yield from iter_exprs(expr.arg)
     elif isinstance(expr, Pow):
         yield from iter_exprs(expr.base)
+
+
+def conjuncts(con: Constraint) -> Iterator[Constraint]:
+    """con's top-level conjuncts in order, nested ands flattened."""
+    if isinstance(con, And):
+        for item in con.items:
+            yield from conjuncts(item)
+    else:
+        yield con
 
 
 def iter_constraints(con: Constraint) -> Iterator[Constraint]:

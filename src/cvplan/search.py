@@ -69,8 +69,9 @@ class SearchConfig:
 
 
 class SearchNode:
-    """Search tree node; children are kept for instrumentation. trials
-    counts the sampler's trials on the node, over all its expansions."""
+    """Search tree node; children are kept for instrumentation, in a list
+    made at the first child (a shared () before it). trials counts the
+    sampler's trials on the node, over all its expansions."""
 
     __slots__ = ("uid", "state", "g", "h", "n", "f", "trials", "parent",
                  "decision", "children")
@@ -86,7 +87,7 @@ class SearchNode:
         self.trials = 0
         self.parent = parent
         self.decision = decision
-        self.children: List["SearchNode"] = []
+        self.children: Sequence["SearchNode"] = ()
 
 
 def f_value(g: int, h: float, n: int, mode: str, rect: Callable[[int], float]) -> float:
@@ -159,6 +160,8 @@ def check_config(cfg) -> None:
             raise ValueError("c and k must be positive and finite")
         if cfg.rollout_depth < 0:
             raise ValueError("rollout_depth must be nonnegative")
+        if cfg.trial_limit is not None and cfg.trial_limit <= 0:
+            raise ValueError("trial_limit must be positive")
         return
     if cfg.mode not in MODES:
         raise ValueError(f"unknown mode: {cfg.mode!r}")
@@ -252,7 +255,10 @@ def run_search(problem: Problem, cfg: SearchConfig,
                                    node.g + 1, h_fn(sample.successor), node,
                                    sample.decision)
                 child.f = f_value(child.g, child.h, 0, cfg.mode, rect)
-                node.children.append(child)
+                if node.children:
+                    node.children.append(child)
+                else:
+                    node.children = [child]
                 open_list.push(child)
                 if emit:
                     emit(("insert", child.uid, child.f))

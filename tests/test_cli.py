@@ -143,6 +143,8 @@ class TestSolve:
         ["--eps", "inf"],
         ["--beta", "nan"],
         ["--algo", "mcts", "--k", "inf"],
+        ["--algo", "mcts", "--expansion-limit", "0"],
+        ["--algo", "mcts", "--expansion-limit", "-3"],
     ])
     def test_bad_algo_settings(self, counters_file, capsys, flags):
         assert main(["solve", counters_file] + flags) == 2

@@ -101,6 +101,9 @@ def test_config_validation():
         bad.trial_limit = 1
         with pytest.raises(ValueError):
             run_mcts(p, bad)
+    for limit in (0, -3):
+        with pytest.raises(ValueError, match="trial_limit"):
+            run_mcts(p, MctsConfig(trial_limit=limit))
 
 
 def test_tree_respects_final_visit_caps():

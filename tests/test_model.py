@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import struct
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cvplan.domains import default_ladder, generate, make_drone
 from cvplan.dsl import parse_problem
+from cvplan import model
 from cvplan.heuristics import make_heuristic
 from cvplan.model import (
     CMP_OPS, Action, Add, And, BoolEq, Cmp, Const, ControlVarSpec, Decision,
@@ -420,6 +422,115 @@ def test_state_key_matches_reference(case):
     assert hash(key_a) is not None
 
 
+def same_by_name(a, b) -> bool:
+    """Both None, or the same names with bit-identical values, in any order."""
+    if a is None or b is None:
+        return a is b
+    return (dict(a.bools) == dict(b.bools) and set(a.nums) == set(b.nums)
+            and all(same_float(a.nums[k], b.nums[k]) for k in a.nums))
+
+
+def ref_goal_count(goal, state):
+    return float(sum(not ref_eval_constraint(c, state, {}) for c in ref_conjuncts(goal)))
+
+
+@st.composite
+def reordered(draw):
+    """A valuation, and the same state with its names listed in a random
+    order, so in a layout other than BOOLS then NUMS."""
+    state, controls = draw(valuations())
+    other = State(bools={name: state.bools[name] for name in draw(st.permutations(BOOLS))},
+                  nums={name: state.nums[name] for name in draw(st.permutations(NUMS))})
+    return state, other, controls
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs, constraints,
+       st.lists(st.tuples(st.sampled_from(NUMS + (MISSING,)), exprs), max_size=3),
+       st.lists(st.tuples(st.sampled_from(BOOLS + (MISSING,)), st.booleans()), max_size=2),
+       reordered())
+def test_any_layout_matches_reference(expr, con, num_assigns, bool_assigns, case):
+    """Code compiled for any layout agrees with the oracle, and with the
+    same state in the problem's layout. Effects may assign a name no state
+    has."""
+    state, other, controls = case
+    action = Action(ODD, con, Effect(tuple(bool_assigns), tuple(num_assigns)))
+    problem = Problem("p", BOOLS, NUMS, (), (action,), state, con)
+
+    got = outcome(eval_expr, expr, other, controls)
+    for want in (outcome(ref_eval_expr, expr, other, controls),
+                 outcome(eval_expr, expr, state, controls)):
+        assert got is want if want is ModelError else same_float(got, want)
+    got = outcome(eval_constraint, con, other, controls)
+    assert got is outcome(ref_eval_constraint, con, other, controls)
+    assert got is outcome(eval_constraint, con, state, controls)
+
+    succ = outcome(try_apply, other, action, controls)
+    want = outcome(ref_try_apply, other, action, controls)
+    if want is ModelError:
+        assert succ is ModelError
+    else:
+        assert same_state(succ, want), (succ, want)
+        # an assigned name the layout lacks extends it, as it extends a dict
+        assert succ is None or succ.layout is want.layout
+        assert same_by_name(succ, try_apply(state, action, controls))
+
+    assert outcome(goal_test, other, con) is outcome(ref_eval_constraint, con, other, {})
+    assert outcome(goal_test, other, con) is outcome(goal_test, state, con)
+    count = outcome(make_heuristic(problem), other)
+    assert count == outcome(ref_goal_count, con, other)
+    assert count == outcome(make_heuristic(problem), state)
+    assert outcome(liveness, other, problem) == outcome(liveness, state, problem)
+
+    key = state_key(state, problem)
+    assert key == state_key(other, problem)
+    assert key == (*[state.bools[name] for name in BOOLS],
+                   *[round_half_away(state.nums[name], 6) for name in NUMS])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(key_values, min_size=len(NUMS), max_size=len(NUMS)))
+def test_inline_key_rounding_matches_round_half_away(nums):
+    """A state in the problem's layout keys through the compiled function."""
+    problem = key_problem(BOOLS[:1], NUMS)
+    state = State(bools={BOOLS[0]: True}, nums=dict(zip(NUMS, nums)))
+    assert state_key(state, problem) == (True, *[round_half_away(v, 6) for v in nums])
+
+
+def test_state_pickles_and_copies_keep_the_layout():
+    s = State(bools={"q": True, "p": False}, nums={"y": 1.0, "x": -0.0})
+    for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert twin == s and twin.layout is s.layout
+        assert list(twin.bools) == ["q", "p"] and list(twin.nums) == ["y", "x"]
+    # equal as mappings whatever the order of the names; never hashable
+    assert s == State(bools={"p": False, "q": True}, nums={"x": -0.0, "y": 1.0})
+    assert s != State(bools={"p": False, "q": True}, nums={"x": -0.0, "y": 2.0})
+    with pytest.raises(TypeError):
+        hash(s)
+
+
+def test_state_views_are_read_only():
+    s = State(bools={"p": True}, nums={"x": 1.0})
+    assert s.nums == {"x": 1.0} and dict(s.bools) == {"p": True}
+    assert "x" in s.nums and "y" not in s.nums and s.nums.get("y") is None
+    for view, name in ((s.bools, "p"), (s.nums, "x")):
+        with pytest.raises(TypeError):
+            view[name] = 0.0
+        with pytest.raises(TypeError):
+            del view[name]
+    assert s == State(bools={"p": True}, nums={"x": 1.0})
+
+
+def test_layouts_are_interned_and_released():
+    a = State(nums={"x": 1.0, "y": 2.0})
+    assert a.layout is State(nums={"x": 3.0, "y": 4.0}).layout
+    assert a.layout is not State(nums={"y": 2.0, "x": 1.0}).layout
+    before = len(model._LAYOUTS)
+    for i in range(100):
+        State(nums={f"fresh{i}": 0.0})
+    assert len(model._LAYOUTS) <= before
+
+
 def test_unbound_names_raise_model_error():
     state = State(bools={"p": True}, nums={"x": 1.0})
     with pytest.raises(ModelError, match="unbound variable: 'y'"):
@@ -528,7 +639,7 @@ def test_state_test_matches_reference(pre, valuation):
 def test_drone_state_tests():
     p = make_drone(4, 2, points=[(0, 0, 0), (4, 4, 4)])
     move, near, far = p.actions
-    assert move._state_test is None          # every move conjunct reads a control
+    assert move._state_test[p.init.layout] is None   # every move conjunct reads a control
     assert liveness(p.init, p) == [True, True, False]
 
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -115,7 +116,7 @@ def test_impossible_action_hits_budget():
     assert result.outcome == "budget"
     assert result.expansions == 1000
     assert result.root.n == 1000
-    assert result.root.children == []
+    assert len(result.root.children) == 0
     assert result.reexpansions == 999
     assert result.reexpansion_rate == pytest.approx(99.9)
 
@@ -132,7 +133,7 @@ def test_dead_root_is_dropped(sampler):
     result = run_search(p, SearchConfig(sampler=sampler, seed=0, expansion_limit=1000),
                         trace=events)
     assert (result.outcome, result.expansions) == ("exhausted", 1)
-    assert result.root.trials == 0 and result.root.children == []
+    assert result.root.trials == 0 and len(result.root.children) == 0
     assert events[-2:] == [("fail", 0), ("drop", 0)]
     assert validate_trace(events, "log") == []
 
@@ -360,3 +361,22 @@ def test_solution_bound_negative_and_mode_guard():
                           SearchConfig(mode="sa", expansion_limit=5))
     with pytest.raises(ValueError):
         solution_cost_within_bound(unsolved, unsolved.root, cfg)
+
+
+def test_node_memory_guard():
+    """The memory a best-first search keeps per tree node, every node queued
+    with its state: counters-6, sa-log, seed 0, 20 000 expansions."""
+    cfg = SearchConfig(mode="sa", rectifier="log", seed=0, expansion_limit=20_000,
+                       time_limit=120.0)
+    tracemalloc.start()
+    try:
+        result = run_search(make_counters(6), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes, stack = 0, [result.root]
+    while stack:
+        nodes += 1
+        stack.extend(stack.pop().children)
+    assert result.expansions == 20_000
+    assert peak / nodes <= 1150, (peak, nodes)
