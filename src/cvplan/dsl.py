@@ -685,13 +685,16 @@ def _constr_text(con: Constraint) -> str:
 def serialize_problem(problem: Problem) -> str:
     """Canonical text form; parse_problem(serialize_problem(p)) equals p."""
     lines = [f"(problem {problem.name}"]
+    init = problem.init
+    init_bools = dict(zip(init.layout.bools, init.bool_values))
+    init_nums = dict(zip(init.layout.nums, init.num_values))
     bools = " ".join(
-        f"({name} true)" if problem.init.bools.get(name) else name
+        f"({name} true)" if init_bools.get(name) else name
         for name in problem.bools
     )
     lines.append(f"  (bools{' ' + bools if bools else ''})")
     nums = " ".join(
-        f"({name} {_fmt_number(problem.init.nums[name])})" for name in problem.nums
+        f"({name} {_fmt_number(init_nums[name])})" for name in problem.nums
     )
     lines.append(f"  (nums{' ' + nums if nums else ''})")
     controls = " ".join(

@@ -271,7 +271,10 @@ def run_algo(problem: Problem, config: SearchConfig | MctsConfig, seed: int,
              trace=None) -> SearchResult:
     """Run a configured algorithm under one cell's seed and limits; limit
     caps expansions for sg and sa and trials for mcts. trace is run_search's
-    event sink, for sg and sa only: mcts emits no events."""
+    event sink, for sg and sa only: mcts emits no events. A limit of 0 or
+    less raises ValueError under its suite and CLI name, expansion_limit."""
+    if limit is not None and limit <= 0:
+        raise ValueError("expansion_limit must be positive")
     if isinstance(config, MctsConfig):
         return run_mcts(problem, replace(config, seed=seed, time_limit=time_limit,
                                          trial_limit=limit))

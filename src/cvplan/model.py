@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import collections.abc
 import math
+import struct
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -289,11 +290,44 @@ class State:
 ControlValuation = Mapping[str, float]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, repr=False, eq=False)
 class Decision:
-    """An action name paired with a control valuation."""
+    """An action name paired with a control valuation.
+
+    The valuation sits in two tuples: names, the control names (for a
+    sampled decision, its problem's one shared tuple), and values, in the
+    same order. controls builds a fresh dict from them. Decisions compare
+    by action and controls, and are unhashable. To the dataclasses module
+    the fields are action and controls, so that replace, fields and asdict
+    see a Decision as they see a dataclass of those two fields.
+    """
+
+    __slots__ = ("action", "names", "values")
     action: str
-    controls: Dict[str, float] = field(default_factory=dict)
+    controls: Dict[str, float]
+
+    def __init__(self, action: str, controls: ControlValuation = _EMPTY):
+        self.action = action
+        self.names = tuple(controls)
+        self.values = tuple(controls.values())
+
+    @property
+    def controls(self) -> Dict[str, float]:
+        return dict(zip(self.names, self.values))
+
+    def __eq__(self, other):
+        if other.__class__ is not Decision:
+            return NotImplemented
+        return self.action == other.action and self.controls == other.controls
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Decision(action={self.action!r}, controls={self.controls!r})"
+
+    def __reduce__(self):
+        # every pickle protocol; a class with __slots__ alone needs 2 or more
+        return Decision, (self.action, self.controls)
 
 
 @dataclass(frozen=True)
@@ -322,9 +356,20 @@ class Problem(_Cached):
         return _PerLayout(partial(compile_goal_count, self.goal))
 
     @cached_property
-    def _state_key(self) -> Callable[[State], tuple]:
+    def _state_key(self) -> Callable[[State], Union[bytes, tuple]]:
         from .codegen import compile_state_key
         return compile_state_key(self)
+
+    @cached_property
+    def _key_struct(self) -> struct.Struct:
+        """The packed form of a key: a bool per boolean, an int64 per numeric."""
+        return struct.Struct("<" + "?" * len(self.bools) + "q" * len(self.nums))
+
+    @cached_property
+    def _control_names(self) -> Tuple[str, ...]:
+        """The control names in declaration order, one tuple that every
+        sampled Decision shares."""
+        return tuple(spec.name for spec in self.controls)
 
     @cached_property
     def _control_box(self) -> Tuple[Tuple[Tuple[str, float, float], ...], float]:
@@ -414,17 +459,41 @@ def round_half_away(value: float, digits: int, scale: Optional[int] = None):
     return magnitude if scaled >= 0 else -magnitude
 
 
-def state_key(state: State, problem: Problem) -> tuple:
-    """Canonical hashable key: the booleans in problem.bools order, then the
-    numerics in problem.nums order, rounded to KEY_DIGITS digits as
-    round_half_away rounds them. A state in the problem's layout keys
-    through a function compiled for the problem; others go by name."""
+#: the values a boolean slot of a packed key may hold: those equal to True
+#: or False, as a tuple compares them
+_KEY_BOOLS = frozenset((False, True))
+
+
+def state_key(state: State, problem: Problem) -> Union[bytes, tuple]:
+    """Canonical, opaque hashable key. Two states' keys are equal exactly
+    when their key_by_name tuples are.
+
+    The key is that tuple packed by problem._key_struct, or the tuple itself
+    where packing could make unequal tuples equal: a boolean slot holding a
+    value equal to neither True nor False, or a rounded numeric beyond int64
+    or non-finite (a repr string). A state in the problem's layout keys
+    through a function compiled for the problem; others go by name.
+    """
     return problem._state_key(state)
 
 
+def _packed_by_name(state: State, problem: Problem) -> Union[bytes, tuple]:
+    """state_key, reading each declared variable by name: the way for
+    states in a layout other than the problem's, and for values the
+    compiled key does not pack."""
+    key = key_by_name(state, problem)
+    try:
+        if _KEY_BOOLS.issuperset(key[:len(problem.bools)]):
+            return problem._key_struct.pack(*key)
+    except (TypeError, struct.error):
+        pass
+    return key
+
+
 def key_by_name(state: State, problem: Problem) -> tuple:
-    """state_key, reading each declared variable by name: the reference,
-    and the way for states in a layout other than the problem's."""
+    """The reference key, reading each declared variable by name: the
+    booleans in problem.bools order, then the numerics in problem.nums
+    order, rounded to KEY_DIGITS digits as round_half_away rounds them."""
     bools, nums = state.bools, state.nums
     try:
         return (*[bools[name] for name in problem.bools],

@@ -41,6 +41,17 @@ _MAX_GRID_DIGITS = sys.float_info.max_10_exp
 #: a sampler given a deadline reads the clock once per this many draws
 _CLOCK_EVERY = 256
 
+_new = object.__new__
+
+
+def _decision(action: str, problem: Problem, mu: Dict[str, float]) -> Decision:
+    """Decision(action, mu) for a valuation mu of problem's controls in
+    their declared order, sharing the problem's tuple of control names."""
+    decision = _new(Decision)
+    decision.action, decision.names, decision.values = (
+        action, problem._control_names, tuple(mu.values()))
+    return decision
+
 
 @dataclass
 class SampleOutcome:
@@ -189,7 +200,7 @@ def sample_systematic(state: State, start: int, problem: Problem,
         mu = _controls_for_tuple(problem, idx, grid_digits, scale)
         succ = try_apply(state, action, mu)
         if succ is not None:
-            return SampleOutcome(Decision(action.name, mu), succ, trials,
+            return SampleOutcome(_decision(action.name, problem, mu), succ, trials,
                                  exhausted=dims == 0 and i + 1 >= n_actions)
     return SampleOutcome(trials=trials)
 
@@ -253,7 +264,7 @@ def sample_uniform(state: State, problem: Problem, rng: random.Random,
         action = actions[i]
         succ = apply(state, action, mu)
         if succ is not None:
-            return SampleOutcome(Decision(action.name, mu), succ, trials)
+            return SampleOutcome(_decision(action.name, problem, mu), succ, trials)
     return SampleOutcome(trials=trials)
 
 

@@ -145,10 +145,16 @@ class TestSolve:
         ["--algo", "mcts", "--k", "inf"],
         ["--algo", "mcts", "--expansion-limit", "0"],
         ["--algo", "mcts", "--expansion-limit", "-3"],
+        ["--expansion-limit", "0"],
+        ["--algo", "sa", "--expansion-limit", "-1"],
     ])
     def test_bad_algo_settings(self, counters_file, capsys, flags):
         assert main(["solve", counters_file] + flags) == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        if "--expansion-limit" in flags:
+            # the suite key the flag sets, for every algorithm
+            assert "error: expansion_limit must be positive" in err
 
     def test_systematic_without_grid(self, counters_file):
         assert main(["solve", counters_file, "--sampler", "systematic",

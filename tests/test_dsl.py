@@ -1,10 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
+from cvplan.search import MctsConfig, SearchConfig, run_mcts, run_search
 from cvplan.dsl import (
     Diagnostic, parse_problem, serialize_plan, serialize_problem, validate,
 )
+from cvplan.domains import InstanceSpec, generate
 from cvplan.model import (
     Add, And, BoolEq, Cmp, Const, ControlVarSpec, Decision, Effect, Action,
     Mul, Neg, Not, Or, Pow, Problem, State, Sub, Var,
@@ -277,6 +280,22 @@ def test_serialize_plan_format():
         "1: dec u=0.25\n"
     )
     assert serialize_plan([Decision("noop", {})]) == "plan length=1\n0: noop\n"
+
+
+def test_serialize_sampled_plans_unchanged():
+    """Plans of every sampler and of MCTS, on domains with two and three
+    controls, serialize to the text they did when decisions held a dict."""
+    texts = []
+    for domain, params in (("sailing", {"b": 1, "p": 1}), ("drone", {"grid": 2, "p": 1})):
+        problem = generate(InstanceSpec(domain, params))
+        results = [run_search(problem, SearchConfig(sampler=sampler, seed=1,
+                                                     expansion_limit=3000))
+                   for sampler in ("uniform", "systematic", "heuristic")]
+        results.append(run_mcts(problem, MctsConfig(seed=1, trial_limit=300)))
+        texts += [serialize_plan(r.plan or []) for r in results]
+    assert sum(text != "plan length=0\n" for text in texts) == 7
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "ea8623ab9995dd1ef1b35505285c051dd64bdb64d61757b1384bf38ba130258c")
 
 
 def test_fuzz_never_raises():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import struct
@@ -14,7 +15,7 @@ from cvplan.model import (
     CMP_OPS, Action, Add, And, BoolEq, Cmp, Const, ControlVarSpec, Decision,
     Effect, ModelError, Mul, Neg, Not, Or, Pow, Problem, State, Sub, TRUE, Var,
     eval_constraint, eval_expr, goal_test, iter_constraints, iter_exprs,
-    liveness, replay_plan, round_half_away, state_key, try_apply,
+    key_by_name, liveness, replay_plan, round_half_away, state_key, try_apply,
 )
 from cvplan.search import SearchConfig, run_search
 
@@ -285,7 +286,9 @@ def test_state_key_needs_every_declared_variable():
         state_key(State(bools={}, nums={"x": 1.0, "y": 2.0}), p)
     # a variable the problem does not declare is not part of the key
     extra = State(bools={"p": True, "q": False}, nums={"x": 1.0, "y": 2.0, "z": 3.0})
-    assert state_key(extra, p) == (True, 1_000_000, 2_000_000)
+    assert key_by_name(extra, p) == (True, 1_000_000, 2_000_000)
+    assert state_key(extra, p) == state_key(
+        State(bools={"p": True}, nums={"x": 1.0, "y": 2.0}), p)
 
 
 def test_iterators_cover_all_nodes():
@@ -391,35 +394,70 @@ def test_compiled_action_matches_reference(pre, num_assigns, bool_assigns, valua
         assert same_state(got, want), (got, want)
 
 
+#: 2**63 / 10**6, the magnitude past which a rounded key value leaves int64
+_INT64_EDGE = 2 ** 63 / 10 ** 6
+
 key_values = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, 4e-7, 5e-7, -5e-7, 1.0000005, 1e300,
-                     math.inf, -math.inf, math.nan]),
+    st.sampled_from([
+        0.0, -0.0, 1.0, 4e-7, 5e-7, -5e-7, 1.5e-6, -2.5e-6, 1.0000005, 1e300,
+        math.inf, -math.inf, math.nan, _INT64_EDGE, -_INT64_EDGE,
+        *[math.nextafter(sign * _INT64_EDGE, toward)
+          for sign in (1, -1) for toward in (0.0, sign * math.inf)]]),
     st.floats())
+
+#: boolean slot values: the booleans, values equal to one, and a value equal
+#: to neither
+key_flags = st.sampled_from([True, False, 1, 0, 2])
 
 
 @st.composite
 def keyed_states(draw):
     """A problem declaring some of BOOLS and NUMS in any order, and two
-    states over exactly those names, built in any dict order, the second
-    often close to the first."""
+    states over exactly those names, each in the problem's layout or in a
+    shuffled one, the second often equal or close to the first."""
     bools = draw(st.lists(st.sampled_from(BOOLS), unique=True))
     nums = draw(st.lists(st.sampled_from(NUMS), unique=True))
-    a = State(bools={name: draw(st.booleans()) for name in draw(st.permutations(bools))},
-              nums={name: draw(key_values) for name in draw(st.permutations(nums))})
+
+    def layout(names):
+        return draw(st.one_of(st.just(names), st.permutations(names)))
+
+    a_bools = {name: draw(key_flags) for name in bools}
+    a_nums = {name: draw(key_values) for name in nums}
     near = lambda v: st.sampled_from([v, v + 4e-7, v - 6e-7, v * (1 + 1e-15)])
-    b = State(bools={name: draw(st.booleans()) for name in draw(st.permutations(bools))},
-              nums={name: draw(st.one_of(near(a.nums[name]), key_values))
-                    for name in draw(st.permutations(nums))})
+    b_bools = {name: draw(st.one_of(st.just(a_bools[name]), key_flags)) for name in bools}
+    b_nums = {name: draw(st.one_of(near(a_nums[name]), key_values)) for name in nums}
+    a = State(bools={name: a_bools[name] for name in layout(bools)},
+              nums={name: a_nums[name] for name in layout(nums)})
+    b = State(bools={name: b_bools[name] for name in layout(bools)},
+              nums={name: b_nums[name] for name in layout(nums)})
     return key_problem(bools, nums), a, b
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(keyed_states())
 def test_state_key_matches_reference(case):
+    """Packed or not, keys compare as key_by_name's tuples and the old
+    name-sorted keys do, whichever path (compiled for the problem's layout,
+    or by name) made them."""
     problem, a, b = case
     key_a, key_b = state_key(a, problem), state_key(b, problem)
+    assert (key_a == key_b) is (key_by_name(a, problem) == key_by_name(b, problem))
     assert (key_a == key_b) is (ref_state_key(a) == ref_state_key(b))
-    assert hash(key_a) is not None
+    assert hash(key_a) is not None and hash(key_b) is not None
+
+
+def test_key_packs_unless_that_could_merge_keys():
+    problem = key_problem(("p",), ("x",))
+    assert state_key(State(bools={"p": True}, nums={"x": 1.5}), problem) == (
+        struct.pack("<?q", True, 1_500_000))
+    assert state_key(State(bools={"p": 1}, nums={"x": 1.5}), problem) == (
+        state_key(State(bools={"p": True}, nums={"x": 1.5}), problem))
+    for bools, nums in (({"p": 2}, {"x": 1.5}), ({"p": True}, {"x": math.inf}),
+                        ({"p": True}, {"x": math.nan}), ({"p": True}, {"x": 1e13})):
+        state = State(bools=bools, nums=nums)
+        # in the problem's layout, and in one with an undeclared variable
+        for twin in (state, State(bools=bools, nums={**nums, "z": 0.0})):
+            assert state_key(twin, problem) == key_by_name(state, problem)
 
 
 def same_by_name(a, b) -> bool:
@@ -484,8 +522,9 @@ def test_any_layout_matches_reference(expr, con, num_assigns, bool_assigns, case
 
     key = state_key(state, problem)
     assert key == state_key(other, problem)
-    assert key == (*[state.bools[name] for name in BOOLS],
-                   *[round_half_away(state.nums[name], 6) for name in NUMS])
+    assert key_by_name(state, problem) == (
+        *[state.bools[name] for name in BOOLS],
+        *[round_half_away(state.nums[name], 6) for name in NUMS])
 
 
 @settings(max_examples=400, deadline=None)
@@ -494,7 +533,11 @@ def test_inline_key_rounding_matches_round_half_away(nums):
     """A state in the problem's layout keys through the compiled function."""
     problem = key_problem(BOOLS[:1], NUMS)
     state = State(bools={BOOLS[0]: True}, nums=dict(zip(NUMS, nums)))
-    assert state_key(state, problem) == (True, *[round_half_away(v, 6) for v in nums])
+    assert key_by_name(state, problem) == (True, *[round_half_away(v, 6) for v in nums])
+    # the same values in another layout key by name
+    other = State(bools={BOOLS[0]: True}, nums=dict(reversed(list(zip(NUMS, nums)))))
+    assert other.layout is not state.layout
+    assert state_key(state, problem) == state_key(other, problem)
 
 
 def test_state_pickles_and_copies_keep_the_layout():
@@ -507,6 +550,63 @@ def test_state_pickles_and_copies_keep_the_layout():
     assert s != State(bools={"p": False, "q": True}, nums={"x": -0.0, "y": 2.0})
     with pytest.raises(TypeError):
         hash(s)
+
+
+def test_decision_from_a_mapping():
+    d = Decision("inc", {"u": 0.5, "v": -1.0})
+    assert (d.action, d.names, d.values) == ("inc", ("u", "v"), (0.5, -1.0))
+    assert d.controls == {"u": 0.5, "v": -1.0}
+    for empty in (Decision("noop", {}), Decision("noop")):
+        assert (empty.names, empty.values, empty.controls) == ((), (), {})
+    assert Decision("noop") == Decision("noop", {})
+    # the dataclasses module sees the fields action and controls
+    assert dataclasses.replace(d, action="dec") == Decision("dec", {"u": 0.5, "v": -1.0})
+    assert dataclasses.asdict(d) == {"action": "inc", "controls": {"u": 0.5, "v": -1.0}}
+
+
+def test_decision_controls_is_a_fresh_dict():
+    d = Decision("inc", {"u": 0.5})
+    controls = d.controls
+    assert controls == {"u": 0.5} and controls is not d.controls
+    controls["u"] = 1.0
+    controls["v"] = 2.0
+    assert d.controls == {"u": 0.5}
+
+
+def test_decision_equality_repr_and_hash():
+    d = Decision("inc", {"u": 0.5, "v": 1.0})
+    assert d == Decision("inc", {"u": 0.5, "v": 1.0})
+    # controls compare as dicts, whatever their order
+    assert d == Decision("inc", {"v": 1.0, "u": 0.5})
+    assert d != Decision("dec", {"u": 0.5, "v": 1.0})
+    assert d != Decision("inc", {"u": 0.5})
+    assert d != ("inc", {"u": 0.5, "v": 1.0})
+    # the repr of the dataclass Decision was
+    assert repr(d) == "Decision(action='inc', controls={'u': 0.5, 'v': 1.0})"
+    assert repr(Decision("noop")) == "Decision(action='noop', controls={})"
+    with pytest.raises(TypeError):
+        hash(d)
+
+
+def test_decision_pickles_and_copies():
+    for d in (Decision("inc", {"u": 0.5, "v": -0.0}), Decision("noop")):
+        pickled = [pickle.loads(pickle.dumps(d, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in (*pickled, copy.copy(d), copy.deepcopy(d)):
+            assert twin == d and twin is not d
+            assert twin.names == d.names and twin.values == d.values
+
+
+def test_sampled_decisions():
+    """A sampler's decisions share the problem's control names and equal
+    the decisions the constructor builds."""
+    problem = generate(default_ladder()[5])        # sailing: two controls
+    result = run_search(problem, SearchConfig(seed=1, expansion_limit=3000))
+    assert result.outcome == "solved" and len(result.plan) > 1
+    for d in result.plan:
+        assert d.names is problem._control_names
+        assert d == Decision(d.action, dict(zip(d.names, d.values)))
+        assert Decision(d.action, d.controls) == d
 
 
 def test_state_views_are_read_only():

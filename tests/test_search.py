@@ -379,4 +379,4 @@ def test_node_memory_guard():
         nodes += 1
         stack.extend(stack.pop().children)
     assert result.expansions == 20_000
-    assert peak / nodes <= 1150, (peak, nodes)
+    assert peak / nodes <= 900, (peak, nodes)
