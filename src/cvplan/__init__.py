@@ -4,9 +4,9 @@ The pieces fit together like this: `model` defines problems and their exact
 semantics, `codegen` compiles them to the Python functions that evaluate
 them, `dsl` reads and writes them as s-expressions, `domains` generates
 benchmark families, `search` runs the sampling-based best-first planner and
-a Monte Carlo baseline, `sampling` and `heuristics` supply their plug-in
-points, and `harness` batches runs into CSV experiment suites. The `plan`
-console script fronts all of it.
+a Monte Carlo baseline, `sampling` and the goal-count heuristic of `model`
+supply their plug-in points, and `harness` batches runs into CSV
+experiment suites. The `plan` console script fronts all of it.
 """
 
 from .domains import (
@@ -20,7 +20,6 @@ from .domains import (
 )
 from .dsl import parse_problem, serialize_plan, serialize_problem, validate
 from .harness import AlgoSpec, RunRecord, SuiteConfig, load_suite, run_suite
-from .heuristics import make_heuristic
 from .model import (
     Action,
     ControlValuation,
@@ -29,6 +28,7 @@ from .model import (
     Problem,
     State,
     goal_test,
+    make_heuristic,
     replay_plan,
     try_apply,
 )

@@ -82,7 +82,7 @@ def _cmd_solve(args) -> int:
     print(f"outcome={result.outcome} expansions={result.expansions} "
           f"reexp_rate={result.reexpansion_rate:.4f} "
           f"time_s={result.time_s:.3f}", file=sys.stderr)
-    breaches = (check.finish() + drifted_nodes(result.root, config)
+    breaches = (check.finish() + drifted_nodes(result.root.tree, config)
                 if check is not None else [])
     for breach in breaches:
         print(f"invariant: {breach}", file=sys.stderr)

@@ -427,6 +427,14 @@ def goal_test(state: State, goal: Constraint) -> bool:
     return goal._compiled[state.layout](state, _EMPTY)
 
 
+def make_heuristic(problem: Problem) -> Callable[[State], float]:
+    """The planner's heuristic, bound to problem: the number of unsatisfied
+    top-level goal conjuncts of a state, counted by one function compiled
+    per state layout."""
+    counts = problem._goal_count
+    return lambda state: counts[state.layout](state)
+
+
 def replay_plan(problem: Problem, plan: Sequence[Decision]) -> State:
     """Apply a decision sequence from the initial state; raises on any misstep."""
     state = problem.init

@@ -29,11 +29,11 @@ import itertools
 import math
 import random
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .heuristics import make_heuristic
-from .model import Decision, Problem, State, goal_test, state_key
+from .model import Decision, Problem, State, goal_test, make_heuristic, state_key
 from .sampling import make_sampler, sample_uniform
 
 #: priority rectifiers by CLI tag; each maps the partial-expansion counter
@@ -68,26 +68,116 @@ class SearchConfig:
     duplicate_detection: bool = True
 
 
-class SearchNode:
-    """Search tree node; children are kept for instrumentation, in a list
-    made at the first child (a shared () before it). trials counts the
-    sampler's trials on the node, over all its expansions."""
+_new = object.__new__
 
-    __slots__ = ("uid", "state", "g", "h", "n", "f", "trials", "parent",
-                 "decision", "children")
 
-    def __init__(self, uid: int, state: State, g: int, h: float,
-                 parent: Optional["SearchNode"], decision: Optional[Decision]):
-        self.uid = uid
-        self.state = state
-        self.g = g
-        self.h = h
-        self.n = 0
-        self.f = 0.0
-        self.trials = 0
-        self.parent = parent
-        self.decision = decision
-        self.children: Sequence["SearchNode"] = ()
+class SearchTree:
+    """The best-first engine's nodes as columns indexed by uid: 0 for the
+    root, then the nodes in insertion order.
+
+    parent (-1 at the root), g, h, n, trials (the sampler's trials on the
+    node, over all its expansions) and f (the priority the node was last
+    queued with) are arrays. The lists layout, bool_values and num_values
+    hold each node's state, and action and values its decision (None and ()
+    at the root), in the order of names, the control names every sampled
+    decision shares. So a node is atomics and tuples of atomics, which the
+    garbage collector stops tracking.
+    """
+
+    def __init__(self, names: Tuple[str, ...]):
+        self.names = names
+        self.parent, self.g, self.n, self.trials = (array("q") for _ in range(4))
+        self.h, self.f = array("d"), array("d")
+        self.layout, self.bool_values, self.num_values = [], [], []
+        self.action, self.values = [], []
+        #: each node's first child and next sibling, -1 for none; built by
+        #: children, again once the tree has grown
+        self._first, self._sibling = array("q"), array("q")
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    def add(self, parent: int, g: int, h: float, f: float, state: State,
+            decision: Optional[Decision]) -> int:
+        """Append a node at n = 0 and trials = 0; returns its uid."""
+        self.parent.append(parent)
+        self.g.append(g)
+        self.h.append(h)
+        self.n.append(0)
+        self.trials.append(0)
+        self.f.append(f)
+        self.layout.append(state.layout)
+        self.bool_values.append(state.bool_values)
+        self.num_values.append(state.num_values)
+        self.action.append(decision and decision.action)
+        self.values.append(decision.values if decision else ())
+        return len(self.parent) - 1
+
+    def state(self, uid: int) -> State:
+        """Node uid's state, built afresh."""
+        state = _new(State)
+        state.layout, state.bool_values, state.num_values = (
+            self.layout[uid], self.bool_values[uid], self.num_values[uid])
+        return state
+
+    def children(self, uid: int) -> List[int]:
+        """Node uid's children in insertion order. The links behind them are
+        built in one pass over parent, on the first call after the tree grew."""
+        size, parent = len(self), self.parent
+        if len(self._first) != size:
+            first, sibling = array("q", [-1]) * size, array("q", [-1]) * size
+            for child in range(size - 1, 0, -1):
+                sibling[child] = first[parent[child]]
+                first[parent[child]] = child
+            self._first, self._sibling = first, sibling
+        kids, child = [], self._first[uid]
+        while child >= 0:
+            kids.append(child)
+            child = self._sibling[child]
+        return kids
+
+
+def _column(name: str) -> property:
+    """A TreeNode field that reads and writes its node's entry of a column."""
+    return property(lambda node: getattr(node.tree, name)[node.uid],
+                    lambda node, value: getattr(node.tree, name).__setitem__(node.uid, value))
+
+
+class TreeNode:
+    """View of node uid of a SearchTree, with the fields of a tree node.
+    g, h, n, f and trials read and write the tree's columns; state,
+    decision and parent (None at the root) and children (in insertion
+    order) are built on each read."""
+
+    __slots__ = ("tree", "uid")
+
+    def __init__(self, tree: SearchTree, uid: int):
+        self.tree, self.uid = tree, uid
+
+    g, h, n, f, trials = map(_column, ("g", "h", "n", "f", "trials"))
+
+    @property
+    def state(self) -> State:
+        return self.tree.state(self.uid)
+
+    @property
+    def decision(self) -> Optional[Decision]:
+        tree, uid = self.tree, self.uid
+        if tree.action[uid] is None:
+            return None
+        decision = _new(Decision)
+        decision.action, decision.names, decision.values = (
+            tree.action[uid], tree.names, tree.values[uid])
+        return decision
+
+    @property
+    def parent(self) -> Optional["TreeNode"]:
+        parent = self.tree.parent[self.uid]
+        return None if parent < 0 else TreeNode(self.tree, parent)
+
+    @property
+    def children(self) -> List["TreeNode"]:
+        return [TreeNode(self.tree, child) for child in self.tree.children(self.uid)]
 
 
 def f_value(g: int, h: float, n: int, mode: str, rect: Callable[[int], float]) -> float:
@@ -97,18 +187,18 @@ def f_value(g: int, h: float, n: int, mode: str, rect: Callable[[int], float]) -
 
 
 class OpenList:
-    """Min-heap on (f, insertion sequence); ties pop in insertion order."""
+    """Min-heap of (f, insertion sequence, uid) entries: atomics, which the
+    garbage collector stops tracking. Ties pop in insertion order."""
 
     def __init__(self):
-        self._heap: List[Tuple[float, int, SearchNode]] = []
+        self._heap: List[Tuple[float, int, int]] = []
         self._seq = itertools.count()
 
-    def push(self, node: SearchNode):
-        heapq.heappush(self._heap, (node.f, next(self._seq), node))
+    def push(self, f: float, uid: int):
+        heapq.heappush(self._heap, (f, next(self._seq), uid))
 
-    def pop(self) -> SearchNode:
-        _, _, node = heapq.heappop(self._heap)
-        return node
+    def pop(self) -> int:
+        return heapq.heappop(self._heap)[2]
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -128,7 +218,8 @@ class SearchResult:
     reexpansions: int
     peak_open: int
     time_s: float
-    #: tree root; a SearchNode for run_search, an MctsNode for run_mcts
+    #: tree root: for run_search a TreeNode view of the run's SearchTree,
+    #: for run_mcts an MctsNode
     root: Optional[object] = None
 
     @property
@@ -137,7 +228,7 @@ class SearchResult:
         return 100.0 * self.reexpansions / self.expansions if self.expansions else 0.0
 
 
-def reconstruct_plan(node: SearchNode) -> List[Decision]:
+def reconstruct_plan(node: TreeNode) -> List[Decision]:
     """Decisions from the root to this node, in application order."""
     plan: List[Decision] = []
     while node.parent is not None:
@@ -181,6 +272,10 @@ def run_search(problem: Problem, cfg: SearchConfig,
                trace=None) -> SearchResult:
     """Run the best-first engine on a problem.
 
+    The nodes live in one SearchTree, whose root the result holds as a
+    TreeNode view; the open list holds uids. A node's State is built when it
+    is extracted, and a Decision only for the plan.
+
     cfg.time_limit bounds sampling too: the samplers get the run's deadline
     and cut a call short once it has passed.
 
@@ -193,24 +288,24 @@ def run_search(problem: Problem, cfg: SearchConfig,
     rng = random.Random(cfg.seed)
     h_fn = make_heuristic(problem)
     sampler = make_sampler(cfg, problem, h_fn)
-    rect = RECTIFIERS[cfg.rectifier]
+    mode, rect = cfg.mode, RECTIFIERS[cfg.rectifier]
     emit = trace.append if trace is not None else None
 
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_limit
-    uid_counter = itertools.count()
-    root = SearchNode(next(uid_counter), problem.init, 0, h_fn(problem.init),
-                      None, None)
-    root.f = f_value(root.g, root.h, 0, cfg.mode, rect)
+    tree = SearchTree(problem._control_names)
+    gs, hs, ns, fs, trials = tree.g, tree.h, tree.n, tree.f, tree.trials
+    h0 = h_fn(problem.init)
+    root = tree.add(-1, 0, h0, f_value(0, h0, 0, mode, rect), problem.init, None)
     open_list = OpenList()
-    open_list.push(root)
+    open_list.push(fs[root], root)
     seen = {state_key(problem.init, problem)} if cfg.duplicate_detection else None
 
     expansions = 0
     reexpansions = 0
     peak_open = 1
     outcome = None
-    goal_node: Optional[SearchNode] = None
+    goal_uid: Optional[int] = None
 
     while True:
         if len(open_list) == 0:
@@ -223,24 +318,26 @@ def run_search(problem: Problem, cfg: SearchConfig,
             outcome = "budget"
             break
 
-        node = open_list.pop()
+        uid = open_list.pop()
         if emit:
-            emit(("extract", node.uid, node.f))
+            emit(("extract", uid, fs[uid]))
 
-        hit = goal_test(node.state, problem.goal)
+        state = tree.state(uid)
+        hit = goal_test(state, problem.goal)
         if emit:
-            emit(("goal", node.uid, hit))
+            emit(("goal", uid, hit))
         if hit:
             outcome = "solved"
-            goal_node = node
+            goal_uid = uid
             break
 
         expansions += 1
-        if node.n > 0:
+        n = ns[uid]
+        if n > 0:
             reexpansions += 1
 
-        sample = sampler(node.state, node.trials, rng, deadline)
-        node.trials += sample.trials
+        sample = sampler(state, trials[uid], rng, deadline)
+        trials[uid] += sample.trials
         if sample.ok:
             duplicate = False
             if seen is not None:
@@ -249,36 +346,31 @@ def run_search(problem: Problem, cfg: SearchConfig,
                 seen.add(child_key)
             if duplicate:
                 if emit:
-                    emit(("duplicate", node.uid))
+                    emit(("duplicate", uid))
             else:
-                child = SearchNode(next(uid_counter), sample.successor,
-                                   node.g + 1, h_fn(sample.successor), node,
-                                   sample.decision)
-                child.f = f_value(child.g, child.h, 0, cfg.mode, rect)
-                if node.children:
-                    node.children.append(child)
-                else:
-                    node.children = [child]
-                open_list.push(child)
+                g, h = gs[uid] + 1, h_fn(sample.successor)
+                child = tree.add(uid, g, h, f_value(g, h, 0, mode, rect),
+                                 sample.successor, sample.decision)
+                open_list.push(fs[child], child)
                 if emit:
-                    emit(("insert", child.uid, child.f))
+                    emit(("insert", child, fs[child]))
         else:
             if emit:
-                emit(("fail", node.uid))
+                emit(("fail", uid))
 
-        node.n += 1
-        node.f = f_value(node.g, node.h, node.n, cfg.mode, rect)
+        n = ns[uid] = n + 1
+        f = fs[uid] = f_value(gs[uid], hs[uid], n, mode, rect)
         if sample.exhausted:
             if emit:
-                emit(("drop", node.uid))
+                emit(("drop", uid))
         else:
-            open_list.push(node)
+            open_list.push(f, uid)
             if emit:
-                emit(("reinsert", node.uid, node.f))
+                emit(("reinsert", uid, f))
         if len(open_list) > peak_open:
             peak_open = len(open_list)
 
-    plan = reconstruct_plan(goal_node) if goal_node is not None else None
+    plan = reconstruct_plan(TreeNode(tree, goal_uid)) if goal_uid is not None else None
     return SearchResult(
         outcome=outcome,
         plan=plan,
@@ -286,14 +378,14 @@ def run_search(problem: Problem, cfg: SearchConfig,
         reexpansions=reexpansions,
         peak_open=peak_open,
         time_s=time.perf_counter() - t0,
-        root=root,
+        root=TreeNode(tree, root),
     )
 
 
 # ---------------------------------------------------------------------------
 # property checkers
 
-def solution_cost_within_bound(result: SearchResult, root: SearchNode,
+def solution_cost_within_bound(result: SearchResult, root: TreeNode,
                                cfg: SearchConfig, tol: float = F_TOL) -> bool:
     """True iff the plan length is at most h(s0) + r(n_root) + tol.
 
@@ -309,17 +401,16 @@ def solution_cost_within_bound(result: SearchResult, root: SearchNode,
     return len(result.plan) <= root.h + rect(root.n) + tol
 
 
-def drifted_nodes(root: SearchNode, cfg: SearchConfig) -> List[str]:
-    """A message per node of a finished tree whose f is off f_value(g, h, n)
-    by more than F_TOL: the events a TraceCheck sees carry no g or h."""
+def drifted_nodes(tree: SearchTree, cfg: SearchConfig) -> List[str]:
+    """A message per node of a finished tree whose stored f is off
+    f_value(g, h, n) by more than F_TOL: the events a TraceCheck sees carry
+    no g or h."""
     rect = RECTIFIERS[cfg.rectifier]
-    bad, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        stack.extend(node.children)
-        expect = f_value(node.g, node.h, node.n, cfg.mode, rect)
-        if abs(node.f - expect) > F_TOL:
-            bad.append(f"node {node.uid} at f {node.f!r}, not {expect!r}")
+    bad = []
+    for uid, (g, h, n, f) in enumerate(zip(tree.g, tree.h, tree.n, tree.f)):
+        expect = f_value(g, h, n, cfg.mode, rect)
+        if abs(f - expect) > F_TOL:
+            bad.append(f"node {uid} at f {f!r}, not {expect!r}")
     return bad
 
 

@@ -72,7 +72,7 @@ def bound_runs():
                         check = TraceCheck(rect)
                         result = run_search(prob, cfg, trace=check)
                         runs.append((pname, cfg, result, check.finish(),
-                                     drifted_nodes(result.root, cfg)))
+                                     drifted_nodes(result.root.tree, cfg)))
     return runs, time.perf_counter() - t0
 
 

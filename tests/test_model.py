@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from cvplan.domains import default_ladder, generate, make_drone
 from cvplan.dsl import parse_problem
 from cvplan import model
-from cvplan.heuristics import make_heuristic
 from cvplan.model import (
     CMP_OPS, Action, Add, And, BoolEq, Cmp, Const, ControlVarSpec, Decision,
     Effect, ModelError, Mul, Neg, Not, Or, Pow, Problem, State, Sub, TRUE, Var,
-    eval_constraint, eval_expr, goal_test, iter_constraints, iter_exprs,
-    key_by_name, liveness, replay_plan, round_half_away, state_key, try_apply,
+    conjuncts, eval_constraint, eval_expr, goal_test, iter_constraints,
+    iter_exprs, key_by_name, liveness, make_heuristic, replay_plan,
+    round_half_away, state_key, try_apply,
 )
 from cvplan.search import SearchConfig, run_search
 
@@ -306,6 +306,60 @@ def test_action_by_name():
     assert p.action_by_name("a") is a
     with pytest.raises(ModelError):
         p.action_by_name("nope")
+
+
+# ---------------------------------------------------------------------------
+# the goal-count heuristic
+
+X_GE_1 = Cmp(Sub(Var("x"), Const(1.0)), ">=")
+Y_GE_1 = Cmp(Sub(Var("y"), Const(1.0)), ">=")
+P_TRUE = BoolEq("p", True)
+
+
+def problem_with_goal(goal):
+    return Problem(
+        name="t", bools=("p",), nums=("x", "y"), controls=(), actions=(),
+        init=State(bools={"p": False}, nums={"x": 0.0, "y": 0.0}), goal=goal,
+    )
+
+
+def test_conjuncts_flatten():
+    nested = And((X_GE_1, And((Y_GE_1, And((P_TRUE,)))), And(())))
+    assert tuple(conjuncts(nested)) == (X_GE_1, Y_GE_1, P_TRUE)
+    assert tuple(conjuncts(X_GE_1)) == (X_GE_1,)
+    disj = Or((X_GE_1, Y_GE_1))
+    assert tuple(conjuncts(disj)) == (disj,)
+    assert tuple(conjuncts(And(()))) == ()
+
+
+def test_goal_count_values():
+    p = problem_with_goal(And((X_GE_1, Y_GE_1, P_TRUE)))
+    s0 = State(bools={"p": False}, nums={"x": 0.0, "y": 0.0})
+    s1 = State(bools={"p": True}, nums={"x": 1.0, "y": 0.0})
+    s2 = State(bools={"p": True}, nums={"x": 1.0, "y": 2.0})
+    h = make_heuristic(p)
+    assert h(s0) == 3.0
+    assert h(s1) == 1.0
+    assert h(s2) == 0.0
+
+
+def test_goal_count_single_disjunction_is_one_conjunct():
+    p = problem_with_goal(Or((X_GE_1, Y_GE_1)))
+    sat = State(bools={"p": False}, nums={"x": 1.0, "y": 0.0})
+    unsat = State(bools={"p": False}, nums={"x": 0.0, "y": 0.0})
+    assert make_heuristic(p)(sat) == 0.0
+    assert make_heuristic(p)(unsat) == 1.0
+
+
+def test_goal_count_empty_goal_is_zero():
+    p = problem_with_goal(And(()))
+    assert make_heuristic(p)(p.init) == 0.0
+
+
+def test_make_heuristic():
+    p = problem_with_goal(And((X_GE_1,)))
+    h = make_heuristic(p)
+    assert h(State(bools={"p": False}, nums={"x": 0.0, "y": 0.0})) == 1.0
 
 
 # ---------------------------------------------------------------------------

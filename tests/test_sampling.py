@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 from cvplan.dsl import parse_problem
-from cvplan.heuristics import make_heuristic
 from cvplan.search import SearchConfig
 from cvplan.model import (
     Action, And, Cmp, Const, ControlVarSpec, Effect, Problem, State, Sub,
-    TRUE, Var, replay_plan, try_apply,
+    TRUE, Var, make_heuristic, replay_plan, try_apply,
 )
 from cvplan.sampling import (
     dyadic_tuple, dyadic_value,

@@ -1,18 +1,22 @@
+import gc
 import math
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
+from cvplan import sampling, search
 from cvplan.dsl import parse_problem
 from cvplan.domains import make_counters
 from cvplan.model import (
-    Action, And, Cmp, Const, Decision, Effect, Problem, State, Sub, TRUE,
-    Var, goal_test, replay_plan, state_key,
+    Action, Add, And, Cmp, Const, ControlVarSpec, Decision, Effect, Problem,
+    State, Sub, TRUE, Var, goal_test, make_heuristic, replay_plan, state_key,
 )
 from cvplan.search import (
-    RECTIFIERS, SearchConfig, SearchNode, TraceCheck, drifted_nodes, f_value,
-    reconstruct_plan, run_search, solution_cost_within_bound, validate_trace,
+    RECTIFIERS, SearchConfig, SearchTree, TraceCheck, TreeNode, drifted_nodes,
+    f_value, reconstruct_plan, run_search, solution_cost_within_bound,
+    validate_trace,
 )
 
 
@@ -163,6 +167,118 @@ def test_config_validation():
         run_search(p, SearchConfig(expansion_limit=0))
 
 
+def undeclared_variable_problem():
+    """Its one action also assigns z, which the problem does not declare, so
+    every successor has a layout the initial state lacks."""
+    u = Var("u", "control")
+    step = Action("step", TRUE, Effect((), (("x", Add(Var("x"), u)), ("z", u))))
+    return Problem(
+        name="grow", bools=(), nums=("x",), controls=(ControlVarSpec("u", 0, 1),),
+        actions=(step,), init=State(bools={}, nums={"x": 0.0}),
+        goal=Cmp(Sub(Var("x"), Const(2.0)), ">="),
+    )
+
+
+@pytest.mark.parametrize("make_problem,layouts", [
+    (lambda: make_counters(2), 1), (undeclared_variable_problem, 2)])
+def test_tree_view_holds_what_the_sampler_returned(monkeypatch, make_problem, layouts):
+    problem, sampled = make_problem(), []
+    make_sampler = search.make_sampler
+
+    def recording(*args):
+        inner = make_sampler(*args)
+
+        def sampler(*a):
+            out = inner(*a)
+            if out.ok:
+                sampled.append(out)
+            return out
+        return sampler
+
+    monkeypatch.setattr(search, "make_sampler", recording)
+    events = []
+    result = run_search(problem, SearchConfig(seed=0, expansion_limit=20_000),
+                        trace=events)
+    assert result.outcome == "solved"
+    # each successful draw is inserted or discarded as a duplicate, in order
+    placed = [e for e in events if e[0] in ("insert", "duplicate")]
+    assert len(placed) == len(sampled)
+    inserted = {e[1]: out for e, out in zip(placed, sampled) if e[0] == "insert"}
+    root, tree = result.root, result.root.tree
+    assert sorted(inserted) == list(range(1, len(tree)))
+    assert (root.uid, root.g, root.parent, root.decision) == (0, 0, None, None)
+    assert root.state == problem.init
+    h = make_heuristic(problem)
+    for uid, out in inserted.items():
+        node = TreeNode(tree, uid)
+        assert node.state == out.successor
+        assert node.state.layout is out.successor.layout
+        assert node.decision == out.decision
+        assert (node.g, node.h) == (node.parent.g + 1, h(out.successor))
+        assert node.uid in [child.uid for child in node.parent.children]
+    assert len(set(tree.layout)) == layouts
+    goal = events[-1][1]
+    expected, node = [], TreeNode(tree, goal)
+    while node.parent is not None:
+        expected.append(inserted[node.uid].decision)
+        node = node.parent
+    expected.reverse()
+    assert result.plan == expected == reconstruct_plan(TreeNode(tree, goal))
+
+
+def test_search_reaches_its_layers_through_module_names(monkeypatch):
+    """Every heap operation goes through OpenList, and every model call,
+    sampler and heuristic through the names of search and sampling, where
+    a tracer can swap timing wrappers in from outside."""
+    calls = Counter()
+
+    def count(owner, name, returned=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            out = original(*args, **kwargs)
+            return returned(out) if returned else out
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def counted_sampler(inner):
+        def sampler(*args):
+            out = inner(*args)
+            calls["trials"] += out.trials
+            return out
+        return sampler
+
+    def counted_heuristic(inner):
+        def h(state):
+            calls["h"] += 1
+            return inner(state)
+        return h
+
+    count(search.OpenList, "push")
+    count(search.OpenList, "pop")
+    count(search, "goal_test")
+    count(search, "state_key")
+    count(sampling, "try_apply")
+    count(search, "make_sampler", returned=counted_sampler)
+    count(search, "make_heuristic", returned=counted_heuristic)
+    events = []
+    result = run_search(make_counters(6), SearchConfig(mode="sa", seed=1, expansion_limit=2000),
+                        trace=events)
+    kinds = Counter(event[0] for event in events)
+    assert kinds["extract"] == 2000
+    assert calls["pop"] == calls["goal_test"] == kinds["extract"]
+    assert calls["push"] == 1 + kinds["insert"] + kinds["reinsert"]
+    assert calls["state_key"] == 1 + kinds["insert"] + kinds["duplicate"]
+    assert calls["try_apply"] == calls["trials"] > 0
+    assert calls["make_sampler"] == calls["make_heuristic"] == 1
+    assert calls["h"] == 1 + kinds["insert"]
+    nodes, stack = 0, [result.root]
+    while stack:
+        nodes += 1
+        stack.extend(stack.pop().children)
+    assert nodes == 1 + kinds["insert"] == len(result.root.tree)
+
+
 # -- finite spaces -------------------------------------------------------------
 
 def bfs_reachable(problem):
@@ -311,22 +427,36 @@ def test_drifted_nodes_flags_a_stale_f():
     cfg = SearchConfig(mode="sa", rectifier="log", seed=3,
                        expansion_limit=200)
     result = run_search(p, cfg)
-    assert drifted_nodes(result.root, cfg) == []
-    child = result.root.children[0]
-    child.f += 0.5
-    assert len(drifted_nodes(result.root, cfg)) == 1
+    tree = result.root.tree
+    assert drifted_nodes(tree, cfg) == []
+    # the root, its first child and the last node, each corrupted alone
+    for uid in (0, result.root.children[0].uid, len(tree) - 1):
+        stored = tree.f[uid]
+        tree.f[uid] = stored + 0.5
+        assert drifted_nodes(tree, cfg) == [
+            f"node {uid} at f {stored + 0.5!r}, not {stored!r}"]
+        tree.f[uid] = stored
+    assert drifted_nodes(tree, cfg) == []
 
 
 def test_reconstruct_plan_orders_decisions():
-    root = SearchNode(0, State(bools={}, nums={"x": 0.0}), 0, 0.0,
-                      None, None)
-    mid = SearchNode(1, State(bools={}, nums={"x": 1.0}), 1, 0.0,
-                     root, Decision("first", {"u": 1.0}))
-    leaf = SearchNode(2, State(bools={}, nums={"x": 2.0}), 2, 0.0,
-                      mid, Decision("second", {"u": 0.5}))
-    assert reconstruct_plan(root) == []
-    assert reconstruct_plan(leaf) == [
+    tree = SearchTree(("u",))
+    root = tree.add(-1, 0, 0.0, 0.0, State(bools={}, nums={"x": 0.0}), None)
+    mid = tree.add(root, 1, 0.0, 1.0, State(bools={}, nums={"x": 1.0}),
+                   Decision("first", {"u": 1.0}))
+    sibling = tree.add(root, 1, 0.0, 1.0, State(bools={}, nums={"x": 9.0}),
+                       Decision("sibling", {"u": 0.0}))
+    leaf = tree.add(mid, 2, 0.0, 2.0, State(bools={}, nums={"x": 2.0}),
+                    Decision("second", {"u": 0.5}))
+    assert reconstruct_plan(TreeNode(tree, root)) == []
+    assert reconstruct_plan(TreeNode(tree, leaf)) == [
         Decision("first", {"u": 1.0}), Decision("second", {"u": 0.5})]
+    assert (tree.children(root), tree.children(mid), tree.children(leaf)) == (
+        [mid, sibling], [leaf], [])
+    # the child index follows a tree that grows after its first use
+    late = tree.add(root, 1, 0.0, 1.0, State(bools={}, nums={"x": 3.0}),
+                    Decision("late", {"u": 0.25}))
+    assert [child.uid for child in TreeNode(tree, root).children] == [mid, sibling, late]
 
 
 # -- solution cost bound ----------------------------------------------------------
@@ -351,7 +481,8 @@ def test_solution_bound_negative_and_mode_guard():
                        expansion_limit=20000, time_limit=30.0)
     result = run_search(p, cfg)
     # corrupt: pretend the root was never re-expanded and had a zero estimate
-    fake_root = SearchNode(0, p.init, 0, 0.0, None, None)
+    fake_tree = SearchTree(p._control_names)
+    fake_root = TreeNode(fake_tree, fake_tree.add(-1, 0, 0.0, 0.0, p.init, None))
     if len(result.plan) > 0:
         assert not solution_cost_within_bound(result, fake_root, cfg)
     with pytest.raises(ValueError):
@@ -374,9 +505,23 @@ def test_node_memory_guard():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    nodes, stack = 0, [result.root]
-    while stack:
-        nodes += 1
-        stack.extend(stack.pop().children)
+    nodes = len(result.root.tree)
     assert result.expansions == 20_000
-    assert peak / nodes <= 900, (peak, nodes)
+    assert peak / nodes <= 700, (peak, nodes)
+
+
+def test_finished_search_keeps_no_tracked_object_per_node():
+    """A finished tree gives the cyclic collector nothing to traverse per
+    node: its columns are arrays and lists of atomics or tuples of atomics,
+    which the collector stops tracking."""
+    p = make_counters(6)
+    run_search(p, SearchConfig(mode="sa", seed=0, expansion_limit=100))  # compile first
+    gc.collect()
+    before = len(gc.get_objects())
+    result = run_search(p, SearchConfig(mode="sa", rectifier="log", seed=0,
+                                        expansion_limit=20_000, time_limit=120.0))
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    nodes = len(result.root.tree)
+    assert result.expansions == 20_000
+    assert grown / nodes < 0.05, (grown, nodes)
