@@ -11,14 +11,15 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .domains import GENERATORS, InstanceSpec, generate
-from .dsl import parse_problem, serialize_plan, serialize_problem, validate
+from .domains import GENERATORS, generate
+from .dsl import key_values, load_problem, serialize_plan, serialize_problem
 from .harness import (
     ALGOS,
     SETTINGS,
     best_of,
     compare_csv,
     coverage_csv,
+    instance_spec,
     load_suite,
     make_config,
     read_records,
@@ -59,20 +60,10 @@ def config_from_args(args):
     return config
 
 
-def _load_problem(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    problem, diags = parse_problem(text)
-    if problem is not None:
-        diags = validate(problem)
-    errors = [d for d in diags if d.severity == "error"]
-    for diag in diags:
-        print(f"{path}: {diag}", file=sys.stderr)
-    return None if errors else problem
-
-
 def _cmd_solve(args) -> int:
-    problem = _load_problem(args.file)
+    problem, diags = load_problem(args.file)
+    for diag in diags:
+        print(f"{args.file}: {diag}", file=sys.stderr)
     if problem is None:
         return 2
     config = config_from_args(args)
@@ -93,26 +84,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    for item in args.param:
-        key, sep, raw = item.partition("=")
-        if not sep:
-            print(f"error: expected key=value, got {item!r}", file=sys.stderr)
-            return 2
-        try:
-            params[key] = int(raw)
-        except ValueError:
-            print(f"error: parameter {key!r} must be an integer",
-                  file=sys.stderr)
-            return 2
-    spec = InstanceSpec(domain=args.domain, params=params, seed=args.seed)
-    try:
-        problem = generate(spec)
-    except KeyError as exc:
-        print(f"error: missing parameter {exc.args[0]!r} for {args.domain}",
-              file=sys.stderr)
-        return 2
-    text = serialize_problem(problem)
+    spec = instance_spec(args.domain, key_values(args.param), args.seed)
+    text = serialize_problem(generate(spec))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

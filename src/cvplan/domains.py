@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .model import (
     Action, Add, And, BoolEq, Cmp, Const, Constraint, ControlVarSpec, Effect,
@@ -284,38 +284,58 @@ def make_drone(grid: int, n_points: int,
 # instance specs and ladders
 
 @dataclass(frozen=True)
+class Generator:
+    """A domain's make function, its parameters (name -> keyword of make), the
+    required ones, and whether make takes the layout seed (and ids show it)."""
+    make: Callable[..., Problem]
+    params: Dict[str, str]
+    required: Tuple[str, ...]
+    seeded: bool = False
+
+
+GENERATORS: Dict[str, Generator] = {
+    "counters": Generator(make_counters, {"n": "n", "m": "max_val", "u": "u_max"},
+                          ("n",)),
+    "sailing": Generator(make_sailing, {"b": "n_boats", "p": "n_persons"}, ("b", "p")),
+    "blockgrouping": Generator(make_blockgrouping,
+                               {"b": "n_blocks", "g": "n_groups", "grid": "grid"},
+                               ("b", "g", "grid"), seeded=True),
+    "drone": Generator(make_drone, {"grid": "grid", "p": "n_points",
+                                    "battery": "battery"}, ("grid", "p"), seeded=True),
+}
+
+
+@dataclass(frozen=True)
 class InstanceSpec:
-    """Domain name, integer size parameters, and a layout seed."""
+    """Domain name, integer size parameters, and a layout seed. The domain
+    and parameter names must be those of GENERATORS, else ValueError."""
     domain: str
     params: Dict[str, int] = field(default_factory=dict)
     seed: int = 0
 
+    def __post_init__(self):
+        gen = GENERATORS.get(self.domain)
+        _check(gen is not None, f"unknown domain {self.domain!r}")
+        for key in self.params:
+            _check(key in gen.params, f"{self.domain} takes no parameter {key!r};"
+                   f" it takes {', '.join(gen.params)}")
+        for key in gen.required:
+            _check(key in self.params, f"missing parameter {key!r} for {self.domain}")
+
     def instance_id(self) -> str:
         parts = [f"{key}{value}" for key, value in self.params.items()]
-        if self.domain in ("blockgrouping", "drone"):
+        if GENERATORS[self.domain].seeded:
             parts.append(f"s{self.seed}")
         return f"{self.domain}/{'-'.join(parts)}"
 
 
-GENERATORS = ("counters", "sailing", "blockgrouping", "drone")
-
-
 def generate(spec: InstanceSpec) -> Problem:
     """Build the Problem described by an InstanceSpec."""
-    params = spec.params
-    if spec.domain == "counters":
-        return make_counters(params["n"], params.get("m", 10), params.get("u", 1))
-    if spec.domain == "sailing":
-        return make_sailing(params["b"], params["p"])
-    if spec.domain == "blockgrouping":
-        return make_blockgrouping(params["b"], params["g"], params["grid"],
-                                  seed=spec.seed)
-    if spec.domain == "drone":
-        battery = params.get("battery")
-        return make_drone(params["grid"], params["p"],
-                          battery=float(battery) if battery is not None else None,
-                          seed=spec.seed)
-    raise ValueError(f"unknown domain: {spec.domain!r}")
+    gen = GENERATORS[spec.domain]
+    kwargs = {gen.params[key]: value for key, value in spec.params.items()}
+    if gen.seeded:
+        kwargs["seed"] = spec.seed
+    return gen.make(**kwargs)
 
 
 def default_ladder() -> List[InstanceSpec]:

@@ -430,6 +430,32 @@ def parse_problem(text: str) -> Tuple[Optional[Problem], List[Diagnostic]]:
     return problem, interp.diags
 
 
+def load_problem(path: str) -> Tuple[Optional[Problem], List[Diagnostic]]:
+    """Read, parse and validate a problem file: (problem or None on any error,
+    every diagnostic). An unreadable file raises OSError or ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        problem, diags = parse_problem(fh.read())
+    if problem is not None:
+        diags = diags + validate(problem)
+        if any(d.severity == "error" for d in diags):
+            problem = None
+    return problem, diags
+
+
+def key_values(tokens: Sequence[str]) -> Dict[str, str]:
+    """The text values of `key=value` tokens, in token order. Raises
+    ValueError on a token without `=` and on a duplicate key."""
+    values: Dict[str, str] = {}
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"expected key=value, got {token!r}")
+        if key in values:
+            raise ValueError(f"duplicate key {key!r}")
+        values[key] = value
+    return values
+
+
 # ---------------------------------------------------------------------------
 # object-level validation
 
@@ -685,9 +711,7 @@ def _constr_text(con: Constraint) -> str:
 def serialize_problem(problem: Problem) -> str:
     """Canonical text form; parse_problem(serialize_problem(p)) equals p."""
     lines = [f"(problem {problem.name}"]
-    init = problem.init
-    init_bools = dict(zip(init.layout.bools, init.bool_values))
-    init_nums = dict(zip(init.layout.nums, init.num_values))
+    init_bools, init_nums = problem.init.bools, problem.init.nums
     bools = " ".join(
         f"({name} true)" if init_bools.get(name) else name
         for name in problem.bools

@@ -6,7 +6,7 @@ as an isolated, deterministic, single-threaded search; records are flushed
 to CSV incrementally, in canonical cell order, so repeated runs of the same
 suite produce identical files apart from measured wall times.
 
-CSV schema: instance,algorithm,seed,outcome,plan_len,expansions,reexp_rate,time_s
+runs.csv has the columns of CSV_HEADER, each a RunRecord field.
 """
 
 from __future__ import annotations
@@ -21,15 +21,26 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .domains import GENERATORS, InstanceSpec, generate
-from .dsl import parse_problem, validate
+from .domains import InstanceSpec, generate
+from .dsl import key_values, load_problem
 from .model import Problem
 from .sampling import SAMPLER_KINDS
 from .search import (MODES, RECTIFIERS, MctsConfig, SearchConfig, SearchResult,
                      check_config, run_mcts, run_search)
 
-CSV_HEADER = ("instance", "algorithm", "seed", "outcome", "plan_len",
-              "expansions", "reexp_rate", "time_s")
+#: the runs.csv columns: RunRecord field -> (text of a value, value of a text)
+_COLUMNS: Dict[str, Tuple[Callable[[object], str], Callable[[str], object]]] = {
+    "instance": (str, str),
+    "algorithm": (str, str),
+    "seed": (str, int),
+    "outcome": (str, str),
+    "plan_len": (lambda v: "" if v is None else str(v),
+                 lambda text: int(text) if text else None),
+    "expansions": (str, int),
+    "reexp_rate": ("{:.4f}".format, float),
+    "time_s": ("{:.3f}".format, float),
+}
+CSV_HEADER = tuple(_COLUMNS)
 
 #: rendered for a coverage cell with no solved runs
 EMPTY_CELL = "0 (—)"
@@ -53,16 +64,7 @@ class RunRecord:
         return self.instance.split("/", 1)[0]
 
     def csv_row(self) -> List[str]:
-        return [
-            self.instance,
-            self.algorithm,
-            str(self.seed),
-            self.outcome,
-            "" if self.plan_len is None else str(self.plan_len),
-            str(self.expansions),
-            f"{self.reexp_rate:.4f}",
-            f"{self.time_s:.3f}",
-        ]
+        return [text(getattr(self, name)) for name, (text, _) in _COLUMNS.items()]
 
 
 #: algorithm names: the best-first modes plus the MCTS baseline
@@ -143,16 +145,10 @@ class InstanceSource:
         if self.spec is not None:
             return generate(self.spec)
         assert self.path is not None
-        with open(self.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        problem, diags = parse_problem(text)
+        problem, diags = load_problem(self.path)
         if problem is None:
-            raise ValueError(
-                f"{self.path}: " + "; ".join(str(d) for d in diags))
-        errors = [d for d in validate(problem) if d.severity == "error"]
-        if errors:
-            raise ValueError(
-                f"{self.path}: " + "; ".join(str(d) for d in errors))
+            raise ValueError(f"{self.path}: " + "; ".join(
+                str(d) for d in diags if d.severity == "error"))
         return problem
 
 
@@ -178,16 +174,24 @@ class SuiteConfig:
         return "\n".join(lines) + "\n"
 
 
+def instance_spec(domain: str, raw: Dict[str, str], seed: int) -> InstanceSpec:
+    """The InstanceSpec of a domain and its parameters' text values, as
+    suite `instance` lines and `plan gen -p` give them."""
+    params: Dict[str, int] = {}
+    for key, text in raw.items():
+        try:
+            params[key] = int(text)
+        except ValueError:
+            raise ValueError(f"invalid literal for integer parameter {key!r}: "
+                             f"{text!r}") from None
+    return InstanceSpec(domain, params, seed)
+
+
 def _parse_algo_line(value: str) -> AlgoSpec:
     parts = value.split()
     if not parts:
         raise ValueError("algo line needs an identifier")
-    raw: Dict[str, str] = {}
-    for part in parts[1:]:
-        key, sep, text = part.partition("=")
-        if not sep:
-            raise ValueError(f"expected key=value, got {part!r}")
-        raw[key] = text
+    raw = key_values(parts[1:])
     return AlgoSpec(algo_id=parts[0],
                     config=make_config(raw.pop("algo", SearchConfig.mode), raw))
 
@@ -196,25 +200,14 @@ def _parse_instance_line(value: str) -> InstanceSource:
     parts = value.split()
     if not parts:
         raise ValueError("instance line needs a domain or file")
-    head = parts[0]
-    if head == "file":
+    if parts[0] == "file":
         if len(parts) != 2:
             raise ValueError("expected `file <path>`")
         stem = os.path.splitext(os.path.basename(parts[1]))[0]
         return InstanceSource(instance_id=f"file/{stem}", path=parts[1])
-    if head not in GENERATORS:
-        raise ValueError(f"unknown domain {head!r}")
-    params: Dict[str, int] = {}
-    seed = 0
-    for part in parts[1:]:
-        key, sep, raw = part.partition("=")
-        if not sep:
-            raise ValueError(f"expected key=value, got {part!r}")
-        if key == "seed":
-            seed = int(raw)
-        else:
-            params[key] = int(raw)
-    spec = InstanceSpec(domain=head, params=params, seed=seed)
+    raw = key_values(parts[1:])
+    seed = int(raw.pop("seed", "0"))
+    spec = instance_spec(parts[0], raw, seed)
     return InstanceSource(instance_id=spec.instance_id(), spec=spec)
 
 
@@ -236,13 +229,22 @@ def load_suite(text: str) -> SuiteConfig:
         value = value.strip()
         try:
             if key == "instance":
-                cfg.instances.append(_parse_instance_line(value))
+                source = _parse_instance_line(value)
+                if source.instance_id in [s.instance_id for s in cfg.instances]:
+                    raise ValueError(f"duplicate instance {source.instance_id!r}")
+                cfg.instances.append(source)
             elif key == "algo":
-                cfg.algorithms.append(_parse_algo_line(value))
+                spec = _parse_algo_line(value)
+                if spec.algo_id in [a.algo_id for a in cfg.algorithms]:
+                    raise ValueError(f"duplicate algorithm {spec.algo_id!r}")
+                cfg.algorithms.append(spec)
             elif key == "seeds":
                 cfg.seeds = [int(tok) for tok in value.split()]
                 if not cfg.seeds:
                     raise ValueError("seeds list is empty")
+                for i, seed in enumerate(cfg.seeds):
+                    if seed in cfg.seeds[:i]:
+                        raise ValueError(f"duplicate seed {seed}")
             elif key == "time_limit":
                 cfg.time_limit = float(value)
             elif key == "expansion_limit":
@@ -260,9 +262,6 @@ def load_suite(text: str) -> SuiteConfig:
         raise ValueError("suite config declares no instances")
     if not cfg.algorithms:
         raise ValueError("suite config declares no algorithms")
-    ids = [spec.algo_id for spec in cfg.algorithms]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate algorithm identifiers")
     return cfg
 
 
@@ -282,33 +281,20 @@ def run_algo(problem: Problem, config: SearchConfig | MctsConfig, seed: int,
                                        expansion_limit=limit), trace=trace)
 
 
-def run_one(problem: Problem, spec: AlgoSpec, seed: int, instance_id: str,
-            time_limit: float, expansion_limit: Optional[int]) -> RunRecord:
-    """Execute one (instance, algorithm, seed) cell."""
-    result = run_algo(problem, spec.config, seed, time_limit, expansion_limit)
-    return RunRecord(
-        instance=instance_id,
-        algorithm=spec.algo_id,
-        seed=seed,
-        outcome=result.outcome,
-        plan_len=len(result.plan) if result.plan is not None else None,
-        expansions=result.expansions,
-        reexp_rate=result.reexpansion_rate,
-        time_s=result.time_s,
-    )
-
-
 def _reason(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
 def _cell_worker(args) -> RunRecord:
-    problem, load_error, spec, seed, instance_id, time_limit, expansion_limit = args
-    error = load_error
+    """Run one (instance, algorithm, seed) cell."""
+    problem, error, spec, seed, instance_id, time_limit, expansion_limit = args
     if problem is not None:
         try:
-            return run_one(problem, spec, seed, instance_id,
-                           time_limit, expansion_limit)
+            result = run_algo(problem, spec.config, seed, time_limit, expansion_limit)
+            return RunRecord(
+                instance_id, spec.algo_id, seed, result.outcome,
+                None if result.plan is None else len(result.plan),
+                result.expansions, result.reexpansion_rate, result.time_s)
         except Exception as exc:
             error = _reason(exc)
     return RunRecord(instance_id, spec.algo_id, seed, "error", None, 0, 0.0, 0.0, error)
@@ -397,16 +383,8 @@ def read_records(path: str) -> List[RunRecord]:
         reader = csv.DictReader(fh)
         try:
             for row in reader:
-                records.append(RunRecord(
-                    instance=row["instance"],
-                    algorithm=row["algorithm"],
-                    seed=int(row["seed"]),
-                    outcome=row["outcome"],
-                    plan_len=int(row["plan_len"]) if row["plan_len"] else None,
-                    expansions=int(row["expansions"]),
-                    reexp_rate=float(row["reexp_rate"]),
-                    time_s=float(row["time_s"]),
-                ))
+                records.append(RunRecord(**{
+                    name: value(row[name]) for name, (_, value) in _COLUMNS.items()}))
         except KeyError as exc:
             raise ValueError(f"{path}: no {exc.args[0]!r} column") from None
         except (csv.Error, TypeError, ValueError) as exc:

@@ -10,7 +10,6 @@ epsilon is applied anywhere in the semantics.
 
 from __future__ import annotations
 
-import collections.abc
 import math
 import struct
 import weakref
@@ -218,27 +217,6 @@ def layout_of(bools: Tuple[str, ...], nums: Tuple[str, ...]) -> Layout:
     return layout
 
 
-class _Values(collections.abc.Mapping):
-    """Read-only name -> value view of one of a State's value tuples."""
-
-    __slots__ = ("_index", "_values")
-
-    def __init__(self, index: Dict[str, int], values: tuple):
-        self._index, self._values = index, values
-
-    def __getitem__(self, name):
-        return self._values[self._index[name]]
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 _EMPTY: Mapping = MappingProxyType({})
 
 
@@ -248,8 +226,8 @@ class State:
     The values sit in two tuples, bool_values and num_values, in the order
     of layout: the names in the order the constructor receives them.
     try_apply's successors keep their parent's layout. bools and nums are
-    read-only name -> value views. Immutable by contract: nothing assigns
-    to a State after construction, and try_apply always builds a fresh one.
+    read-only proxies of fresh name -> value dicts. Immutable by contract:
+    nothing assigns to a State; try_apply always builds a fresh one.
     """
 
     __slots__ = ("layout", "bool_values", "num_values")
@@ -262,11 +240,11 @@ class State:
 
     @property
     def bools(self) -> Mapping[str, bool]:
-        return _Values(self.layout.bool_index, self.bool_values)
+        return MappingProxyType(dict(zip(self.layout.bools, self.bool_values)))
 
     @property
     def nums(self) -> Mapping[str, float]:
-        return _Values(self.layout.num_index, self.num_values)
+        return MappingProxyType(dict(zip(self.layout.nums, self.num_values)))
 
     def __eq__(self, other):
         if other.__class__ is not State:
@@ -279,7 +257,7 @@ class State:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"State(bools={self.bools!r}, nums={self.nums!r})"
+        return f"State(bools={dict(self.bools)!r}, nums={dict(self.nums)!r})"
 
     def __reduce__(self):
         # by names, so that a pickle or copy interns its layout afresh

@@ -58,6 +58,17 @@ class TestGen:
         assert main(["gen", "counters", "-p", "n2"]) == 2
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params,fragment", [
+        (["n=3", "n=4"], "duplicate key 'n'"),
+        (["n=3", "k=1"], "counters takes no parameter 'k'"),
+    ])
+    def test_refused_params(self, capsys, params, fragment):
+        argv = ["gen", "counters"]
+        for param in params:
+            argv += ["-p", param]
+        assert main(argv) == 2
+        assert fragment in capsys.readouterr().err
+
     def test_non_integer_param(self, capsys):
         assert main(["gen", "counters", "-p", "n=two"]) == 2
         assert "integer" in capsys.readouterr().err

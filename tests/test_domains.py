@@ -215,8 +215,14 @@ def test_generate_dispatch():
     spec = InstanceSpec("counters", {"n": 2, "m": 10, "u": 1})
     assert generate(spec) == make_counters(2, 10, 1)
     assert generate(spec) == generate(spec)
+    assert generate(InstanceSpec("drone", {"grid": 2, "p": 1, "battery": 5}, seed=3)) \
+        == make_drone(2, 1, battery=5.0, seed=3)
     with pytest.raises(ValueError):
         generate(InstanceSpec("nope", {}))
+    with pytest.raises(ValueError, match="drone takes no parameter 'battry'"):
+        generate(InstanceSpec("drone", {"grid": 2, "p": 1, "battry": 1}))
+    with pytest.raises(ValueError, match="missing parameter 'p' for sailing"):
+        generate(InstanceSpec("sailing", {"b": 1}))
 
 
 def test_instance_ids():

@@ -5,7 +5,8 @@ import pytest
 
 from cvplan.search import MctsConfig, SearchConfig, run_mcts, run_search
 from cvplan.dsl import (
-    Diagnostic, parse_problem, serialize_plan, serialize_problem, validate,
+    Diagnostic, key_values, load_problem, parse_problem, serialize_plan,
+    serialize_problem, validate,
 )
 from cvplan.domains import InstanceSpec, generate
 from cvplan.model import (
@@ -318,3 +319,25 @@ def test_fuzz_never_raises():
             assert diags
         for d in diags:
             assert isinstance(d, Diagnostic)
+
+
+def test_key_values():
+    assert key_values(["a=1", "b=", "c=x=y"]) == {"a": "1", "b": "", "c": "x=y"}
+    with pytest.raises(ValueError, match="expected key=value, got 'a'"):
+        key_values(["a"])
+    with pytest.raises(ValueError, match="duplicate key 'a'"):
+        key_values(["a=1", "a=2"])
+
+
+def test_load_problem(tmp_path):
+    """The problem with every diagnostic, warnings too; None on any error."""
+    path = tmp_path / "p.plan"
+    path.write_text(COUNTERS_2.replace("(goal (and", "(goal (or"))
+    problem, diags = load_problem(str(path))
+    assert problem is not None
+    assert [d.severity for d in diags] == ["warning"]
+    path.write_text(COUNTERS_2.replace("(u 0 1)", "(u 1 0)"))
+    problem, diags = load_problem(str(path))
+    assert problem is None and "lower bound" in diags[0].message
+    path.write_text("(problem")
+    assert load_problem(str(path)) == (None, parse_problem("(problem")[1])

@@ -164,6 +164,17 @@ class TestLoadSuite:
          "line 1: time_limit must be positive"),
         ("expansion_limit = 0\ninstance = counters n=2\nalgo = a\n",
          "line 1: expansion_limit must be positive"),
+        ("instance = counters n=2\nalgo = a rectifier=lin rectifier=log\n",
+         "line 2: duplicate key 'rectifier'"),
+        ("instance = counters n=2 n=5\nalgo = a\n", "line 1: duplicate key 'n'"),
+        ("instance = drone grid=2 p=1 battry=1\nalgo = a\n",
+         "line 1: drone takes no parameter 'battry'"),
+        ("instance = counters n=2 seed\nalgo = a\n", "line 1: expected key=value"),
+        ("instance = sailing b=1\nalgo = a\n", "line 1: missing parameter 'p'"),
+        ("seeds = 0 0\ninstance = counters n=2 seed=1\nalgo = a\n",
+         "line 1: duplicate seed 0"),
+        ("instance = counters n=2 seed=1\ninstance = counters n=2 seed=2\n"
+         "algo = a\n", "line 2: duplicate instance 'counters/n2'"),
     ])
     def test_rejects(self, text, fragment):
         with pytest.raises(ValueError, match=fragment):

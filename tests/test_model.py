@@ -3,6 +3,8 @@ import dataclasses
 import math
 import pickle
 import struct
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -810,3 +812,24 @@ def test_compiled_code_stays_out_of_equality_repr_and_pickles():
     # the copy compiles afresh and gives the same successors
     mu = {spec.name: 0.5 for spec in p.controls}
     assert try_apply(copy.init, copy.actions[0], mu) == try_apply(p.init, p.actions[0], mu)
+
+
+def test_codegen_is_imported_by_the_first_evaluation(tmp_path):
+    """Importing cvplan, generating, serializing, loading and validating a
+    problem compile no code generator; evaluating a goal imports it."""
+    path = tmp_path / "p.plan"
+    script = f"""
+import sys
+import cvplan
+from cvplan import domains, dsl
+problem = domains.generate(domains.default_ladder()[0])
+with open({str(path)!r}, "w") as fh:
+    fh.write(dsl.serialize_problem(problem))
+loaded, diags = dsl.load_problem({str(path)!r})
+assert loaded == problem and dsl.validate(loaded) == diags == []
+assert "cvplan.codegen" not in sys.modules
+cvplan.goal_test(loaded.init, loaded.goal)
+assert "cvplan.codegen" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
