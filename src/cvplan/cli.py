@@ -43,8 +43,8 @@ def _add_algo_flags(parser: argparse.ArgumentParser):
             if setting.choices else None,
             help=f"{'/'.join(c.__name__ for c in owners)}.{setting.field}, "
                  f"default {getattr(owners[0], setting.field)!r}")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--time-limit", type=float, default=600.0)
+    parser.add_argument("--seed", type=int, default=SearchConfig.seed)
+    parser.add_argument("--time-limit", type=float, default=SearchConfig.time_limit)
     parser.add_argument("--expansion-limit", type=int, default=None)
     parser.add_argument("--assert", dest="check",
                         choices=("on", "off"), default="off",

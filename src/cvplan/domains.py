@@ -308,7 +308,8 @@ GENERATORS: Dict[str, Generator] = {
 @dataclass(frozen=True)
 class InstanceSpec:
     """Domain name, integer size parameters, and a layout seed. The domain
-    and parameter names must be those of GENERATORS, else ValueError."""
+    and parameter names must be those of GENERATORS, and only a seeded
+    domain takes a nonzero seed, else ValueError."""
     domain: str
     params: Dict[str, int] = field(default_factory=dict)
     seed: int = 0
@@ -321,6 +322,7 @@ class InstanceSpec:
                    f" it takes {', '.join(gen.params)}")
         for key in gen.required:
             _check(key in self.params, f"missing parameter {key!r} for {self.domain}")
+        _check(gen.seeded or self.seed == 0, f"{self.domain} takes no layout seed")
 
     def instance_id(self) -> str:
         parts = [f"{key}{value}" for key, value in self.params.items()]

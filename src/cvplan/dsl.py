@@ -144,23 +144,30 @@ def _read(text: str) -> Tuple[List[SExpr], List[Diagnostic]]:
 # interpretation: nested lists -> Problem
 
 class _ParseFail(Exception):
-    """Internal: abort interpretation after recording a diagnostic."""
+    """Internal: abort interpretation with its one error Diagnostic."""
 
 
 class _Interp:
+    """Reads the grammar of a (problem ...) form. The semantic rules are
+    all _check's; for them the interpreter keeps declarations in order,
+    repeats included, and records a span table: each declaration's span
+    under ("decl", position), and under id() of each Action, Var, BoolEq
+    and effect pair the span of its name, reference, test or target."""
+
     def __init__(self):
-        self.diags: List[Diagnostic] = []
-        self.bools: Dict[str, bool] = {}
-        self.nums: Dict[str, float] = {}
+        self.bools: List[Tuple[str, bool]] = []
+        self.nums: List[Tuple[str, float]] = []
         self.controls: List[ControlVarSpec] = []
+        self.control_names: set = set()
+        self.spans: Dict[object, SourceSpan] = {}
 
     def error(self, message: str, span: SourceSpan):
-        self.diags.append(Diagnostic("error", message, span))
-        raise _ParseFail()
+        raise _ParseFail(Diagnostic("error", message, span))
 
-    def declared(self, name: str) -> bool:
-        return name in self.bools or name in self.nums or any(
-            c.name == name for c in self.controls)
+    def declare(self, decls: list, decl, span: SourceSpan):
+        position = len(self.bools) + len(self.nums) + len(self.controls)
+        self.spans["decl", position] = span
+        decls.append(decl)
 
     # -- leaf helpers ------------------------------------------------------
 
@@ -208,16 +215,12 @@ class _Interp:
             if isinstance(decl, SAtom):
                 name = self.expect_name(decl, "boolean variable name")
                 init = False
-                span = decl.span
             else:
                 if len(decl.items) != 2:
                     self.error("expected (name bool)", decl.span)
                 name = self.expect_name(decl.items[0], "boolean variable name")
                 init = self.expect_bool(decl.items[1])
-                span = decl.span
-            if self.declared(name):
-                self.error(f"duplicate declaration: {name}", span)
-            self.bools[name] = init
+            self.declare(self.bools, (name, init), decl.span)
 
     def parse_nums(self, node: SExpr):
         lst = self.expect_head(node, "nums")
@@ -226,10 +229,7 @@ class _Interp:
             if len(d.items) != 2:
                 self.error("expected (name number)", d.span)
             name = self.expect_name(d.items[0], "numeric variable name")
-            init = self.expect_number(d.items[1])
-            if self.declared(name):
-                self.error(f"duplicate declaration: {name}", d.span)
-            self.nums[name] = init
+            self.declare(self.nums, (name, self.expect_number(d.items[1])), d.span)
 
     def parse_controls(self, node: SExpr):
         lst = self.expect_head(node, "controls")
@@ -240,28 +240,19 @@ class _Interp:
             name = self.expect_name(d.items[0], "control variable name")
             lower = self.expect_int(d.items[1], "an integer lower bound")
             upper = self.expect_int(d.items[2], "an integer upper bound")
-            if self.declared(name):
-                self.error(f"duplicate declaration: {name}", d.span)
-            if not lower < upper:
-                self.error("lower bound must be < upper bound", d.span)
-            self.controls.append(ControlVarSpec(name, lower, upper))
+            self.declare(self.controls, ControlVarSpec(name, lower, upper), d.span)
+            self.control_names.add(name)
 
     # -- expressions and constraints ----------------------------------------
 
-    def parse_expr(self, node: SExpr, allow_controls: bool) -> NumericExpr:
+    def parse_expr(self, node: SExpr) -> NumericExpr:
         if isinstance(node, SAtom):
             if _NUMBER_RE.match(node.text):
                 return Const(float(node.text))
             name = node.text
-            if name in self.nums:
-                return Var(name, "state")
-            if any(c.name == name for c in self.controls):
-                if not allow_controls:
-                    self.error(f"control variable not allowed here: {name}", node.span)
-                return Var(name, "control")
-            if name in self.bools:
-                self.error(f"boolean variable in numeric expression: {name}", node.span)
-            self.error(f"undeclared variable: {name}", node.span)
+            var = Var(name, "control" if name in self.control_names else "state")
+            self.spans[id(var)] = node.span
+            return var
         lst = node
         if not lst.items or not isinstance(lst.items[0], SAtom):
             self.error("expected an expression", lst.span)
@@ -269,58 +260,56 @@ class _Interp:
         args = lst.items[1:]
         if head in ("+", "-", "*"):
             if head == "-" and len(args) == 1:
-                return Neg(self.parse_expr(args[0], allow_controls))
+                return Neg(self.parse_expr(args[0]))
             if len(args) < 2:
                 self.error(f"operator {head} needs at least two arguments", lst.span)
             node_cls = {"+": Add, "-": Sub, "*": Mul}[head]
-            acc = self.parse_expr(args[0], allow_controls)
+            acc = self.parse_expr(args[0])
             for arg in args[1:]:
-                acc = node_cls(acc, self.parse_expr(arg, allow_controls))
+                acc = node_cls(acc, self.parse_expr(arg))
             return acc
         if head == "^":
             if len(args) != 2:
                 self.error("expected (^ expr int)", lst.span)
-            base = self.parse_expr(args[0], allow_controls)
+            base = self.parse_expr(args[0])
             exp = self.expect_int(args[1], "a nonnegative integer exponent")
             if exp < 0:
                 self.error("exponent must be nonnegative", args[1].span)
             return Pow(base, exp)
         self.error(f"unknown operator: {head}", lst.items[0].span)
 
-    def parse_constr(self, node: SExpr, allow_controls: bool) -> Constraint:
+    def parse_constr(self, node: SExpr) -> Constraint:
         lst = self.expect_list(node, "a constraint")
         if not lst.items or not isinstance(lst.items[0], SAtom):
             self.error("expected a constraint", lst.span)
         head = lst.items[0].text
         args = lst.items[1:]
         if head == "and":
-            return And(tuple(self.parse_constr(a, allow_controls) for a in args))
+            return And(tuple(self.parse_constr(a) for a in args))
         if head == "or":
-            return Or(tuple(self.parse_constr(a, allow_controls) for a in args))
+            return Or(tuple(self.parse_constr(a) for a in args))
         if head == "not":
             if len(args) != 1:
                 self.error("not takes exactly one constraint", lst.span)
-            return Not(self.parse_constr(args[0], allow_controls))
+            return Not(self.parse_constr(args[0]))
         if head in CMP_OPS:
             # boolean test form: (= name true|false)
             if head == "=" and len(args) == 2 and isinstance(args[1], SAtom) \
                     and args[1].text in ("true", "false"):
-                name = self.expect_name(args[0], "boolean variable name")
-                if name not in self.bools:
-                    if self.declared(name):
-                        self.error(f"not a boolean variable: {name}", args[0].span)
-                    self.error(f"undeclared boolean variable: {name}", args[0].span)
-                return BoolEq(name, args[1].text == "true")
+                test = BoolEq(self.expect_name(args[0], "boolean variable name"),
+                              args[1].text == "true")
+                self.spans[id(test)] = args[0].span
+                return test
             if len(args) != 2:
                 self.error(f"comparison {head} takes two expressions", lst.span)
-            lhs = self.parse_expr(args[0], allow_controls)
-            rhs = self.parse_expr(args[1], allow_controls)
+            lhs = self.parse_expr(args[0])
+            rhs = self.parse_expr(args[1])
             if isinstance(rhs, Const) and rhs.value == 0.0:
                 return Cmp(lhs, head)
             return Cmp(Sub(lhs, rhs), head)
         self.error(f"unknown constraint keyword: {head}", lst.items[0].span)
 
-    def parse_assign(self, node: SExpr, targets_seen: set) -> Tuple[str, object]:
+    def parse_assign(self, node: SExpr) -> tuple:
         lst = self.expect_list(node, "(assign ...) or (set ...)")
         if not lst.items or not isinstance(lst.items[0], SAtom):
             self.error("expected (assign ...) or (set ...)", lst.span)
@@ -329,53 +318,34 @@ class _Interp:
         if head == "assign":
             if len(args) != 2:
                 self.error("expected (assign name expr)", lst.span)
-            name = self.expect_name(args[0], "numeric variable name")
-            if name not in self.nums:
-                if any(c.name == name for c in self.controls):
-                    self.error(f"control variables cannot be assigned: {name}",
-                               args[0].span)
-                self.error(f"assignment target is not a numeric variable: {name}",
-                           args[0].span)
-            if name in targets_seen:
-                self.error(f"conflicting assignments to {name}", args[0].span)
-            targets_seen.add(name)
-            return ("num", (name, self.parse_expr(args[1], True)))
-        if head == "set":
+            pair = (self.expect_name(args[0], "numeric variable name"),
+                    self.parse_expr(args[1]))
+        elif head == "set":
             if len(args) != 2:
                 self.error("expected (set name bool)", lst.span)
-            name = self.expect_name(args[0], "boolean variable name")
-            if name not in self.bools:
-                self.error(f"set target is not a boolean variable: {name}",
-                           args[0].span)
-            if name in targets_seen:
-                self.error(f"conflicting assignments to {name}", args[0].span)
-            targets_seen.add(name)
-            return ("bool", (name, self.expect_bool(args[1])))
-        self.error(f"unknown effect keyword: {head}", lst.items[0].span)
+            pair = (self.expect_name(args[0], "boolean variable name"),
+                    self.expect_bool(args[1]))
+        else:
+            self.error(f"unknown effect keyword: {head}", lst.items[0].span)
+        self.spans[id(pair)] = args[0].span
+        return pair
 
-    def parse_action(self, node: SExpr, names_seen: set) -> Action:
+    def parse_action(self, node: SExpr) -> Action:
         lst = self.expect_head(node, "action")
         if len(lst.items) != 4:
             self.error("expected (action name (pre ...) (eff ...))", lst.span)
         name = self.expect_name(lst.items[1], "action name")
-        if name in names_seen:
-            self.error(f"duplicate action name: {name}", lst.items[1].span)
-        names_seen.add(name)
         pre_lst = self.expect_head(lst.items[2], "pre")
         if len(pre_lst.items) != 2:
             self.error("expected (pre constraint)", pre_lst.span)
-        pre = self.parse_constr(pre_lst.items[1], True)
+        pre = self.parse_constr(pre_lst.items[1])
         eff_lst = self.expect_head(lst.items[3], "eff")
-        targets: set = set()
-        bool_assigns: List[Tuple[str, bool]] = []
-        num_assigns: List[Tuple[str, NumericExpr]] = []
-        for item in eff_lst.items[1:]:
-            kind, payload = self.parse_assign(item, targets)
-            if kind == "bool":
-                bool_assigns.append(payload)
-            else:
-                num_assigns.append(payload)
-        return Action(name, pre, Effect(tuple(bool_assigns), tuple(num_assigns)))
+        pairs = [self.parse_assign(item) for item in eff_lst.items[1:]]
+        action = Action(name, pre, Effect(
+            tuple(p for p in pairs if isinstance(p[1], bool)),
+            tuple(p for p in pairs if not isinstance(p[1], bool))))
+        self.spans[id(action)] = lst.items[1].span
+        return action
 
     def parse_problem_form(self, node: SExpr) -> Problem:
         lst = self.expect_head(node, "problem")
@@ -386,27 +356,25 @@ class _Interp:
         self.parse_bools(lst.items[2])
         self.parse_nums(lst.items[3])
         self.parse_controls(lst.items[4])
-        actions: List[Action] = []
-        names_seen: set = set()
-        for form in lst.items[5:-1]:
-            actions.append(self.parse_action(form, names_seen))
+        actions = tuple(self.parse_action(form) for form in lst.items[5:-1])
         goal_lst = self.expect_head(lst.items[-1], "goal")
         if len(goal_lst.items) != 2:
             self.error("expected (goal constraint)", goal_lst.span)
-        goal = self.parse_constr(goal_lst.items[1], False)
         return Problem(
             name=name,
-            bools=tuple(self.bools.keys()),
-            nums=tuple(self.nums.keys()),
+            bools=tuple(n for n, _ in self.bools),
+            nums=tuple(n for n, _ in self.nums),
             controls=tuple(self.controls),
-            actions=tuple(actions),
-            init=State(bools=self.bools, nums=self.nums),
-            goal=goal,
+            actions=actions,
+            init=State(bools=dict(self.bools), nums=dict(self.nums)),
+            goal=self.parse_constr(goal_lst.items[1]),
         )
 
 
 def parse_problem(text: str) -> Tuple[Optional[Problem], List[Diagnostic]]:
-    """Parse a problem document. Returns (problem, diagnostics).
+    """Parse and check a problem document. Returns (problem, diagnostics):
+    every semantic error and warning of validate's rules, each at its span
+    in text, or the first error of the grammar.
 
     problem is None whenever any error diagnostic was produced. Never raises
     on arbitrary input.
@@ -423,23 +391,21 @@ def parse_problem(text: str) -> Tuple[Optional[Problem], List[Diagnostic]]:
     interp = _Interp()
     try:
         problem = interp.parse_problem_form(forms[0])
-    except _ParseFail:
-        return None, interp.diags
+        diags = _check(problem, interp.spans)
+    except _ParseFail as fail:
+        return None, list(fail.args)
     except RecursionError:
         return None, [Diagnostic("error", "nesting too deep", span_all)]
-    return problem, interp.diags
+    if any(d.severity == "error" for d in diags):
+        return None, diags
+    return problem, diags
 
 
 def load_problem(path: str) -> Tuple[Optional[Problem], List[Diagnostic]]:
-    """Read, parse and validate a problem file: (problem or None on any error,
-    every diagnostic). An unreadable file raises OSError or ValueError."""
+    """parse_problem of a file's text. An unreadable file raises OSError or
+    ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        problem, diags = parse_problem(fh.read())
-    if problem is not None:
-        diags = diags + validate(problem)
-        if any(d.severity == "error" for d in diags):
-            problem = None
-    return problem, diags
+        return parse_problem(fh.read())
 
 
 def key_values(tokens: Sequence[str]) -> Dict[str, str]:
@@ -569,102 +535,125 @@ def _fold_constraint(con: Constraint, box) -> Optional[bool]:
     return None
 
 
-def validate(problem: Problem) -> List[Diagnostic]:
-    """Semantic checks on a Problem object (parsed or built programmatically).
-
-    Errors: goal reading controls, effect targets outside the declared sets,
-    partial initial state, duplicate declarations, bad control bounds.
-    Warnings: precondition constant-folds to false over the control box,
-    non-conjunction goal top level, equality precondition on a control
-    variable (rejection sampling can never hit a measure-zero set).
-    """
+def _check(problem: Problem, spans: Dict[object, SourceSpan]) -> List[Diagnostic]:
+    """Every semantic rule of a problem. spans is parse_problem's span table
+    (see _Interp). A diagnostic whose subject has no span there, as none has
+    in a problem built in code, gets SYNTHETIC_SPAN and a prefix naming the
+    action, control or goal concerned."""
     diags: List[Diagnostic] = []
-    span = SYNTHETIC_SPAN
 
-    def err(msg):
-        diags.append(Diagnostic("error", msg, span))
-
-    def warn(msg):
-        diags.append(Diagnostic("warning", msg, span))
+    def report(severity: str, key, where: str, message: str):
+        span = spans.get(key)
+        if span is None:
+            span = SYNTHETIC_SPAN
+            message = f"{where}: {message}" if where else message
+        diags.append(Diagnostic(severity, message, span))
 
     bool_set = set(problem.bools)
     num_set = set(problem.nums)
     control_set = {c.name for c in problem.controls}
 
+    declared: set = set()
     names = list(problem.bools) + list(problem.nums) + [c.name for c in problem.controls]
-    if len(names) != len(set(names)):
-        err("duplicate variable declaration")
+    for position, name in enumerate(names):
+        if name in declared:
+            report("error", ("decl", position), "", f"duplicate declaration: {name}")
+        declared.add(name)
     box = {}
-    for spec in problem.controls:
+    for position, spec in enumerate(problem.controls, len(names) - len(problem.controls)):
+        key, where = ("decl", position), f"control {spec.name}"
         if not spec.lower < spec.upper:
-            err(f"control {spec.name}: lower bound must be < upper bound")
+            report("error", key, where, "lower bound must be < upper bound")
         if not (isinstance(spec.lower, int) and isinstance(spec.upper, int)):
-            err(f"control {spec.name}: bounds must be integers")
+            report("error", key, where, "bounds must be integers")
         try:
             box[spec.name] = (float(spec.lower), float(spec.upper))
         except OverflowError:
-            err(f"control {spec.name}: bounds are beyond the float range")
+            report("error", key, where, "bounds are beyond the float range")
 
     if set(problem.init.bools.keys()) != bool_set or set(problem.init.nums.keys()) != num_set:
-        err("initial state must assign every declared variable exactly once")
+        report("error", None, "", "initial state must assign every declared variable "
+               "exactly once")
 
-    def check_refs(con: Constraint, where: str, allow_controls: bool):
+    def check_expr(expr: NumericExpr, where: str, allow_controls: bool):
+        for e in iter_exprs(expr):
+            if not isinstance(e, Var):
+                continue
+            if e.kind == "control":
+                if e.name not in control_set:
+                    report("error", id(e), where, f"undeclared control variable: {e.name}")
+                elif not allow_controls:
+                    report("error", id(e), where,
+                           f"control variable not allowed here: {e.name}")
+            elif e.name not in num_set:
+                report("error", id(e), where,
+                       f"boolean variable in numeric expression: {e.name}"
+                       if e.name in bool_set else f"undeclared variable: {e.name}")
+
+    def check_constraint(con: Constraint, where: str, allow_controls: bool):
         for node in iter_constraints(con):
             if isinstance(node, BoolEq) and node.name not in bool_set:
-                err(f"{where}: undeclared boolean variable {node.name}")
-            if isinstance(node, Cmp):
-                for e in iter_exprs(node.expr):
-                    if isinstance(e, Var):
-                        if e.kind == "control":
-                            if e.name not in control_set:
-                                err(f"{where}: undeclared control variable {e.name}")
-                            elif not allow_controls:
-                                err(f"{where}: control variable {e.name} not allowed")
-                        elif e.name not in num_set:
-                            err(f"{where}: undeclared numeric variable {e.name}")
+                report("error", id(node), where,
+                       f"not a boolean variable: {node.name}" if node.name in declared
+                       else f"undeclared boolean variable: {node.name}")
+            elif isinstance(node, Cmp):
+                check_expr(node.expr, where, allow_controls)
 
     action_names = set()
     for act in problem.actions:
+        where = f"action {act.name}"
         if act.name in action_names:
-            err(f"duplicate action name: {act.name}")
+            report("error", id(act), "", f"duplicate action name: {act.name}")
         action_names.add(act.name)
-        check_refs(act.precondition, f"action {act.name} precondition", True)
+        check_constraint(act.precondition, f"{where} precondition", True)
         targets = set()
-        for name, _ in act.effect.bool_assigns:
-            if name not in bool_set:
-                err(f"action {act.name}: set target {name} is not a boolean variable")
-            if name in targets:
-                err(f"action {act.name}: conflicting assignments to {name}")
-            targets.add(name)
-        for name, expr in act.effect.num_assigns:
+        for pair in act.effect.bool_assigns + act.effect.num_assigns:
+            if pair[0] in targets:
+                report("error", id(pair), where, f"conflicting assignments to {pair[0]}")
+            targets.add(pair[0])
+        for pair in act.effect.bool_assigns:
+            if pair[0] not in bool_set:
+                report("error", id(pair), where,
+                       f"set target {pair[0]} is not a boolean variable")
+        for pair in act.effect.num_assigns:
+            name, expr = pair
             if name in control_set:
-                err(f"action {act.name}: control variables cannot be assigned ({name})")
+                report("error", id(pair), where,
+                       f"control variables cannot be assigned: {name}")
             elif name not in num_set:
-                err(f"action {act.name}: assign target {name} is not a numeric variable")
-            if name in targets:
-                err(f"action {act.name}: conflicting assignments to {name}")
-            targets.add(name)
-            for e in iter_exprs(expr):
-                if isinstance(e, Var):
-                    if e.kind == "control" and e.name not in control_set:
-                        err(f"action {act.name}: undeclared control variable {e.name}")
-                    if e.kind == "state" and e.name not in num_set:
-                        err(f"action {act.name}: undeclared numeric variable {e.name}")
+                report("error", id(pair), where,
+                       f"assign target {name} is not a numeric variable")
+            check_expr(expr, where, True)
         if _fold_constraint(act.precondition, box) is False:
-            warn(f"action {act.name}: precondition is unsatisfiable over the "
-                 "control box")
+            report("warning", id(act), where,
+                   "precondition is unsatisfiable over the control box")
         for node in iter_constraints(act.precondition):
             if isinstance(node, Cmp) and node.op == "=" and any(
                     isinstance(e, Var) and e.kind == "control"
                     for e in iter_exprs(node.expr)):
-                warn(f"action {act.name}: equality constraint on a control "
-                     "variable confines sampling to a measure-zero set")
+                report("warning", id(act), where, "equality constraint on a control "
+                       "variable confines sampling to a measure-zero set")
 
-    check_refs(problem.goal, "goal", False)
+    check_constraint(problem.goal, "goal", False)
     if not isinstance(problem.goal, And):
-        warn("goal top level is not a conjunction; goal counting treats it "
-             "as a single conjunct")
+        report("warning", None, "", "goal top level is not a conjunction; goal "
+               "counting treats it as a single conjunct")
     return diags
+
+
+def validate(problem: Problem) -> List[Diagnostic]:
+    """Semantic checks on a Problem built in code; parse_problem makes the
+    same checks on text, with spans.
+
+    Errors: duplicate declarations, bad control bounds, partial initial
+    state, references to undeclared or wrongly typed variables, a control
+    in the goal, effect targets outside the declared sets or assigned
+    twice, duplicate action names.
+    Warnings: precondition constant-folds to false over the control box,
+    non-conjunction goal top level, equality precondition on a control
+    variable (rejection sampling can never hit a measure-zero set).
+    """
+    return _check(problem, {})
 
 
 # ---------------------------------------------------------------------------

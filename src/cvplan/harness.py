@@ -157,21 +157,11 @@ class SuiteConfig:
     instances: List[InstanceSource]
     algorithms: List[AlgoSpec]
     seeds: List[int] = field(default_factory=lambda: [0])
-    time_limit: float = 600.0
+    time_limit: float = SearchConfig.time_limit
     expansion_limit: Optional[int] = None
     workers: int = 1
+    #: the text load_suite read; None for a suite built in code
     source_text: Optional[str] = None
-
-    def canonical_text(self) -> str:
-        if self.source_text is not None:
-            return self.source_text
-        lines = [f"seeds = {' '.join(str(s) for s in self.seeds)}",
-                 f"time_limit = {self.time_limit!r}",
-                 f"expansion_limit = {self.expansion_limit!r}",
-                 f"workers = {self.workers}"]
-        lines += [f"instance = {src.instance_id}" for src in self.instances]
-        lines += [f"algo = {spec!r}" for spec in self.algorithms]
-        return "\n".join(lines) + "\n"
 
 
 def instance_spec(domain: str, raw: Dict[str, str], seed: int) -> InstanceSpec:
@@ -357,9 +347,9 @@ def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
 
 
 def _write_meta(cfg: SuiteConfig, records: Sequence[RunRecord], path: str):
-    digest = hashlib.sha256(cfg.canonical_text().encode("utf-8")).hexdigest()
-    lines = [
-        f"config_sha256={digest}",
+    lines = [] if cfg.source_text is None else [
+        f"config_sha256={hashlib.sha256(cfg.source_text.encode('utf-8')).hexdigest()}"]
+    lines += [
         f"instances={len(cfg.instances)}",
         f"algorithms={' '.join(spec.algo_id for spec in cfg.algorithms)}",
         f"seeds={' '.join(str(s) for s in cfg.seeds)}",

@@ -528,7 +528,7 @@ class MctsConfig:
     grid_digits: int = 3
     reject_budget: int = 100
     seed: int = 0
-    time_limit: float = 600.0
+    time_limit: float = SearchConfig.time_limit
     trial_limit: Optional[int] = None
 
 

@@ -69,6 +69,10 @@ class TestGen:
         assert main(argv) == 2
         assert fragment in capsys.readouterr().err
 
+    def test_stray_seed(self, capsys):
+        assert main(["gen", "counters", "-p", "n=2", "--seed", "5"]) == 2
+        assert "counters takes no layout seed" in capsys.readouterr().err
+
     def test_non_integer_param(self, capsys):
         assert main(["gen", "counters", "-p", "n=two"]) == 2
         assert "integer" in capsys.readouterr().err

@@ -229,10 +229,66 @@ def test_validate_catches_handbuilt_errors():
     )
     errors = [d for d in validate(p) if d.severity == "error"]
     assert any("assign target y" in e.message for e in errors)
-    p = parse_ok("(problem p (bools) (nums) (controls (u 0 1%s)) "
-                 "(goal (and)))" % ("0" * 400))
+    p = Problem(name="big", bools=(), nums=(), actions=(), goal=And(()),
+                controls=(ControlVarSpec("u", 0, 10 ** 400),), init=State())
     errors = [d for d in validate(p) if d.severity == "error"]
-    assert any("beyond the float range" in e.message for e in errors)
+    assert any("control u: bounds are beyond the float range" in e.message
+               for e in errors)
+    text = "(problem p (bools) (nums) (controls (u 0 1%s)) (goal (and)))" % ("0" * 400)
+    errs = parse_err(text)
+    assert errs[0].message == "bounds are beyond the float range"
+    assert text[errs[0].span.start:errs[0].span.end] == "(u 0 1%s)" % ("0" * 400)
+
+
+def test_parse_reports_every_semantic_error():
+    text = ("(problem p (bools b) (nums (x 0) (x 1)) (controls (u 0 1) (w 3 2))\n"
+            "  (action a (pre (>= z 0)) (eff (assign u 1)))\n"
+            "  (goal (and (>= u 0) (= x true))))")
+    messages = [d.message for d in parse_err(text)]
+    assert messages == [
+        "duplicate declaration: x",
+        "lower bound must be < upper bound",
+        "undeclared variable: z",
+        "control variables cannot be assigned: u",
+        "control variable not allowed here: u",
+        "not a boolean variable: x",
+    ]
+
+
+SPAN_CASES = [
+    # braces mark the text that the error's span must cover
+    ("(problem p (bools) (nums (x 0)) (controls) (goal (>= (+ x {zz}) 0)))",
+     "undeclared variable: zz"),
+    ("(problem p (bools b) (nums (x 0)) (controls) (goal (>= (* x {b}) 0)))",
+     "boolean variable in numeric expression: b"),
+    ("(problem p (bools) (nums (x 0)) (controls (u 0 1)) (goal (and (>= x {u}))))",
+     "control variable not allowed here: u"),
+    ("(problem p (bools) (nums (x 0)) (controls) (goal (and (= {x} true))))",
+     "not a boolean variable: x"),
+    ("(problem p (bools) (nums (x 0)) (controls (y 0 1) {(x 0 1)}) (goal (and)))",
+     "duplicate declaration: x"),
+    ("(problem p (bools) (nums) (controls (u 0 1) {(v 1 1)}) (goal (and)))",
+     "lower bound must be < upper bound"),
+    ("(problem p (bools) (nums (x 0)) (controls (u 0 1))"
+     " (action a (pre (and)) (eff (assign x 1) (assign {u} x))) (goal (and)))",
+     "control variables cannot be assigned: u"),
+    ("(problem p (bools f) (nums (x 0)) (controls) (action a (pre (and))"
+     " (eff (set f true) (assign x 1) (set {f} false))) (goal (and)))",
+     "conflicting assignments to f"),
+    ("(problem p (bools) (nums (x 0)) (controls)"
+     " (action go (pre (and)) (eff)) (action {go} (pre (and)) (eff)) (goal (and)))",
+     "duplicate action name: go"),
+]
+
+
+@pytest.mark.parametrize("marked, message", SPAN_CASES)
+def test_semantic_error_spans(marked, message):
+    """Each rule's error points at the offending name or declaration."""
+    text = marked.replace("{", "").replace("}", "")
+    (err,) = parse_err(text)
+    assert err.message == message
+    start = marked.index("{")
+    assert (err.span.start, err.span.end) == (start, marked.index("}") - 1)
 
 
 # -- serialization ----------------------------------------------------------

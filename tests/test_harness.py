@@ -8,6 +8,7 @@ from cvplan.harness import (
     EMPTY_CELL,
     AlgoSpec,
     RunRecord,
+    SuiteConfig,
     best_of,
     coverage_cell,
     coverage_csv,
@@ -173,8 +174,10 @@ class TestLoadSuite:
         ("instance = sailing b=1\nalgo = a\n", "line 1: missing parameter 'p'"),
         ("seeds = 0 0\ninstance = counters n=2 seed=1\nalgo = a\n",
          "line 1: duplicate seed 0"),
-        ("instance = counters n=2 seed=1\ninstance = counters n=2 seed=2\n"
+        ("instance = counters n=2\ninstance = counters n=2\n"
          "algo = a\n", "line 2: duplicate instance 'counters/n2'"),
+        ("instance = sailing b=1 p=1\ninstance = counters n=2 seed=5\nalgo = a\n",
+         "line 2: counters takes no layout seed"),
     ])
     def test_rejects(self, text, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -297,6 +300,16 @@ class TestRunSuite:
         assert meta["records"] == "8"
         assert meta["algorithms"] == "sg-log-u sa-log-u"
 
+    def test_meta_file_of_suite_built_in_code(self, tmp_path):
+        """A suite with no source text has no config hash."""
+        source = load_suite(SMALL_SUITE)
+        cfg = SuiteConfig(instances=source.instances[:1], algorithms=source.algorithms,
+                          expansion_limit=4000)
+        run_suite(cfg, out_dir=str(tmp_path))
+        meta = (tmp_path / "meta.txt").read_text()
+        assert "config_sha256" not in meta
+        assert "records=2\n" in meta
+
     def test_progress_callback(self):
         seen = []
         cfg = load_suite("instance = counters n=2 m=10 u=1\n"
@@ -334,7 +347,6 @@ class TestRunSuite:
         assert "error" not in {r.outcome for r in seq}
 
     def test_rejects_empty_suite(self):
-        from cvplan.harness import SuiteConfig
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(instances=[], algorithms=[]))
 
