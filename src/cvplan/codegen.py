@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Union
 from .model import (
     _EMPTY, Action, Add, And, BoolEq, Cmp, Const, Constraint, ControlValuation,
     KEY_DIGITS, Layout, ModelError, Mul, Neg, Not, NumericExpr, Or, Pow, Problem, State,
-    Sub, Var, _packed_by_name, conjuncts, layout_of,
+    Sub, Var, _packed_by_name, conjuncts, layout_of, reads_control,
 )
 
 #: the Python spelling of each comparison against zero
@@ -246,10 +246,11 @@ def _compile_expr(expr: NumericExpr,
 
 def _compile_constraint(con: Constraint,
                         layout: Layout) -> Callable[[State, ControlValuation], bool]:
+    """The controls default to none, so that a state test runs as test(state)."""
     em = _Emitter(layout)
     em.require(con, 0, "return False")
     em.emit(0, "return True")
-    return em.build()
+    return em.build("state, c=_EMPTY")
 
 
 def _tuple(items) -> str:
@@ -284,40 +285,12 @@ def _compile_action(action: Action,
     return em.build()
 
 
-def _reads_control(con: Constraint) -> bool:
-    stack = [con]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            if node.kind == "control":
-                return True
-        elif isinstance(node, (And, Or)):
-            stack.extend(node.items)
-        elif isinstance(node, Not):
-            stack.append(node.item)
-        elif isinstance(node, Cmp):
-            stack.append(node.expr)
-        elif isinstance(node, (Add, Sub, Mul)):
-            stack += (node.lhs, node.rhs)
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-    return False
-
-
 def compile_state_test(action: Action, layout: Layout) -> Optional[Callable[[State], bool]]:
     """`(state) -> bool` over the top-level precondition conjuncts of action
     that read no control, in their order; None when every conjunct reads
     one. When it is False, no control value makes action applicable."""
-    free = [con for con in conjuncts(action.precondition) if not _reads_control(con)]
-    if not free:
-        return None
-    em = _Emitter(layout)
-    for con in free:
-        em.require(con, 0, "return False")
-    em.emit(0, "return True")
-    return em.build("state, c=_EMPTY")
+    free = tuple(con for con in conjuncts(action.precondition) if not reads_control(con))
+    return _compile_constraint(And(free), layout) if free else None
 
 
 def compile_goal_count(goal: Constraint, layout: Layout) -> Callable[[State], float]:

@@ -24,6 +24,7 @@ Diagnostics with source spans.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .model import (
     Action, Add, And, BoolEq, Cmp, CMP_OPS, Const, Constraint, ControlVarSpec,
     Decision, Effect, Mul, Neg, Not, NumericExpr, Or, Pow, Problem, State, Sub,
-    Var, iter_constraints, iter_exprs,
+    Var, iter_constraints, iter_exprs, reads_control,
 )
 
 
@@ -45,6 +46,9 @@ class SourceSpan:
 
 #: span used for diagnostics about problems built programmatically
 SYNTHETIC_SPAN = SourceSpan(0, 0, 1, 1)
+
+#: the error of a problem whose trees nest deeper than Python's recursion limit
+_TOO_DEEP = "nesting too deep"
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,9 @@ class _Interp:
     """Reads the grammar of a (problem ...) form. The semantic rules are
     all _check's; for them the interpreter keeps declarations in order,
     repeats included, and records a span table: each declaration's span
-    under ("decl", position), and under id() of each Action, Var, BoolEq
-    and effect pair the span of its name, reference, test or target."""
+    under ("decl", position), the last initial value of each numeric under
+    ("init", name), and under id() of each Action, Const, Var, BoolEq and
+    effect pair that of its name, literal, reference, test or target."""
 
     def __init__(self):
         self.bools: List[Tuple[str, bool]] = []
@@ -230,6 +235,7 @@ class _Interp:
                 self.error("expected (name number)", d.span)
             name = self.expect_name(d.items[0], "numeric variable name")
             self.declare(self.nums, (name, self.expect_number(d.items[1])), d.span)
+            self.spans["init", name] = d.items[1].span
 
     def parse_controls(self, node: SExpr):
         lst = self.expect_head(node, "controls")
@@ -248,11 +254,11 @@ class _Interp:
     def parse_expr(self, node: SExpr) -> NumericExpr:
         if isinstance(node, SAtom):
             if _NUMBER_RE.match(node.text):
-                return Const(float(node.text))
-            name = node.text
-            var = Var(name, "control" if name in self.control_names else "state")
-            self.spans[id(var)] = node.span
-            return var
+                leaf = Const(float(node.text))
+            else:
+                leaf = Var(node.text, "control" if node.text in self.control_names else "state")
+            self.spans[id(leaf)] = node.span
+            return leaf
         lst = node
         if not lst.items or not isinstance(lst.items[0], SAtom):
             self.error("expected an expression", lst.span)
@@ -395,7 +401,7 @@ def parse_problem(text: str) -> Tuple[Optional[Problem], List[Diagnostic]]:
     except _ParseFail as fail:
         return None, list(fail.args)
     except RecursionError:
-        return None, [Diagnostic("error", "nesting too deep", span_all)]
+        return None, [Diagnostic("error", _TOO_DEEP, span_all)]
     if any(d.severity == "error" for d in diags):
         return None, diags
     return problem, diags
@@ -469,12 +475,10 @@ def _expr_interval(expr: NumericExpr, box: Dict[str, Tuple[float, float]]):
         if expr.kind == "control":
             return box.get(expr.name, _FULL)
         return _FULL
-    if isinstance(expr, Add):
-        return _iv_add(_expr_interval(expr.lhs, box), _expr_interval(expr.rhs, box))
-    if isinstance(expr, Sub):
-        return _iv_sub(_expr_interval(expr.lhs, box), _expr_interval(expr.rhs, box))
-    if isinstance(expr, Mul):
-        return _iv_mul(_expr_interval(expr.lhs, box), _expr_interval(expr.rhs, box))
+    if isinstance(expr, (Add, Sub, Mul)):
+        combine = (_iv_add if isinstance(expr, Add)
+                   else _iv_sub if isinstance(expr, Sub) else _iv_mul)
+        return combine(_expr_interval(expr.lhs, box), _expr_interval(expr.rhs, box))
     if isinstance(expr, Neg):
         lo, hi = _expr_interval(expr.arg, box)
         return (-hi, -lo)
@@ -574,9 +578,16 @@ def _check(problem: Problem, spans: Dict[object, SourceSpan]) -> List[Diagnostic
     if set(problem.init.bools.keys()) != bool_set or set(problem.init.nums.keys()) != num_set:
         report("error", None, "", "initial state must assign every declared variable "
                "exactly once")
+    for name, value in problem.init.nums.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            report("error", ("init", name), f"initial value of {name}",
+                   "not a finite number")
 
     def check_expr(expr: NumericExpr, where: str, allow_controls: bool):
         for e in iter_exprs(expr):
+            if isinstance(e, Const) and isinstance(e.value, float) \
+                    and not math.isfinite(e.value):
+                report("error", id(e), where, "not a finite number")
             if not isinstance(e, Var):
                 continue
             if e.kind == "control":
@@ -628,9 +639,7 @@ def _check(problem: Problem, spans: Dict[object, SourceSpan]) -> List[Diagnostic
             report("warning", id(act), where,
                    "precondition is unsatisfiable over the control box")
         for node in iter_constraints(act.precondition):
-            if isinstance(node, Cmp) and node.op == "=" and any(
-                    isinstance(e, Var) and e.kind == "control"
-                    for e in iter_exprs(node.expr)):
+            if isinstance(node, Cmp) and node.op == "=" and reads_control(node):
                 report("warning", id(act), where, "equality constraint on a control "
                        "variable confines sampling to a measure-zero set")
 
@@ -646,14 +655,18 @@ def validate(problem: Problem) -> List[Diagnostic]:
     same checks on text, with spans.
 
     Errors: duplicate declarations, bad control bounds, partial initial
-    state, references to undeclared or wrongly typed variables, a control
-    in the goal, effect targets outside the declared sets or assigned
-    twice, duplicate action names.
+    state, a non-finite initial value or constant, references to undeclared
+    or wrongly typed variables, a control in the goal, effect targets
+    outside the declared sets or assigned twice, duplicate action names,
+    trees nested too deep to check.
     Warnings: precondition constant-folds to false over the control box,
     non-conjunction goal top level, equality precondition on a control
     variable (rejection sampling can never hit a measure-zero set).
     """
-    return _check(problem, {})
+    try:
+        return _check(problem, {})
+    except RecursionError:
+        return [Diagnostic("error", _TOO_DEEP, SYNTHETIC_SPAN)]
 
 
 # ---------------------------------------------------------------------------

@@ -422,15 +422,18 @@ def coverage_table(records: Sequence[RunRecord], row_key: str = "domain",
     return rows, cols, cells
 
 
+def _csv_text(rows) -> str:
+    """rows, each a list of field texts, as CSV text."""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
 def coverage_csv(records: Sequence[RunRecord], row_key: str = "domain",
                  col_key: str = "algorithm") -> str:
     rows, cols, cells = coverage_table(records, row_key, col_key)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow([row_key] + cols)
-    for row in rows:
-        writer.writerow([row] + [cells[(row, col)] for col in cols])
-    return out.getvalue()
+    return _csv_text([[row_key] + cols] +
+                     [[row] + [cells[(row, col)] for col in cols] for row in rows])
 
 
 def survival_data(records: Sequence[RunRecord]
@@ -451,13 +454,10 @@ def survival_data(records: Sequence[RunRecord]
 
 
 def survival_csv(records: Sequence[RunRecord]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["algorithm", "time_s", "solved"])
-    for algo, points in survival_data(records).items():
-        for t, count in points:
-            writer.writerow([algo, f"{t:.3f}", str(count)])
-    return out.getvalue()
+    return _csv_text([["algorithm", "time_s", "solved"]] +
+                     [[algo, f"{t:.3f}", str(count)]
+                      for algo, points in survival_data(records).items()
+                      for t, count in points])
 
 
 _METRICS: Dict[str, Callable[[RunRecord], float]] = {
@@ -492,12 +492,9 @@ def compare_csv(records: Sequence[RunRecord], algo_a: str, algo_b: str,
     rows = pairwise_compare(
         [r for r in records if r.algorithm == algo_a],
         [r for r in records if r.algorithm == algo_b], metric)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["instance", "seed", algo_a, algo_b])
-    for instance, seed, value_a, value_b in rows:
-        writer.writerow([instance, str(seed), repr(value_a), repr(value_b)])
-    return out.getvalue()
+    return _csv_text([["instance", "seed", algo_a, algo_b]] +
+                     [[instance, str(seed), repr(value_a), repr(value_b)]
+                      for instance, seed, value_a, value_b in rows])
 
 
 def best_of(records: Sequence[RunRecord], algo_ids: Sequence[str],

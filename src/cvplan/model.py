@@ -490,31 +490,45 @@ def key_by_name(state: State, problem: Problem) -> tuple:
 
 
 def iter_exprs(expr: NumericExpr) -> Iterator[NumericExpr]:
-    """Yield every node of an expression tree."""
-    yield expr
-    if isinstance(expr, (Add, Sub, Mul)):
-        yield from iter_exprs(expr.lhs)
-        yield from iter_exprs(expr.rhs)
-    elif isinstance(expr, Neg):
-        yield from iter_exprs(expr.arg)
-    elif isinstance(expr, Pow):
-        yield from iter_exprs(expr.base)
+    """Yield every node of an expression tree, parents first, left to right;
+    the walk keeps its own stack, so any depth works."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Add, Sub, Mul)):
+            stack += (node.rhs, node.lhs)
+        elif isinstance(node, Neg):
+            stack.append(node.arg)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
 
 
 def conjuncts(con: Constraint) -> Iterator[Constraint]:
     """con's top-level conjuncts in order, nested ands flattened."""
-    if isinstance(con, And):
-        for item in con.items:
-            yield from conjuncts(item)
-    else:
-        yield con
+    stack = [con]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack.extend(reversed(node.items))
+        else:
+            yield node
 
 
 def iter_constraints(con: Constraint) -> Iterator[Constraint]:
-    """Yield every constraint node of a constraint tree."""
-    yield con
-    if isinstance(con, (And, Or)):
-        for item in con.items:
-            yield from iter_constraints(item)
-    elif isinstance(con, Not):
-        yield from iter_constraints(con.item)
+    """Yield every constraint node of a constraint tree, parents first, at any depth."""
+    stack = [con]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (And, Or)):
+            stack.extend(reversed(node.items))
+        elif isinstance(node, Not):
+            stack.append(node.item)
+
+
+def reads_control(con: Constraint) -> bool:
+    """Whether any comparison in con reads a control variable."""
+    return any(isinstance(e, Var) and e.kind == "control"
+               for node in iter_constraints(con) if isinstance(node, Cmp)
+               for e in iter_exprs(node.expr))

@@ -24,14 +24,15 @@ make_sampler binds the strategy a SearchConfig names.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .model import Decision, Problem, State, liveness, try_apply
+from .model import Decision, Problem, State, liveness, round_half_away, try_apply
 
 SAMPLER_KINDS = ("systematic", "uniform", "heuristic")
 
@@ -84,13 +85,9 @@ def snap(value: float, digits: int, scale: Optional[int] = None) -> float:
     """
     if digits <= 0 or digits > _MAX_GRID_DIGITS:
         return value
-    if scale is None:
-        scale = 10 ** digits
-    scaled = value * scale
-    if not math.isfinite(scaled):
-        return value
-    magnitude = math.floor(abs(scaled) + 0.5)
-    return (magnitude if scaled >= 0 else -magnitude) / scale
+    scale = 10 ** digits if scale is None else scale
+    rounded = round_half_away(value, digits, scale)
+    return value if isinstance(rounded, str) else rounded / scale
 
 
 # ---------------------------------------------------------------------------
@@ -123,25 +120,14 @@ def _tuples_at_level(dims: int, total: int) -> List[Tuple[int, ...]]:
     """All index tuples whose per-dimension levels sum to `total`, sorted."""
     if dims == 0:
         return [()] if total == 0 else []
-    out: List[Tuple[int, ...]] = []
-
-    def build(dim: int, remaining: int, prefix: Tuple[int, ...]):
-        if dim == dims - 1:
-            for j in _indices_at_level(remaining):
-                out.append(prefix + (j,))
-            return
-        for lvl in range(remaining + 1):
-            for j in _indices_at_level(lvl):
-                build(dim + 1, remaining - lvl, prefix + (j,))
-
-    build(0, total, ())
-    out.sort()
-    return out
+    return sorted(head + (j,) for level in range(total + 1)
+                  for head in _tuples_at_level(dims - 1, total - level)
+                  for j in _indices_at_level(level))
 
 
-# shared per-dimension-count enumeration prefix; depends only on dims
-_TUPLE_CACHE: Dict[int, List[Tuple[int, ...]]] = {}
-_TUPLE_CACHE_LEVEL: Dict[int, int] = {}
+#: dims -> (the tuples of the levels enumerated so far, a counter of the
+#: levels): the shared enumeration prefix, which depends only on dims
+_TUPLE_CACHE: Dict[int, Tuple[List[Tuple[int, ...]], Iterator[int]]] = {}
 
 
 def dyadic_tuple(dims: int, t: int) -> Tuple[int, ...]:
@@ -150,25 +136,14 @@ def dyadic_tuple(dims: int, t: int) -> Tuple[int, ...]:
         if t == 0:
             return ()
         raise IndexError("zero-dimensional enumeration has a single element")
-    cache = _TUPLE_CACHE.setdefault(dims, [])
+    cache, levels = _TUPLE_CACHE.setdefault(dims, ([], itertools.count()))
     while len(cache) <= t:
-        level = _TUPLE_CACHE_LEVEL.get(dims, 0)
-        cache.extend(_tuples_at_level(dims, level))
-        _TUPLE_CACHE_LEVEL[dims] = level + 1
+        cache.extend(_tuples_at_level(dims, next(levels)))
     return cache[t]
 
 
 # ---------------------------------------------------------------------------
 # strategies
-
-def _controls_for_tuple(problem: Problem, idx: Tuple[int, ...], digits: int,
-                        scale: Optional[int]) -> Dict[str, float]:
-    mu: Dict[str, float] = {}
-    for spec, j in zip(problem.controls, idx):
-        value = spec.lower + dyadic_value(j) * (spec.upper - spec.lower)
-        mu[spec.name] = snap(value, digits, scale)
-    return mu
-
 
 def sample_systematic(state: State, start: int, problem: Problem,
                       budget: int = 100, grid_digits: int = 0,
@@ -197,7 +172,8 @@ def sample_systematic(state: State, start: int, problem: Problem,
         action = problem.actions[i % n_actions]
         idx = dyadic_tuple(dims, i // n_actions)
         trials += 1
-        mu = _controls_for_tuple(problem, idx, grid_digits, scale)
+        mu = {name: snap(lower + dyadic_value(j) * width, grid_digits, scale)
+              for (name, lower, width), j in zip(problem._control_box[0], idx)}
         succ = try_apply(state, action, mu)
         if succ is not None:
             return SampleOutcome(_decision(action.name, problem, mu), succ, trials,

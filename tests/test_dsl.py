@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -240,6 +241,42 @@ def test_validate_catches_handbuilt_errors():
     assert text[errs[0].span.start:errs[0].span.end] == "(u 0 1%s)" % ("0" * 400)
 
 
+def test_validate_refuses_non_finite_numbers():
+    def problem(init=0.0, const=1.0):
+        act = Action("a", Cmp(Sub(Var("x"), Const(2.0)), "<"),
+                     Effect((), (("x", Add(Var("x"), Const(const))),)))
+        return Problem("p", (), ("x",), (), (act,), State({}, {"x": init}), And(()))
+
+    assert validate(problem()) == []
+    for bad in (math.nan, math.inf, -math.inf):
+        (err,) = validate(problem(const=bad))
+        assert err.message == "action a: not a finite number"
+    (err,) = validate(problem(init=math.nan))
+    assert err.message == "initial value of x: not a finite number"
+    # the last of two declarations gave the initial value
+    text = "(problem p (bools) (nums (x 0) (x 1e999)) (controls) (goal (and)))"
+    (err,) = [d for d in parse_err(text) if d.message == "not a finite number"]
+    assert (err.span.start, err.span.end) == (text.index("1e999"), text.index("))"))
+
+
+def test_validate_reports_deep_nesting():
+    """A 3000-deep sum, deeper than the parser reaches: run_search solves
+    it, and validate returns the error parse_problem gives deep text."""
+    expr = Var("x")
+    for _ in range(3000):
+        expr = Add(expr, Const(1.0))
+    p = Problem("deep", (), ("x",), (), (Action("a", Cmp(Sub(expr, Const(5000.0)), "<"),
+                                                Effect((), (("x", expr),))),),
+                State({}, {"x": 0.0}), Cmp(Sub(Var("x"), Const(3000.0)), ">="))
+    assert run_search(p, SearchConfig(seed=0, expansion_limit=10)).outcome == "solved"
+    (err,) = validate(p)
+    assert (err.severity, err.message) == ("error", "nesting too deep")
+    text = "(problem p (bools) (nums (x 0)) (controls) (goal (>= %s0%s 0)))" % (
+        "(+ 1 " * 3000, ")" * 3000)
+    (err,) = parse_err(text)
+    assert err.message == "nesting too deep"
+
+
 def test_parse_reports_every_semantic_error():
     text = ("(problem p (bools b) (nums (x 0) (x 1)) (controls (u 0 1) (w 3 2))\n"
             "  (action a (pre (>= z 0)) (eff (assign u 1)))\n"
@@ -278,6 +315,13 @@ SPAN_CASES = [
     ("(problem p (bools) (nums (x 0)) (controls)"
      " (action go (pre (and)) (eff)) (action {go} (pre (and)) (eff)) (goal (and)))",
      "duplicate action name: go"),
+    ("(problem p (bools) (nums (x {1e999})) (controls) (goal (and)))",
+     "not a finite number"),
+    ("(problem p (bools) (nums (x 0)) (controls) (goal (and (>= {1e999} 0))))",
+     "not a finite number"),
+    ("(problem p (bools) (nums (x 0)) (controls)"
+     " (action a (pre (and)) (eff (assign x (+ x {-1e999})))) (goal (and)))",
+     "not a finite number"),
 ]
 
 

@@ -11,12 +11,14 @@ from cvplan.harness import (
     SuiteConfig,
     best_of,
     coverage_cell,
+    compare_csv,
     coverage_csv,
     coverage_table,
     load_suite,
     pairwise_compare,
     read_records,
     run_suite,
+    survival_csv,
     survival_data,
 )
 from cvplan.search import MctsConfig
@@ -437,6 +439,18 @@ class TestPairwise:
         b = [make_record(expansions=20, time_s=2.5)]
         assert pairwise_compare(a, b, "expansions")[0][2:] == (10.0, 20.0)
         assert pairwise_compare(a, b, "time_s")[0][2:] == (1.5, 2.5)
+
+
+def test_report_csv_texts():
+    """The three report tables as CSV text: CRLF rows, quoted commas."""
+    records = [make_record(instance="counters/a", algorithm="x"),
+               make_record(instance="counters/a", algorithm="a,b", plan_len=5,
+                           reexp_rate=0.5, time_s=2.25)]
+    assert coverage_csv(records) == 'domain,"a,b",x\r\ncounters,1 (0.50),1 (0.00)\r\n'
+    assert survival_csv(records) == (
+        'algorithm,time_s,solved\r\n"a,b",2.250,1\r\nx,1.000,1\r\n')
+    assert compare_csv(records, "x", "a,b") == (
+        'instance,seed,x,"a,b"\r\ncounters/a,0,3.0,5.0\r\n')
 
 
 class TestBestOf:

@@ -16,8 +16,8 @@ from cvplan.model import (
     CMP_OPS, Action, Add, And, BoolEq, Cmp, Const, ControlVarSpec, Decision,
     Effect, ModelError, Mul, Neg, Not, Or, Pow, Problem, State, Sub, TRUE, Var,
     conjuncts, eval_constraint, eval_expr, goal_test, iter_constraints,
-    iter_exprs, key_by_name, liveness, make_heuristic, replay_plan,
-    round_half_away, state_key, try_apply,
+    iter_exprs, key_by_name, liveness, make_heuristic, reads_control,
+    replay_plan, round_half_away, state_key, try_apply,
 )
 from cvplan.search import SearchConfig, run_search
 
@@ -300,6 +300,28 @@ def test_iterators_cover_all_nodes():
     con = Not(And((Cmp(Var("x"), ">"), Or((BoolEq("p", True),)))))
     kinds = [type(c).__name__ for c in iter_constraints(con)]
     assert kinds == ["Not", "And", "Cmp", "Or", "BoolEq"]
+
+
+def test_walks_work_at_any_depth():
+    """The tree walks keep their own stacks: 5000-deep trees walk in the
+    order shallow ones do, and reads_control finds a control at the bottom."""
+    depth = 5000
+    expr = Var("u", "control")
+    for _ in range(depth):
+        expr = Neg(Sub(Const(1.0), expr))
+    kinds = [type(e).__name__ for e in iter_exprs(expr)]
+    assert kinds == ["Neg", "Sub", "Const"] * depth + ["Var"]
+    con = Cmp(expr, ">")
+    for _ in range(depth):
+        con = Not(Or((BoolEq("p", True), con)))
+    kinds = [type(c).__name__ for c in iter_constraints(con)]
+    assert kinds == ["Not", "Or", "BoolEq"] * depth + ["Cmp"]
+    assert reads_control(con) and not reads_control(Cmp(Var("x"), ">"))
+    tests = [Cmp(Sub(Var("x"), Const(float(i))), ">") for i in range(depth)]
+    nested = TRUE
+    for test in reversed(tests):
+        nested = And((test, nested))
+    assert list(conjuncts(nested)) == tests
 
 
 def test_action_by_name():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -6,14 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from cvplan.domains import default_ladder, generate
 from cvplan.dsl import parse_problem
-from cvplan.search import SearchConfig
+from cvplan.search import MODES, MctsConfig, SearchConfig, run_mcts, run_search
 from cvplan.model import (
     Action, And, Cmp, Const, ControlVarSpec, Effect, Problem, State, Sub,
     TRUE, Var, make_heuristic, replay_plan, try_apply,
 )
 from cvplan.sampling import (
-    dyadic_tuple, dyadic_value,
+    SAMPLER_KINDS, dyadic_tuple, dyadic_value,
     heuristic_pick, heuristic_weights, make_sampler, sample_heuristic,
     sample_systematic, sample_uniform, snap,
 )
@@ -478,3 +480,39 @@ def test_make_sampler_applies_grid():
     out = sampler(p.init, 0, random.Random(1))
     u = out.decision.controls["u"]
     assert abs(u * 100 - round(u * 100)) < 1e-9
+
+
+# -- seeded trajectories --------------------------------------------------------
+
+#: expansion caps per domain for the trajectory pin: small, so that the test
+#: stays quick, and large enough that each engine solves some instances
+TRAJECTORY_CAPS = {"counters": 400, "sailing": 300, "blockgrouping": 200, "drone": 400}
+
+
+def test_seeded_trajectories_are_pinned():
+    """Seed 0 on each ladder instance: every sampler at sg and sa, recording
+    outcome, plan length, expansions, re-expansions, peak open and the
+    plan's decisions, and one MCTS run, recording its outcome and plan (its
+    other result fields are placeholders). The records hash to a fixed
+    digest.
+
+    A refactor must leave this digest as it is. Only a change that declares
+    a trajectory change (and records its new bench fingerprints) may
+    regenerate it: print the sha256 of `repr(records)` below and paste it.
+    """
+    records = []
+    for spec in default_ladder():
+        problem = generate(spec)
+        cap = TRAJECTORY_CAPS[spec.domain]
+        for sampler in SAMPLER_KINDS:
+            for mode in MODES:
+                r = run_search(problem, SearchConfig(mode=mode, sampler=sampler, seed=0,
+                                                     expansion_limit=cap))
+                records.append((r.outcome, len(r.plan or ()), r.expansions,
+                                r.reexpansions, r.peak_open,
+                                [(d.action, d.values) for d in r.plan or ()]))
+        r = run_mcts(problem, MctsConfig(seed=0, trial_limit=50))
+        records.append((r.outcome, [(d.action, d.values) for d in r.plan or ()]))
+    assert len(records) == 20 * 7
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+        "4b0bd0d4f4b43bd39184b17ad01086e5bc7dbcc34ea9ba0036ea6a0edfb7b3b8")
