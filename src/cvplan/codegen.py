@@ -2,14 +2,14 @@
 
 An action compiles to `(state, controls) -> successor State or None`, a
 constraint to `(state, controls) -> bool` and an expression to
-`(state, controls) -> float`; an action's state test, its top-level
-precondition conjuncts that read no control, to `(state) -> bool`, and a
-goal's count of failed top-level conjuncts to `(state) -> float`. Each is
-compiled for one state layout and reads and writes the state's value
-tuples by constant index. The source is three-address code, exec'd once
-per object and layout; model caches the function on the object and
+`(state, controls) -> float`; a problem's liveness to `(state) -> [bool]`
+and a goal's count of failed top-level conjuncts to `(state) -> float`.
+Each is compiled for one state layout and reads and writes the state's
+value tuples by constant index. The source is three-address code, exec'd
+once per object and layout; model caches the function on the object and
 imports this module on the first evaluation, so importing cvplan does not
-pay for it. A problem's state key compiles once, for the problem's layout.
+pay for it. A problem's state key compiles once, for the problem's layout,
+and its control draw once per grid.
 The code does the float operations the tree spells, in the tree's order:
 left operands first, `and`/`or` short-circuiting left to right, `BoolEq` as
 an `is` test and `Pow` through _pow_limit. A variable that is unbound, in
@@ -27,6 +27,7 @@ from .model import (
     KEY_DIGITS, Layout, ModelError, Mul, Neg, Not, NumericExpr, Or, Pow, Problem, State,
     Sub, Var, _packed_by_name, conjuncts, layout_of, reads_control,
 )
+from .sampling import _MAX_GRID_DIGITS, snap
 
 #: the Python spelling of each comparison against zero
 _CMP_SOURCE = {"<": "<", "<=": "<=", "=": "==", ">=": ">=", ">": ">"}
@@ -246,11 +247,10 @@ def _compile_expr(expr: NumericExpr,
 
 def _compile_constraint(con: Constraint,
                         layout: Layout) -> Callable[[State, ControlValuation], bool]:
-    """The controls default to none, so that a state test runs as test(state)."""
     em = _Emitter(layout)
     em.require(con, 0, "return False")
     em.emit(0, "return True")
-    return em.build("state, c=_EMPTY")
+    return em.build()
 
 
 def _tuple(items) -> str:
@@ -285,12 +285,41 @@ def _compile_action(action: Action,
     return em.build()
 
 
-def compile_state_test(action: Action, layout: Layout) -> Optional[Callable[[State], bool]]:
-    """`(state) -> bool` over the top-level precondition conjuncts of action
-    that read no control, in their order; None when every conjunct reads
-    one. When it is False, no control value makes action applicable."""
-    free = tuple(con for con in conjuncts(action.precondition) if not reads_control(con))
-    return _compile_constraint(And(free), layout) if free else None
+def compile_liveness(problem: Problem, layout: Layout) -> Callable[[State], List[bool]]:
+    """`(state) -> model.liveness(state, problem)`. An action's top-level
+    precondition conjuncts that read no control become one test, which
+    stops at its first failure; an action with none is True."""
+    em = _Emitter(layout)
+    tests = []
+    for action in problem.actions:
+        free = [con for con in conjuncts(action.precondition) if not reads_control(con)]
+        tests.append(f"{em._helper(And(tuple(free)))}(b, n, _EMPTY)" if free else "True")
+    em.emit(0, f"return [{', '.join(tests)}]")
+    return em.build("state")
+
+
+def compile_draw(problem: Problem, digits: int) -> Callable[..., Dict[str, float]]:
+    """`(u) -> valuation`: per control of problem, in declared order,
+    lower + width * u() snapped as sampling.snap snaps it to the
+    10**-digits grid. While every |value| * 10**digits is within 2**52,
+    float arithmetic rounds as snap does, inline."""
+    box = problem._control_box
+    bound = max([1.0] + [max(abs(lower), abs(lower + width)) for _, lower, width in box])
+    scale = 10 ** digits if 0 < digits <= _MAX_GRID_DIGITS else None
+    inline = scale is not None and bound * scale <= 2 ** 52
+    em = _Emitter(layout_of((), ()))
+    floor, k_scale = em.const(math.floor), em.const(float(scale) if inline else scale)
+    items = []
+    for name, lower, width in box:
+        value = f"{em.const(lower)} + {em.const(width)} * u()"
+        if inline:
+            t = em.assign(0, f"({value}) * {k_scale}")
+            value = f"({floor}({t} + 0.5) if {t} >= 0 else -{floor}(0.5 - {t})) / {k_scale}"
+        elif scale is not None:
+            value = f"{em.const(snap)}({value}, {em.const(digits)}, {k_scale})"
+        items.append(f"{em.key(name)}: {em.assign(0, value)}")
+    em.emit(0, f"return {{{', '.join(items)}}}")
+    return em.build("u")
 
 
 def compile_goal_count(goal: Constraint, layout: Layout) -> Callable[[State], float]:

@@ -539,6 +539,14 @@ def _fold_constraint(con: Constraint, box) -> Optional[bool]:
     return None
 
 
+def _finite_number(value) -> bool:
+    """Whether value is an int or float that converts to a finite float."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check(problem: Problem, spans: Dict[object, SourceSpan]) -> List[Diagnostic]:
     """Every semantic rule of a problem. spans is parse_problem's span table
     (see _Interp). A diagnostic whose subject has no span there, as none has
@@ -579,15 +587,18 @@ def _check(problem: Problem, spans: Dict[object, SourceSpan]) -> List[Diagnostic
         report("error", None, "", "initial state must assign every declared variable "
                "exactly once")
     for name, value in problem.init.nums.items():
-        if isinstance(value, float) and not math.isfinite(value):
+        if not _finite_number(value):
             report("error", ("init", name), f"initial value of {name}",
                    "not a finite number")
 
+    #: the constants reported as not finite numbers, which the fold cannot take
+    not_finite: List[Const] = []
+
     def check_expr(expr: NumericExpr, where: str, allow_controls: bool):
         for e in iter_exprs(expr):
-            if isinstance(e, Const) and isinstance(e.value, float) \
-                    and not math.isfinite(e.value):
+            if isinstance(e, Const) and not _finite_number(e.value):
                 report("error", id(e), where, "not a finite number")
+                not_finite.append(e)
             if not isinstance(e, Var):
                 continue
             if e.kind == "control":
@@ -616,6 +627,7 @@ def _check(problem: Problem, spans: Dict[object, SourceSpan]) -> List[Diagnostic
         if act.name in action_names:
             report("error", id(act), "", f"duplicate action name: {act.name}")
         action_names.add(act.name)
+        reported = len(not_finite)
         check_constraint(act.precondition, f"{where} precondition", True)
         targets = set()
         for pair in act.effect.bool_assigns + act.effect.num_assigns:
@@ -635,7 +647,7 @@ def _check(problem: Problem, spans: Dict[object, SourceSpan]) -> List[Diagnostic
                 report("error", id(pair), where,
                        f"assign target {name} is not a numeric variable")
             check_expr(expr, where, True)
-        if _fold_constraint(act.precondition, box) is False:
+        if len(not_finite) == reported and _fold_constraint(act.precondition, box) is False:
             report("warning", id(act), where,
                    "precondition is unsatisfiable over the control box")
         for node in iter_constraints(act.precondition):

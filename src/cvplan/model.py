@@ -37,16 +37,16 @@ class _Cached:
 
 
 class _PerLayout(dict):
-    """layout -> make(layout), made on the first lookup of each layout."""
+    """key -> make(key), made on the first lookup of each key, a layout or not."""
 
     __slots__ = ("make",)
 
-    def __init__(self, make: Callable[["Layout"], object]):
+    def __init__(self, make: Callable[[object], object]):
         super().__init__()
         self.make = make
 
-    def __missing__(self, layout: "Layout"):
-        made = self[layout] = self.make(layout)
+    def __missing__(self, key):
+        made = self[key] = self.make(key)
         return made
 
 
@@ -175,13 +175,6 @@ class Action(_Compiles):
     precondition: Constraint
     effect: Effect
 
-    @cached_property
-    def _state_test(self) -> _PerLayout:
-        """layout -> `(state) -> bool` over the top-level precondition
-        conjuncts that read no control, or None when there are none."""
-        from .codegen import compile_state_test
-        return _PerLayout(partial(compile_state_test, self))
-
 
 @dataclass(frozen=True)
 class ControlVarSpec:
@@ -289,6 +282,13 @@ class Decision:
         self.names = tuple(controls)
         self.values = tuple(controls.values())
 
+    @classmethod
+    def _of(cls, action: str, names: Tuple[str, ...], values: tuple) -> "Decision":
+        """The Decision of these slots, names shared rather than copied."""
+        decision = object.__new__(cls)
+        decision.action, decision.names, decision.values = action, names, values
+        return decision
+
     @property
     def controls(self) -> Dict[str, float]:
         return dict(zip(self.names, self.values))
@@ -319,12 +319,16 @@ class Problem(_Cached):
     goal: Constraint
 
     @cached_property
-    def _state_tests(self) -> _PerLayout:
-        """layout -> (index, state test) of each action that has a state
-        test for that layout."""
-        return _PerLayout(lambda layout: tuple(
-            (i, test) for i, test in enumerate(a._state_test[layout] for a in self.actions)
-            if test is not None))
+    def _liveness(self) -> _PerLayout:
+        """layout -> `(state) -> [bool]`, see liveness."""
+        from .codegen import compile_liveness
+        return _PerLayout(partial(compile_liveness, self))
+
+    @cached_property
+    def _draw(self) -> _PerLayout:
+        """grid digits -> `(u) -> control valuation`, see codegen.compile_draw."""
+        from .codegen import compile_draw
+        return _PerLayout(partial(compile_draw, self))
 
     @cached_property
     def _goal_count(self) -> _PerLayout:
@@ -350,12 +354,11 @@ class Problem(_Cached):
         return tuple(spec.name for spec in self.controls)
 
     @cached_property
-    def _control_box(self) -> Tuple[Tuple[Tuple[str, float, float], ...], float]:
+    def _control_box(self) -> Tuple[Tuple[str, float, float], ...]:
         """(name, lower, upper - lower) per control, the ints converted to
         float as float arithmetic converts them (so bounds beyond the float
-        range raise OverflowError), and the largest |bound|, at least 1."""
-        box = tuple((s.name, float(s.lower), float(s.upper - s.lower)) for s in self.controls)
-        return box, max([1.0] + [max(abs(lower), abs(lower + width)) for _, lower, width in box])
+        range raise OverflowError)."""
+        return tuple((s.name, float(s.lower), float(s.upper - s.lower)) for s in self.controls)
 
     def action_by_name(self, name: str) -> Action:
         for act in self.actions:
@@ -393,11 +396,7 @@ def liveness(state: State, problem: Problem) -> List[bool]:
     """Per action of problem, False when a top-level precondition conjunct
     that reads no control fails in state, so that no control value makes
     the action applicable; True otherwise."""
-    alive = [True] * len(problem.actions)
-    for i, test in problem._state_tests[state.layout]:
-        if not test(state):
-            alive[i] = False
-    return alive
+    return problem._liveness[state.layout](state)
 
 
 def goal_test(state: State, goal: Constraint) -> bool:

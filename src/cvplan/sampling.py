@@ -11,21 +11,17 @@ Three strategies produce (action, control valuation) pairs for a state:
 * heuristic: draws N uniform candidates and picks one with probability
   proportional to (1 / (h(successor) + eps)) ** beta.
 
-A draw picks one decision; a trial is a draw whose precondition is checked,
-and SampleOutcome.trials counts trials. reject_budget bounds the draws of
-one call. The uniform sampler first runs each action's state test, its
-precondition conjuncts that read no control: a draw of an action that fails
-it is rejected unchecked, and a state where every action fails it is
-exhausted, so the search drops its node.
+A call first finds the dead actions (model.liveness), which no control
+value makes apply, and draws and checks nothing for them. Controls come
+from the problem's compiled draw, snapped to a 10**-d grid (d = 0
+disables). reject_budget bounds the decisions one call picks, dead or not.
 
-Sampled control values can be snapped to a 10**-d grid (d = 0 disables).
 make_sampler binds the strategy a SearchConfig names.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import sys
 from dataclasses import dataclass
@@ -42,28 +38,17 @@ _MAX_GRID_DIGITS = sys.float_info.max_10_exp
 #: a sampler given a deadline reads the clock once per this many draws
 _CLOCK_EVERY = 256
 
-_new = object.__new__
-
-
-def _decision(action: str, problem: Problem, mu: Dict[str, float]) -> Decision:
-    """Decision(action, mu) for a valuation mu of problem's controls in
-    their declared order, sharing the problem's tuple of control names."""
-    decision = _new(Decision)
-    decision.action, decision.names, decision.values = (
-        action, problem._control_names, tuple(mu.values()))
-    return decision
-
 
 @dataclass
 class SampleOutcome:
     """Result of one sampling call.
 
     decision/successor are None on failure, which includes a call cut short
-    at its deadline. trials counts precondition checks performed. exhausted
-    marks a state with no decision left to try, so that the search drops
-    the node: a finite decision set fully enumerated (systematic sampling),
-    or a state in which no action passes its state test (uniform and
-    heuristic sampling).
+    at its deadline. trials counts precondition checks, or for systematic
+    sampling decision indices, dead actions' included. exhausted marks a
+    state with no decision left to try, so that the search drops the node:
+    a finite decision set fully enumerated (systematic sampling), or a
+    state in which every action is dead (uniform and heuristic sampling).
     """
     decision: Optional[Decision] = None
     successor: Optional[State] = None
@@ -148,9 +133,10 @@ def dyadic_tuple(dims: int, t: int) -> Tuple[int, ...]:
 def sample_systematic(state: State, start: int, problem: Problem,
                       budget: int = 100, grid_digits: int = 0,
                       deadline: Optional[float] = None) -> SampleOutcome:
-    """Deterministic sampling: the t-th trial tries decision number
+    """Deterministic sampling: the t-th trial steps to decision number
     start + t, until one applies or the budget runs out. A node that passes
-    its cumulative trial count as start resumes where it left off.
+    its cumulative trial count as start resumes where it left off. A dead
+    action's decision is a trial that draws and checks nothing.
 
     With no control variables the decision set is finite; a call that
     reaches its end reports exhaustion. deadline, a time.perf_counter()
@@ -158,7 +144,10 @@ def sample_systematic(state: State, start: int, problem: Problem,
     """
     n_actions = len(problem.actions)
     dims = len(problem.controls)
-    scale = 10 ** grid_digits if 0 < grid_digits <= _MAX_GRID_DIGITS else None
+    if n_actions == 0 or (dims == 0 and start >= n_actions):
+        return SampleOutcome(exhausted=True)
+    alive = liveness(state, problem)
+    draw = problem._draw[grid_digits]
     trials = 0
     next_check = _CLOCK_EVERY if deadline is not None else -1
     while trials < budget:
@@ -167,16 +156,17 @@ def sample_systematic(state: State, start: int, problem: Problem,
                 break
             next_check += _CLOCK_EVERY
         i = start + trials
-        if n_actions == 0 or (dims == 0 and i >= n_actions):
+        if dims == 0 and i >= n_actions:
             return SampleOutcome(trials=trials, exhausted=True)
-        action = problem.actions[i % n_actions]
-        idx = dyadic_tuple(dims, i // n_actions)
         trials += 1
-        mu = {name: snap(lower + dyadic_value(j) * width, grid_digits, scale)
-              for (name, lower, width), j in zip(problem._control_box[0], idx)}
+        if not alive[i % n_actions]:
+            continue
+        action = problem.actions[i % n_actions]
+        mu = draw(map(dyadic_value, dyadic_tuple(dims, i // n_actions)).__next__)
         succ = try_apply(state, action, mu)
         if succ is not None:
-            return SampleOutcome(_decision(action.name, problem, mu), succ, trials,
+            decision = Decision._of(action.name, problem._control_names, tuple(mu.values()))
+            return SampleOutcome(decision, succ, trials,
                                  exhausted=dims == 0 and i + 1 >= n_actions)
     return SampleOutcome(trials=trials)
 
@@ -187,14 +177,12 @@ def sample_uniform(state: State, problem: Problem, rng: random.Random,
     """Rejection sampling: uniform action, uniform controls over the box.
 
     Each of up to `budget` draws picks an action uniformly over all
-    actions, as rng.randrange would. An action whose state test fails
-    (model.liveness) cannot apply for any control value: its draw ends
-    there, with no control drawn and no precondition checked. Any other
-    draw takes, per control, rng.uniform(lower, upper), snaps it as snap
-    does, and is a trial: one precondition check. The call thus has the
-    law of drawing controls for every draw, while only the rng stream
-    differs. With no action that passes its state test the call returns
-    exhausted, with 0 trials and the rng untouched.
+    actions, as rng.randrange would. A dead action's draw ends there. Any
+    other draw takes, per control, rng.uniform(lower, upper), snaps it as
+    snap does, and is a trial: one precondition check. The call thus has
+    the law of drawing controls for every draw, while only the rng stream
+    differs. With every action dead the call returns exhausted, with 0
+    trials and the rng untouched.
 
     With a deadline, a time.perf_counter() value, the clock is read every
     _CLOCK_EVERY draws, and a call found past it fails with the trials it
@@ -206,18 +194,12 @@ def sample_uniform(state: State, problem: Problem, rng: random.Random,
     actions, apply = problem.actions, try_apply
     n_actions = len(actions)
     bits = n_actions.bit_length()
-    getrandbits, uniform01, floor = rng.getrandbits, rng.random, math.floor
-    box, bound = problem._control_box
-    scale = 10 ** grid_digits if 0 < grid_digits <= _MAX_GRID_DIGITS else None
-    # snap inline, in float arithmetic, which rounds as snap does while
-    # every |value| * 10**digits, and so every magnitude, is within 2**52
-    inline = scale is not None and bound * scale <= 2 ** 52
-    if inline:
-        scale = float(scale)
+    getrandbits, uniform01 = rng.getrandbits, rng.random
+    draw = problem._draw[grid_digits]
     trials = 0
     next_check = _CLOCK_EVERY if deadline is not None else -1
-    for draw in range(1, budget + 1):
-        if draw == next_check:
+    for count in range(1, budget + 1):
+        if count == next_check:
             if perf_counter() > deadline:
                 return SampleOutcome(trials=trials)
             next_check += _CLOCK_EVERY
@@ -228,19 +210,12 @@ def sample_uniform(state: State, problem: Problem, rng: random.Random,
         if not alive[i]:
             continue
         trials += 1
-        mu = {}
-        if inline:
-            for name, lower, width in box:
-                scaled = (lower + width * uniform01()) * scale
-                mu[name] = (floor(scaled + 0.5) if scaled >= 0
-                            else -floor(0.5 - scaled)) / scale
-        else:
-            for name, lower, width in box:
-                mu[name] = snap(lower + width * uniform01(), grid_digits, scale)
+        mu = draw(uniform01)
         action = actions[i]
         succ = apply(state, action, mu)
         if succ is not None:
-            return SampleOutcome(_decision(action.name, problem, mu), succ, trials)
+            decision = Decision._of(action.name, problem._control_names, tuple(mu.values()))
+            return SampleOutcome(decision, succ, trials)
     return SampleOutcome(trials=trials)
 
 

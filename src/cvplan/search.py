@@ -68,9 +68,6 @@ class SearchConfig:
     duplicate_detection: bool = True
 
 
-_new = object.__new__
-
-
 class SearchTree:
     """The best-first engine's nodes as columns indexed by uid: 0 for the
     root, then the nodes in insertion order.
@@ -115,7 +112,7 @@ class SearchTree:
 
     def state(self, uid: int) -> State:
         """Node uid's state, built afresh."""
-        state = _new(State)
+        state = object.__new__(State)
         state.layout, state.bool_values, state.num_values = (
             self.layout[uid], self.bool_values[uid], self.num_values[uid])
         return state
@@ -163,12 +160,8 @@ class TreeNode:
     @property
     def decision(self) -> Optional[Decision]:
         tree, uid = self.tree, self.uid
-        if tree.action[uid] is None:
-            return None
-        decision = _new(Decision)
-        decision.action, decision.names, decision.values = (
-            tree.action[uid], tree.names, tree.values[uid])
-        return decision
+        action = tree.action[uid]
+        return None if action is None else Decision._of(action, tree.names, tree.values[uid])
 
     @property
     def parent(self) -> Optional["TreeNode"]:

@@ -242,15 +242,20 @@ def test_validate_catches_handbuilt_errors():
 
 
 def test_validate_refuses_non_finite_numbers():
-    def problem(init=0.0, const=1.0):
-        act = Action("a", Cmp(Sub(Var("x"), Const(2.0)), "<"),
+    def problem(init=0.0, const=1.0, pre=2.0):
+        act = Action("a", Cmp(Sub(Var("x"), Const(pre)), "<"),
                      Effect((), (("x", Add(Var("x"), Const(const))),)))
         return Problem("p", (), ("x",), (), (act,), State({}, {"x": init}), And(()))
 
     assert validate(problem()) == []
-    for bad in (math.nan, math.inf, -math.inf):
+    # an int beyond the float range, a string and None are no finite number
+    for bad in (math.nan, math.inf, -math.inf, 10 ** 400, "1", None):
         (err,) = validate(problem(const=bad))
         assert err.message == "action a: not a finite number"
+        (err,) = validate(problem(pre=bad))
+        assert err.message == "action a precondition: not a finite number"
+        (err,) = validate(problem(init=bad))
+        assert err.message == "initial value of x: not a finite number"
     (err,) = validate(problem(init=math.nan))
     assert err.message == "initial value of x: not a finite number"
     # the last of two declarations gave the initial value

@@ -817,7 +817,8 @@ def test_state_test_matches_reference(pre, valuation):
 def test_drone_state_tests():
     p = make_drone(4, 2, points=[(0, 0, 0), (4, 4, 4)])
     move, near, far = p.actions
-    assert move._state_test[p.init.layout] is None   # every move conjunct reads a control
+    dead = State(p.init.bools, {**p.init.nums, "b": 0.0})
+    assert liveness(dead, p)[0] is True   # every move conjunct reads a control
     assert liveness(p.init, p) == [True, True, False]
 
 
@@ -826,7 +827,7 @@ def test_compiled_code_stays_out_of_equality_repr_and_pickles():
     text, action_hash = repr(p), hash(p.actions[0])
     run_search(p, SearchConfig(seed=0, expansion_limit=300))
     make_heuristic(p)(p.init)
-    assert "_state_tests" in p.__dict__ and "_control_box" in p.__dict__
+    assert "_liveness" in p.__dict__ and "_control_box" in p.__dict__
     assert repr(p) == text
     assert hash(p.actions[0]) == action_hash
     copy = pickle.loads(pickle.dumps(p))

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from cvplan import sampling
 from cvplan.domains import default_ladder, generate
 from cvplan.dsl import parse_problem
 from cvplan.search import MODES, MctsConfig, SearchConfig, run_mcts, run_search
 from cvplan.model import (
     Action, And, Cmp, Const, ControlVarSpec, Effect, Problem, State, Sub,
-    TRUE, Var, make_heuristic, replay_plan, try_apply,
+    TRUE, Var, liveness, make_heuristic, replay_plan, try_apply,
 )
 from cvplan.sampling import (
     SAMPLER_KINDS, dyadic_tuple, dyadic_value,
@@ -333,6 +334,52 @@ DEAD_PARTLY_ALWAYS = """(problem law (bools) (nums (x 0.0)) (controls (u 0 1))
   (action partly (pre (<= (- u 0.3) 0)) (eff (assign x u)))
   (action always (pre (and)) (eff (assign x u)))
   (goal (and)))"""
+
+
+def reference_systematic(state, start, problem, budget, digits):
+    """The systematic loop before liveness: every decision index draws its
+    controls with snap and has its precondition checked. Returns (decision,
+    trials, exhausted), the decision as (action name, repr of controls) or
+    None."""
+    n_actions, dims = len(problem.actions), len(problem.controls)
+    for trials in range(budget):
+        i = start + trials
+        if n_actions == 0 or (dims == 0 and i >= n_actions):
+            return None, trials, True
+        action = problem.actions[i % n_actions]
+        mu = {spec.name: snap(float(spec.lower) + dyadic_value(j) * float(spec.upper - spec.lower),
+                              digits)
+              for spec, j in zip(problem.controls, dyadic_tuple(dims, i // n_actions))}
+        if try_apply(state, action, mu) is not None:
+            return (action.name, repr(mu)), trials + 1, dims == 0 and i + 1 >= n_actions
+    return None, budget, False
+
+
+@pytest.mark.parametrize("digits", [0, 2, 14, 15, 16, 308, 400])
+def test_systematic_draws_what_the_reference_loop_draws(digits, monkeypatch):
+    """Same decisions, trials and exhaustion as reference_systematic from
+    every start up to 60, with no precondition checked for a dead action's
+    index. On the +-10 box, 14 digits snap inline and 15 through snap."""
+    actions = "".join(f"(action a{i} (pre {pre}) (eff (assign x u)))"
+                      for i, pre in enumerate(CONTROL_PRES))
+    two, diags = parse_problem("(problem r (bools) (nums (x 0.0)) "
+                               f"(controls (u -10 10) (v 0 1)) {actions} (goal (and)))")
+    assert two is not None, diags
+    law, diags = parse_problem(DEAD_PARTLY_ALWAYS)
+    assert law is not None, diags
+    calls = []
+    monkeypatch.setattr(sampling, "try_apply",
+                        lambda *args: calls.append(1) or try_apply(*args))
+    for p in (two, law):
+        alive = liveness(p.init, p)
+        for start in range(61):
+            calls.clear()
+            out = sample_systematic(p.init, start, p, budget=4, grid_digits=digits)
+            got = (out.decision.action, repr(out.decision.controls)) if out.ok else None
+            assert (got, out.trials, out.exhausted) == reference_systematic(
+                p.init, start, p, 4, digits)
+            dead = sum(not alive[i % len(alive)] for i in range(start, start + out.trials))
+            assert len(calls) == out.trials - dead
 
 
 def test_uniform_keeps_the_law_of_the_rejection_loop():
