@@ -348,6 +348,25 @@ class Problem(_Cached):
         return struct.Struct("<" + "?" * len(self.bools) + "q" * len(self.nums))
 
     @cached_property
+    def _packable(self) -> bool:
+        """Whether every state the compiled actions reach from init is in the
+        problem's layout with float numerics and True or False booleans, and
+        every decision one float per control: so when init is, control names
+        are distinct, and effects assign declared names True, False or float
+        expressions (float constants, integer powers)."""
+        effects = [act.effect for act in self.actions]
+        nodes = [node for e in effects for _, expr in e.num_assigns for node in iter_exprs(expr)]
+        return (self.init.layout is layout_of(tuple(self.bools), tuple(self.nums))
+                and len(set(self._control_names)) == len(self.controls)
+                and all(b is True or b is False for b in self.init.bool_values)
+                and all(type(v) is float for v in self.init.num_values)
+                and all(name in self.bools and (b is True or b is False)
+                        for e in effects for name, b in e.bool_assigns)
+                and all(name in self.nums for e in effects for name, _ in e.num_assigns)
+                and all(type(n.value) is float for n in nodes if isinstance(n, Const))
+                and all(type(n.exponent) is int for n in nodes if isinstance(n, Pow)))
+
+    @cached_property
     def _control_names(self) -> Tuple[str, ...]:
         """The control names in declaration order, one tuple that every
         sampled Decision shares."""

@@ -28,6 +28,7 @@ import heapq
 import itertools
 import math
 import random
+import struct
 import time
 from array import array
 from dataclasses import dataclass
@@ -74,47 +75,75 @@ class SearchTree:
 
     parent (-1 at the root), g, h, n, trials (the sampler's trials on the
     node, over all its expansions) and f (the priority the node was last
-    queued with) are arrays. The lists layout, bool_values and num_values
-    hold each node's state, and action and values its decision (None and ()
-    at the root), in the order of names, the control names every sampled
-    decision shares. So a node is atomics and tuples of atomics, which the
-    garbage collector stops tracking.
+    queued with) are arrays; layout, action (None at the root), bool_values,
+    num_values and values (the decision's, in the order of names, the
+    control names every sampled decision shares) are lists. In the tree of a
+    _packable problem (see model.Problem), though, bool_values keeps one
+    tuple per distinct value, and num_values and values are array("d")s of
+    len(problem.nums) and len(names) floats per node (zeros for the root's
+    decision), written and read by struct bit for bit. So a node is atomics
+    and tuples of atomics, which the garbage collector stops tracking.
+    add(parent, g, h, f, state, decision) appends a node at n = 0 and
+    trials = 0 and returns its uid; a packed tree takes only states that the
+    problem's search reaches.
     """
 
-    def __init__(self, names: Tuple[str, ...]):
+    def __init__(self, names: Tuple[str, ...], problem: Optional[Problem] = None):
         self.names = names
         self.parent, self.g, self.n, self.trials = (array("q") for _ in range(4))
         self.h, self.f = array("d"), array("d")
-        self.layout, self.bool_values, self.num_values = [], [], []
-        self.action, self.values = [], []
+        self.layout, self.action, self.bool_values = [], [], []
         #: each node's first child and next sibling, -1 for none; built by
         #: children, again once the tree has grown
         self._first, self._sibling = array("q"), array("q")
+        bools = self.bool_values.append
+        if problem is not None and problem._packable:
+            num_row, value_row = (struct.Struct(f"<{k}d") for k in (len(problem.nums), len(names)))
+            nums, values = self.num_values, self.values = array("d"), array("d")
+            intern, put_nums, put_values = {}.setdefault, nums.frombytes, values.frombytes
+            pack_nums, pack_values, blank = num_row.pack, value_row.pack, (0.0,) * len(names)
+
+            def put_row(state, decision_values):
+                bools(intern(state.bool_values, state.bool_values))
+                put_nums(pack_nums(*state.num_values))
+                put_values(pack_values(*decision_values))
+            self._read_nums = (num_row.unpack_from, num_row.size)
+            self._read_values = (value_row.unpack_from, value_row.size)
+        else:
+            nums, values = self.num_values, self.values = [], []
+            put_nums, put_values, blank = nums.append, values.append, ()
+
+            def put_row(state, decision_values):
+                bools(state.bool_values)
+                put_nums(state.num_values)
+                put_values(decision_values)
+            self._read_nums = self._read_values = (list.__getitem__, 1)
+        layouts = self.layout
+        parents, gs, hs, ns, trials, fs, put_layout, actions = (column.append for column in (
+            self.parent, self.g, self.h, self.n, self.trials, self.f, layouts, self.action))
+
+        def add(parent: int, g: int, h: float, f: float, state: State,
+                decision: Optional[Decision]) -> int:
+            parents(parent)
+            gs(g)
+            hs(h)
+            ns(0)
+            trials(0)
+            fs(f)
+            put_layout(state.layout)
+            actions(decision and decision.action)
+            put_row(state, decision.values if decision else blank)
+            return len(layouts) - 1
+        self.add = add
 
     def __len__(self) -> int:
         return len(self.parent)
 
-    def add(self, parent: int, g: int, h: float, f: float, state: State,
-            decision: Optional[Decision]) -> int:
-        """Append a node at n = 0 and trials = 0; returns its uid."""
-        self.parent.append(parent)
-        self.g.append(g)
-        self.h.append(h)
-        self.n.append(0)
-        self.trials.append(0)
-        self.f.append(f)
-        self.layout.append(state.layout)
-        self.bool_values.append(state.bool_values)
-        self.num_values.append(state.num_values)
-        self.action.append(decision and decision.action)
-        self.values.append(decision.values if decision else ())
-        return len(self.parent) - 1
-
     def state(self, uid: int) -> State:
         """Node uid's state, built afresh."""
-        state = object.__new__(State)
+        state, (read, stride) = object.__new__(State), self._read_nums
         state.layout, state.bool_values, state.num_values = (
-            self.layout[uid], self.bool_values[uid], self.num_values[uid])
+            self.layout[uid], self.bool_values[uid], read(self.num_values, uid * stride))
         return state
 
     def children(self, uid: int) -> List[int]:
@@ -160,8 +189,9 @@ class TreeNode:
     @property
     def decision(self) -> Optional[Decision]:
         tree, uid = self.tree, self.uid
-        action = tree.action[uid]
-        return None if action is None else Decision._of(action, tree.names, tree.values[uid])
+        action, (read, stride) = tree.action[uid], tree._read_values
+        return None if action is None else Decision._of(action, tree.names,
+                                                        read(tree.values, uid * stride))
 
     @property
     def parent(self) -> Optional["TreeNode"]:
@@ -179,19 +209,25 @@ def f_value(g: int, h: float, n: int, mode: str, rect: Callable[[int], float]) -
     return g + base if mode == "sa" else base
 
 
+#: an open-list key holds the uid in its low UID_BITS bits; no tree nears 2**32 nodes
+UID_BITS = 32
+_UID_MASK = (1 << UID_BITS) - 1
+
+
 class OpenList:
-    """Min-heap of (f, insertion sequence, uid) entries: atomics, which the
-    garbage collector stops tracking. Ties pop in insertion order."""
+    """Min-heap of (f, seq << UID_BITS | uid) entries, seq the insertion number:
+    atomics, which the garbage collector stops tracking. Ties on f pop in
+    insertion order."""
 
     def __init__(self):
-        self._heap: List[Tuple[float, int, int]] = []
-        self._seq = itertools.count()
+        self._heap: List[Tuple[float, int]] = []
+        self._seq = itertools.count(0, 1 << UID_BITS)   # seq << UID_BITS
 
     def push(self, f: float, uid: int):
-        heapq.heappush(self._heap, (f, next(self._seq), uid))
+        heapq.heappush(self._heap, (f, next(self._seq) | uid))
 
     def pop(self) -> int:
-        return heapq.heappop(self._heap)[2]
+        return heapq.heappop(self._heap)[1] & _UID_MASK
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -265,9 +301,10 @@ def run_search(problem: Problem, cfg: SearchConfig,
                trace=None) -> SearchResult:
     """Run the best-first engine on a problem.
 
-    The nodes live in one SearchTree, whose root the result holds as a
-    TreeNode view; the open list holds uids. A node's State is built when it
-    is extracted, and a Decision only for the plan.
+    The nodes live in one SearchTree of the problem, packed when the problem
+    is _packable, whose root the result holds as a TreeNode view; the loop
+    appends through its add, and the open list holds (f, key) entries. A
+    node's State is built when it is extracted, and a Decision only for the plan.
 
     cfg.time_limit bounds sampling too: the samplers get the run's deadline
     and cut a call short once it has passed.
@@ -286,12 +323,14 @@ def run_search(problem: Problem, cfg: SearchConfig,
 
     t0 = time.perf_counter()
     deadline = t0 + cfg.time_limit
-    tree = SearchTree(problem._control_names)
+    tree = SearchTree(problem._control_names, problem)
+    add, state_at = tree.add, tree.state
     gs, hs, ns, fs, trials = tree.g, tree.h, tree.n, tree.f, tree.trials
     h0 = h_fn(problem.init)
-    root = tree.add(-1, 0, h0, f_value(0, h0, 0, mode, rect), problem.init, None)
+    root = add(-1, 0, h0, f_value(0, h0, 0, mode, rect), problem.init, None)
     open_list = OpenList()
     open_list.push(fs[root], root)
+    queued = open_list._heap
     seen = {state_key(problem.init, problem)} if cfg.duplicate_detection else None
 
     expansions = 0
@@ -301,7 +340,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
     goal_uid: Optional[int] = None
 
     while True:
-        if len(open_list) == 0:
+        if not queued:
             outcome = "exhausted"
             break
         if time.perf_counter() - t0 > cfg.time_limit:
@@ -315,7 +354,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
         if emit:
             emit(("extract", uid, fs[uid]))
 
-        state = tree.state(uid)
+        state = state_at(uid)
         hit = goal_test(state, problem.goal)
         if emit:
             emit(("goal", uid, hit))
@@ -342,11 +381,11 @@ def run_search(problem: Problem, cfg: SearchConfig,
                     emit(("duplicate", uid))
             else:
                 g, h = gs[uid] + 1, h_fn(sample.successor)
-                child = tree.add(uid, g, h, f_value(g, h, 0, mode, rect),
-                                 sample.successor, sample.decision)
-                open_list.push(fs[child], child)
+                f = f_value(g, h, 0, mode, rect)
+                child = add(uid, g, h, f, sample.successor, sample.decision)
+                open_list.push(f, child)
                 if emit:
-                    emit(("insert", child, fs[child]))
+                    emit(("insert", child, f))
         else:
             if emit:
                 emit(("fail", uid))
@@ -360,8 +399,8 @@ def run_search(problem: Problem, cfg: SearchConfig,
             open_list.push(f, uid)
             if emit:
                 emit(("reinsert", uid, f))
-        if len(open_list) > peak_open:
-            peak_open = len(open_list)
+        if len(queued) > peak_open:
+            peak_open = len(queued)
 
     plan = reconstruct_plan(TreeNode(tree, goal_uid)) if goal_uid is not None else None
     return SearchResult(

@@ -123,7 +123,7 @@ class TestSolve:
             entry = max(open_list._heap)
             open_list._heap.remove(entry)
             heapq.heapify(open_list._heap)
-            return entry[2]
+            return entry[1] & ((1 << cvplan.search.UID_BITS) - 1)
 
         monkeypatch.setattr(cvplan.search.OpenList, "pop", pop_largest)
         code = main(["solve", counters_file, "--algo", mode, "--assert", "on",

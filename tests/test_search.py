@@ -2,13 +2,14 @@ import gc
 import math
 import time
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
 
 from cvplan import sampling, search
 from cvplan.dsl import parse_problem
-from cvplan.domains import make_counters
+from cvplan.domains import make_counters, make_drone, make_sailing
 from cvplan.model import (
     Action, Add, And, Cmp, Const, ControlVarSpec, Decision, Effect, Problem,
     State, Sub, TRUE, Var, goal_test, make_heuristic, replay_plan, state_key,
@@ -179,11 +180,11 @@ def undeclared_variable_problem():
     )
 
 
-@pytest.mark.parametrize("make_problem,layouts", [
-    (lambda: make_counters(2), 1), (undeclared_variable_problem, 2)])
-def test_tree_view_holds_what_the_sampler_returned(monkeypatch, make_problem, layouts):
-    problem, sampled = make_problem(), []
-    make_sampler = search.make_sampler
+def run_recorded(monkeypatch, problem, expansion_limit):
+    """run_search at seed 0 with the sampler's successful outcomes recorded:
+    returns the result, its trace and the outcome each inserted node came
+    from, by uid."""
+    sampled, make_sampler = [], search.make_sampler
 
     def recording(*args):
         inner = make_sampler(*args)
@@ -197,13 +198,20 @@ def test_tree_view_holds_what_the_sampler_returned(monkeypatch, make_problem, la
 
     monkeypatch.setattr(search, "make_sampler", recording)
     events = []
-    result = run_search(problem, SearchConfig(seed=0, expansion_limit=20_000),
+    result = run_search(problem, SearchConfig(seed=0, expansion_limit=expansion_limit),
                         trace=events)
-    assert result.outcome == "solved"
     # each successful draw is inserted or discarded as a duplicate, in order
     placed = [e for e in events if e[0] in ("insert", "duplicate")]
     assert len(placed) == len(sampled)
-    inserted = {e[1]: out for e, out in zip(placed, sampled) if e[0] == "insert"}
+    return result, events, {e[1]: out for e, out in zip(placed, sampled) if e[0] == "insert"}
+
+
+@pytest.mark.parametrize("make_problem,layouts", [
+    (lambda: make_counters(2), 1), (undeclared_variable_problem, 2)])
+def test_tree_view_holds_what_the_sampler_returned(monkeypatch, make_problem, layouts):
+    problem = make_problem()
+    result, events, inserted = run_recorded(monkeypatch, problem, 20_000)
+    assert result.outcome == "solved"
     root, tree = result.root, result.root.tree
     assert sorted(inserted) == list(range(1, len(tree)))
     assert (root.uid, root.g, root.parent, root.decision) == (0, 0, None, None)
@@ -224,6 +232,73 @@ def test_tree_view_holds_what_the_sampler_returned(monkeypatch, make_problem, la
         node = node.parent
     expected.reverse()
     assert result.plan == expected == reconstruct_plan(TreeNode(tree, goal))
+
+
+def assert_nodes_hold_exactly(tree, problem, inserted):
+    """Every node's state and decision are the root's and the sampled ones,
+    equal down to repr and the type of each value."""
+    def exact(got, want):
+        assert got == want and repr(got) == repr(want)
+        for attr in ("bool_values", "num_values", "values"):
+            if hasattr(want, attr):
+                assert [type(v) for v in getattr(got, attr)] == [
+                    type(v) for v in getattr(want, attr)]
+    exact(TreeNode(tree, 0).state, problem.init)
+    assert sorted(inserted) == list(range(1, len(tree)))
+    for uid, out in inserted.items():
+        exact(TreeNode(tree, uid).state, out.successor)
+        exact(TreeNode(tree, uid).decision, out.decision)
+
+
+def flag_problem(init_nums=(("x", 0.0), ("y", 0.0)), flag_value=True, y_value=1.0):
+    """A boolean flag that starts True, numerics x and y and a control u;
+    its one action sets flag to flag_value, adds u to x and sets y to
+    Const(y_value). The goal is out of reach."""
+    u = Var("u", "control")
+    step = Action("step", TRUE, Effect((("flag", flag_value),),
+                                       (("x", Add(Var("x"), u)), ("y", Const(y_value)))))
+    return Problem("flags", ("flag",), ("x", "y"), (ControlVarSpec("u", 0, 1),), (step,),
+                   State(bools={"flag": True}, nums=dict(init_nums)),
+                   Cmp(Sub(Var("x"), Const(1e9)), ">="))
+
+
+@pytest.mark.parametrize("make_problem", [lambda: make_counters(6), lambda: make_sailing(2, 2),
+                                          lambda: make_drone(2, 2), flag_problem])
+def test_packed_rows_read_back_what_the_sampler_returned(monkeypatch, make_problem):
+    problem = make_problem()
+    assert problem._packable
+    result, _, inserted = run_recorded(monkeypatch, problem, 3000)
+    tree = result.root.tree
+    assert (type(tree.num_values), type(tree.values)) == (array, array)
+    assert len(tree) > 100
+    assert_nodes_hold_exactly(tree, problem, inserted)
+    # equal boolean tuples are one object, though each flag_problem step builds its own
+    distinct = set(tree.bool_values)
+    assert len({id(row) for row in tree.bool_values}) == len(distinct) <= 2 ** len(problem.bools)
+
+
+@pytest.mark.parametrize("changes", [
+    {"init_nums": (("x", 0), ("y", 0.0))},          # an int initial numeric
+    {"y_value": 1},                                 # an int constant in an effect
+    {"flag_value": 1},                              # a boolean assignment of 1
+    {"init_nums": (("y", 0.0), ("x", 0.0))},        # init in another order
+])
+def test_unpackable_problems_keep_their_tuples(monkeypatch, changes):
+    assert flag_problem()._packable
+    problem = flag_problem(**changes)
+    assert not problem._packable
+    result, _, inserted = run_recorded(monkeypatch, problem, 300)
+    tree = result.root.tree
+    assert len(tree) > 100
+    assert_nodes_hold_exactly(tree, problem, inserted)
+    # the very tuples the states hold, each kept as it is
+    states = {0: problem.init, **{uid: out.successor for uid, out in inserted.items()}}
+    for uid, state in states.items():
+        assert tree.bool_values[uid] is state.bool_values
+        assert tree.num_values[uid] is state.num_values
+    if changes == {"flag_value": 1}:
+        # (1,) == (True,), and neither stands in for the other
+        assert [type(row[0]) for row in tree.bool_values] == [bool] + [int] * len(inserted)
 
 
 def test_search_reaches_its_layers_through_module_names(monkeypatch):
@@ -507,7 +582,7 @@ def test_node_memory_guard():
         tracemalloc.stop()
     nodes = len(result.root.tree)
     assert result.expansions == 20_000
-    assert peak / nodes <= 700, (peak, nodes)
+    assert peak / nodes <= 560, (peak, nodes)
 
 
 def test_finished_search_keeps_no_tracked_object_per_node():
