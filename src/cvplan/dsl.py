@@ -689,37 +689,54 @@ def _fmt_number(value: float) -> str:
 
 
 def _expr_text(expr: NumericExpr) -> str:
-    if isinstance(expr, Const):
-        return _fmt_number(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Add):
-        return f"(+ {_expr_text(expr.lhs)} {_expr_text(expr.rhs)})"
-    if isinstance(expr, Sub):
-        return f"(- {_expr_text(expr.lhs)} {_expr_text(expr.rhs)})"
-    if isinstance(expr, Mul):
-        return f"(* {_expr_text(expr.lhs)} {_expr_text(expr.rhs)})"
-    if isinstance(expr, Neg):
-        return f"(- {_expr_text(expr.arg)})"
-    if isinstance(expr, Pow):
-        return f"(^ {_expr_text(expr.base)} {expr.exponent})"
-    raise TypeError(f"not a numeric expression: {expr!r}")
+    """expr's text, written with an explicit stack, so any depth works; a
+    string on the stack is text to copy."""
+    out, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Const):
+            out.append(_fmt_number(node.value))
+        elif isinstance(node, Var):
+            out.append(node.name)
+        elif isinstance(node, (Add, Sub, Mul)):
+            out.append("(+ " if isinstance(node, Add)
+                       else "(- " if isinstance(node, Sub) else "(* ")
+            stack += (")", node.rhs, " ", node.lhs)
+        elif isinstance(node, Neg):
+            out.append("(- ")
+            stack += (")", node.arg)
+        elif isinstance(node, Pow):
+            out.append("(^ ")
+            stack += (f" {node.exponent})", node.base)
+        else:
+            raise TypeError(f"not a numeric expression: {node!r}")
+    return "".join(out)
 
 
 def _constr_text(con: Constraint) -> str:
-    if isinstance(con, Cmp):
-        return f"({con.op} {_expr_text(con.expr)} 0)"
-    if isinstance(con, BoolEq):
-        return f"(= {con.name} {'true' if con.value else 'false'})"
-    if isinstance(con, And):
-        inner = " ".join(_constr_text(c) for c in con.items)
-        return f"(and {inner})" if inner else "(and)"
-    if isinstance(con, Or):
-        inner = " ".join(_constr_text(c) for c in con.items)
-        return f"(or {inner})" if inner else "(or)"
-    if isinstance(con, Not):
-        return f"(not {_constr_text(con.item)})"
-    raise TypeError(f"not a constraint: {con!r}")
+    """con's text, written as _expr_text writes an expression's."""
+    out, stack = [], [con]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Cmp):
+            out.append(f"({node.op} {_expr_text(node.expr)} 0)")
+        elif isinstance(node, BoolEq):
+            out.append(f"(= {node.name} {'true' if node.value else 'false'})")
+        elif isinstance(node, (And, Or)):
+            out.append("(and" if isinstance(node, And) else "(or")
+            stack.append(")")
+            for item in reversed(node.items):
+                stack += (item, " ")
+        elif isinstance(node, Not):
+            out.append("(not ")
+            stack += (")", node.item)
+        else:
+            raise TypeError(f"not a constraint: {node!r}")
+    return "".join(out)
 
 
 def serialize_problem(problem: Problem) -> str:

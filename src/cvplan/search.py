@@ -15,7 +15,9 @@ with g the number of actions from the root and r one of the rectifiers below
 not when generated. Duplicate successors (by canonical state key) are
 discarded, and a node the sampler reports exhausted (a finite decision set
 enumerated, or a state where no action can apply) is removed instead of
-reinserted, so searches over purely finite spaces terminate.
+reinserted, so searches over purely finite spaces terminate. The queue,
+OpenList, keeps one array of uids per queued f: f takes few distinct values,
+so a queued node costs about one 8-byte slot.
 
 run_mcts implements the baseline: UCT with progressive widening, which caps
 a node's children at ceil(k * visits**alpha) so sampling can widen the tree
@@ -25,7 +27,6 @@ gradually inside an infinite decision space.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 import struct
@@ -209,28 +210,38 @@ def f_value(g: int, h: float, n: int, mode: str, rect: Callable[[int], float]) -
     return g + base if mode == "sa" else base
 
 
-#: an open-list key holds the uid in its low UID_BITS bits; no tree nears 2**32 nodes
-UID_BITS = 32
-_UID_MASK = (1 << UID_BITS) - 1
-
-
 class OpenList:
-    """Min-heap of (f, seq << UID_BITS | uid) entries, seq the insertion number:
-    atomics, which the garbage collector stops tracking. Ties on f pop in
-    insertion order."""
+    """Bucket queue of uids keyed by f (Dial, CACM 1969): a dict from each
+    queued f to [head, uids], the array("q") of the uids pushed at that f in
+    push order, those before head popped, and a min-heap of the f values that
+    have a bucket. pop takes the smallest f, and within it the earliest push.
+
+    A bucket keeps one 8-byte slot per push since it opened, and goes, with
+    its heap entry, once it empties. Every rectifier is strictly increasing,
+    so a node is requeued at a larger f each time and enters a bucket at most
+    once: no bucket holds more slots than the tree has nodes."""
 
     def __init__(self):
-        self._heap: List[Tuple[float, int]] = []
-        self._seq = itertools.count(0, 1 << UID_BITS)   # seq << UID_BITS
+        self._buckets: Dict[float, list] = {}
+        self._fs: List[float] = []
 
     def push(self, f: float, uid: int):
-        heapq.heappush(self._heap, (f, next(self._seq) | uid))
+        bucket = self._buckets.get(f)
+        if bucket is None:
+            bucket = self._buckets[f] = [0, array("q")]
+            heapq.heappush(self._fs, f)
+        bucket[1].append(uid)
 
     def pop(self) -> int:
-        return heapq.heappop(self._heap)[1] & _UID_MASK
+        bucket = self._buckets[self._fs[0]]
+        head, uids = bucket
+        bucket[0] = head + 1
+        if head + 1 == len(uids):
+            del self._buckets[heapq.heappop(self._fs)]
+        return uids[head]
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return sum(len(uids) - head for head, uids in self._buckets.values())
 
 
 @dataclass
@@ -303,7 +314,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
 
     The nodes live in one SearchTree of the problem, packed when the problem
     is _packable, whose root the result holds as a TreeNode view; the loop
-    appends through its add, and the open list holds (f, key) entries. A
+    appends through its add, and the open list queues uids by f. A
     node's State is built when it is extracted, and a Decision only for the plan.
 
     cfg.time_limit bounds sampling too: the samplers get the run's deadline
@@ -319,6 +330,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
     h_fn = make_heuristic(problem)
     sampler = make_sampler(cfg, problem, h_fn)
     mode, rect = cfg.mode, RECTIFIERS[cfg.rectifier]
+    sa, r0 = mode == "sa", rect(0)
     emit = trace.append if trace is not None else None
 
     t0 = time.perf_counter()
@@ -329,18 +341,18 @@ def run_search(problem: Problem, cfg: SearchConfig,
     h0 = h_fn(problem.init)
     root = add(-1, 0, h0, f_value(0, h0, 0, mode, rect), problem.init, None)
     open_list = OpenList()
-    open_list.push(fs[root], root)
-    queued = open_list._heap
+    push, pop = open_list.push, open_list.pop
+    push(fs[root], root)
     seen = {state_key(problem.init, problem)} if cfg.duplicate_detection else None
 
     expansions = 0
     reexpansions = 0
-    peak_open = 1
+    peak_open = size = 1
     outcome = None
     goal_uid: Optional[int] = None
 
     while True:
-        if not queued:
+        if not size:
             outcome = "exhausted"
             break
         if time.perf_counter() - t0 > cfg.time_limit:
@@ -350,7 +362,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
             outcome = "budget"
             break
 
-        uid = open_list.pop()
+        uid = pop()
         if emit:
             emit(("extract", uid, fs[uid]))
 
@@ -381,9 +393,10 @@ def run_search(problem: Problem, cfg: SearchConfig,
                     emit(("duplicate", uid))
             else:
                 g, h = gs[uid] + 1, h_fn(sample.successor)
-                f = f_value(g, h, 0, mode, rect)
+                f = g + (h + r0) if sa else h + r0
                 child = add(uid, g, h, f, sample.successor, sample.decision)
-                open_list.push(f, child)
+                push(f, child)
+                size += 1
                 if emit:
                     emit(("insert", child, f))
         else:
@@ -391,16 +404,17 @@ def run_search(problem: Problem, cfg: SearchConfig,
                 emit(("fail", uid))
 
         n = ns[uid] = n + 1
-        f = fs[uid] = f_value(gs[uid], hs[uid], n, mode, rect)
+        f = fs[uid] = gs[uid] + (hs[uid] + rect(n)) if sa else hs[uid] + rect(n)
         if sample.exhausted:
+            size -= 1
             if emit:
                 emit(("drop", uid))
         else:
-            open_list.push(f, uid)
+            push(f, uid)
             if emit:
                 emit(("reinsert", uid, f))
-        if len(queued) > peak_open:
-            peak_open = len(queued)
+        if size > peak_open:
+            peak_open = size
 
     plan = reconstruct_plan(TreeNode(tree, goal_uid)) if goal_uid is not None else None
     return SearchResult(

@@ -120,10 +120,14 @@ class TestSolve:
     def test_assertions_flag_reports_a_broken_open_list(
             self, counters_file, capsys, monkeypatch, mode):
         def pop_largest(open_list):
-            entry = max(open_list._heap)
-            open_list._heap.remove(entry)
-            heapq.heapify(open_list._heap)
-            return entry[1] & ((1 << cvplan.search.UID_BITS) - 1)
+            f = max(open_list._buckets)
+            head, uids = open_list._buckets[f]
+            uid = uids.pop()
+            if len(uids) == head:
+                del open_list._buckets[f]
+                open_list._fs.remove(f)
+                heapq.heapify(open_list._fs)
+            return uid
 
         monkeypatch.setattr(cvplan.search.OpenList, "pop", pop_largest)
         code = main(["solve", counters_file, "--algo", mode, "--assert", "on",

@@ -282,6 +282,24 @@ def test_validate_reports_deep_nesting():
     assert err.message == "nesting too deep"
 
 
+def test_serialize_writes_trees_at_any_depth():
+    """serialize_problem writes a 3000-deep sum and 3000-deep and/not
+    preconditions; parse_problem answers that text with a diagnostic."""
+    expr = Var("x")
+    conj = neg = leaf = Cmp(Sub(Var("x"), Const(1.0)), "<")
+    for _ in range(3000):
+        expr, conj, neg = Add(expr, Const(1.0)), And((conj,)), Not(neg)
+    # the effect assigns the sum too, so the first text holds it twice
+    for pre, head, count in ((Cmp(Sub(expr, Const(5000.0)), "<"), "(+ ", 6000),
+                             (conj, "(and ", 3000), (neg, "(not ", 3000)):
+        p = Problem("deep", (), ("x",), (), (Action("a", pre, Effect((), (("x", expr),))),),
+                    State({}, {"x": 0.0}), leaf)
+        text = serialize_problem(p)
+        assert text.count(head) == count
+        (err,) = parse_err(text)
+        assert err.message == "nesting too deep"
+
+
 def test_parse_reports_every_semantic_error():
     text = ("(problem p (bools b) (nums (x 0) (x 1)) (controls (u 0 1) (w 3 2))\n"
             "  (action a (pre (>= z 0)) (eff (assign u 1)))\n"
