@@ -19,13 +19,12 @@ the controls or in the layout, raises ModelError where its read would.
 from __future__ import annotations
 
 import math
-import struct
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from .model import (
     _EMPTY, Action, Add, And, BoolEq, Cmp, Const, Constraint, ControlValuation,
     KEY_DIGITS, Layout, ModelError, Mul, Neg, Not, NumericExpr, Or, Pow, Problem, State,
-    Sub, Var, _packed_by_name, conjuncts, layout_of, reads_control,
+    Sub, Var, conjuncts, key_by_name, layout_of, reads_control,
 )
 from .sampling import _MAX_GRID_DIGITS, snap
 
@@ -335,30 +334,26 @@ def compile_goal_count(goal: Constraint, layout: Layout) -> Callable[[State], fl
     return em.build("state, c=_EMPTY")
 
 
-def compile_state_key(problem: Problem) -> Callable[[State], Union[bytes, tuple]]:
+def compile_state_key(problem: Problem) -> Callable[[State], tuple]:
     """`(state) -> model.state_key(state, problem)`. A state in the
-    problem's layout whose booleans are all True or False packs them and
-    each numeric rounded inline as round_half_away rounds a finite value.
-    floor raises on an infinite or nan value and the pack on an int beyond
-    int64; such a state, one with another value in a boolean slot, or one
-    in another layout keys by name, which packs or keeps the tuple."""
+    problem's layout has its booleans as they are and each numeric rounded
+    inline as round_half_away rounds a finite value; floor raises on an
+    infinite or nan one, and such a state, or one in another layout, keys
+    through key_by_name."""
     layout = layout_of(tuple(problem.bools), tuple(problem.nums))
     em = _Emitter(layout)
     em.reads.update("bn")
-    slow = f"return {em.const(_packed_by_name)}(state, {em.const(problem)})"
+    slow = f"return {em.const(key_by_name)}(state, {em.const(problem)})"
     em.emit(0, f"if state.layout is not {em.const(layout)}: {slow}")
     scale, floor = em.const(10 ** KEY_DIGITS), em.const(math.floor)
     em.emit(0, "try:")
-    fields = []
-    for i in range(len(layout.bools)):
-        em.emit(1, f"f{i} = b[{i}]")
-        em.emit(1, f"if f{i} is not True and f{i} is not False: {slow}")
-        fields.append(f"f{i}")
+    rounded = []
     for i in range(len(layout.nums)):
         em.emit(1, f"s{i} = n[{i}] * {scale}")
-        fields.append(f"{floor}(s{i} + 0.5) if s{i} >= 0 else -{floor}(0.5 - s{i})")
-    em.emit(1, f"return {em.const(problem._key_struct.pack)}({', '.join(fields)})")
-    em.emit(0, f"except (OverflowError, ValueError, {em.const(struct.error)}):")
+        rounded.append(f"{floor}(s{i} + 0.5) if s{i} >= 0 else -{floor}(0.5 - s{i})")
+    nums = _tuple(rounded)
+    em.emit(1, f"return {('b + ' + nums if rounded else 'b') if layout.bools else nums}")
+    em.emit(0, "except (OverflowError, ValueError):")
     em.emit(1, slow)
     return em.build("state")
 

@@ -11,7 +11,6 @@ epsilon is applied anywhere in the semantics.
 from __future__ import annotations
 
 import math
-import struct
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -338,14 +337,9 @@ class Problem(_Cached):
         return _PerLayout(partial(compile_goal_count, self.goal))
 
     @cached_property
-    def _state_key(self) -> Callable[[State], Union[bytes, tuple]]:
+    def _state_key(self) -> Callable[[State], tuple]:
         from .codegen import compile_state_key
         return compile_state_key(self)
-
-    @cached_property
-    def _key_struct(self) -> struct.Struct:
-        """The packed form of a key: a bool per boolean, an int64 per numeric."""
-        return struct.Struct("<" + "?" * len(self.bools) + "q" * len(self.nums))
 
     @cached_property
     def _packable(self) -> bool:
@@ -463,41 +457,18 @@ def round_half_away(value: float, digits: int, scale: Optional[int] = None):
     return magnitude if scaled >= 0 else -magnitude
 
 
-#: the values a boolean slot of a packed key may hold: those equal to True
-#: or False, as a tuple compares them
-_KEY_BOOLS = frozenset((False, True))
-
-
-def state_key(state: State, problem: Problem) -> Union[bytes, tuple]:
-    """Canonical, opaque hashable key. Two states' keys are equal exactly
-    when their key_by_name tuples are.
-
-    The key is that tuple packed by problem._key_struct, or the tuple itself
-    where packing could make unequal tuples equal: a boolean slot holding a
-    value equal to neither True nor False, or a rounded numeric beyond int64
-    or non-finite (a repr string). A state in the problem's layout keys
-    through a function compiled for the problem; others go by name.
-    """
+def state_key(state: State, problem: Problem) -> tuple:
+    """Canonical hashable key: the tuple key_by_name(state, problem), built
+    inline by a function compiled for the problem when the state is in the
+    problem's layout with finite numerics, by name otherwise. The search
+    stores no key: search.uid_table rebuilds a node's key from the tree."""
     return problem._state_key(state)
 
 
-def _packed_by_name(state: State, problem: Problem) -> Union[bytes, tuple]:
-    """state_key, reading each declared variable by name: the way for
-    states in a layout other than the problem's, and for values the
-    compiled key does not pack."""
-    key = key_by_name(state, problem)
-    try:
-        if _KEY_BOOLS.issuperset(key[:len(problem.bools)]):
-            return problem._key_struct.pack(*key)
-    except (TypeError, struct.error):
-        pass
-    return key
-
-
 def key_by_name(state: State, problem: Problem) -> tuple:
-    """The reference key, reading each declared variable by name: the
-    booleans in problem.bools order, then the numerics in problem.nums
-    order, rounded to KEY_DIGITS digits as round_half_away rounds them."""
+    """state_key, reading each declared variable by name: the booleans in
+    problem.bools order, then the numerics in problem.nums order, rounded
+    to KEY_DIGITS digits as round_half_away rounds them."""
     bools, nums = state.bools, state.nums
     try:
         return (*[bools[name] for name in problem.bools],

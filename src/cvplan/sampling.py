@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .model import Decision, Problem, State, liveness, round_half_away, try_apply
+from .model import Decision, Problem, State, round_half_away, try_apply
 
 SAMPLER_KINDS = ("systematic", "uniform", "heuristic")
 
@@ -39,7 +39,7 @@ _MAX_GRID_DIGITS = sys.float_info.max_10_exp
 _CLOCK_EVERY = 256
 
 
-@dataclass
+@dataclass(slots=True)
 class SampleOutcome:
     """Result of one sampling call.
 
@@ -146,7 +146,7 @@ def sample_systematic(state: State, start: int, problem: Problem,
     dims = len(problem.controls)
     if n_actions == 0 or (dims == 0 and start >= n_actions):
         return SampleOutcome(exhausted=True)
-    alive = liveness(state, problem)
+    alive = problem._liveness[state.layout](state)
     draw = problem._draw[grid_digits]
     trials = 0
     next_check = _CLOCK_EVERY if deadline is not None else -1
@@ -188,7 +188,7 @@ def sample_uniform(state: State, problem: Problem, rng: random.Random,
     _CLOCK_EVERY draws, and a call found past it fails with the trials it
     made.
     """
-    alive = liveness(state, problem)
+    alive = problem._liveness[state.layout](state)
     if not any(alive):
         return SampleOutcome(exhausted=True)
     actions, apply = problem.actions, try_apply
@@ -270,20 +270,18 @@ def make_sampler(cfg, problem: Problem,
     """Bind the sampler a SearchConfig names to a problem:
     (state, start, rng, deadline=None) -> SampleOutcome, start being the
     trials already spent on the node (read by the systematic sampler only)."""
+    budget, digits = cfg.reject_budget, cfg.grid_digits
     if cfg.sampler == "systematic":
         def sampler(state, start, rng, deadline=None):
-            return sample_systematic(state, start, problem,
-                                     cfg.reject_budget, cfg.grid_digits, deadline)
+            return sample_systematic(state, start, problem, budget, digits, deadline)
     elif cfg.sampler == "uniform":
         def sampler(state, start, rng, deadline=None):
-            return sample_uniform(state, problem, rng,
-                                  cfg.reject_budget, cfg.grid_digits, deadline)
+            return sample_uniform(state, problem, rng, budget, digits, deadline)
     elif cfg.sampler == "heuristic":
         if h is None:
             raise ValueError("heuristic sampling needs a heuristic")
         def sampler(state, start, rng, deadline=None):
-            return sample_heuristic(state, problem, h, rng,
-                                    cfg.reject_budget, cfg.grid_digits,
+            return sample_heuristic(state, problem, h, rng, budget, digits,
                                     cfg.beta, cfg.eps, cfg.candidates, deadline)
     else:
         raise ValueError(f"unknown sampler kind: {cfg.sampler!r}")

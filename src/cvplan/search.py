@@ -12,12 +12,13 @@ partially expanded; priorities are
 
 with g the number of actions from the root and r one of the rectifiers below
 (r(0) = 0, strictly increasing). Goal states are recognized when extracted,
-not when generated. Duplicate successors (by canonical state key) are
-discarded, and a node the sampler reports exhausted (a finite decision set
-enumerated, or a state where no action can apply) is removed instead of
+not when generated. A node the sampler reports exhausted (a finite decision
+set enumerated, or a state where no action can apply) is removed instead of
 reinserted, so searches over purely finite spaces terminate. The queue,
 OpenList, keeps one array of uids per queued f: f takes few distinct values,
-so a queued node costs about one 8-byte slot.
+so a queued node costs about one 8-byte slot. Duplicate successors (by
+canonical state key) are discarded; uid_table finds them keeping no key,
+only each node's hash, and rebuilds a node's key from the tree on a match.
 
 run_mcts implements the baseline: UCT with progressive widening, which caps
 a node's children at ceil(k * visits**alpha) so sampling can widen the tree
@@ -33,7 +34,7 @@ import struct
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .model import Decision, Problem, State, goal_test, make_heuristic, state_key
 from .sampling import make_sampler, sample_uniform
@@ -41,9 +42,9 @@ from .sampling import make_sampler, sample_uniform
 #: priority rectifiers by CLI tag; each maps the partial-expansion counter
 #: n >= 0 to a nonnegative increment with r(0) = 0
 RECTIFIERS: Dict[str, Callable[[int], float]] = {
-    "lin": lambda n: float(n),
+    "lin": float,
     "qua": lambda n: float(n * n),
-    "log": lambda n: math.log1p(n),
+    "log": math.log1p,
 }
 
 MODES = ("sg", "sa")
@@ -244,6 +245,37 @@ class OpenList:
         return sum(len(uids) - head for head, uids in self._buckets.values())
 
 
+def uid_table(key: Callable[[int], Hashable]) -> Callable[[Hashable], int]:
+    """Duplicate detection over uids 0, 1, 2, ... keeping no key: key(uid)
+    recomputes uid's key. add(k) returns the uid of an added key equal to
+    k, or -1 after adding k under the next uid. The table is an array("q")
+    of uids, -1 where empty, power-of-two sized, at most half full (it grows
+    fourfold) and probed linearly from hash & mask; hashes holds each uid's
+    hash, and keys are compared only where hashes are equal."""
+    hashes, slots, mask = array("q"), array("q", [-1]) * 8, 7
+
+    def add(k: Hashable) -> int:
+        nonlocal slots, mask
+        h = hash(k)
+        i = h & mask
+        while (uid := slots[i]) >= 0:
+            if hashes[uid] == h and key(uid) == k:
+                return uid
+            i = (i + 1) & mask
+        uid = slots[i] = len(hashes)
+        hashes.append(h)
+        if 2 * uid >= mask:
+            mask = 4 * mask + 3
+            slots = array("q", [-1]) * (mask + 1)
+            for uid, h in enumerate(hashes):
+                i = h & mask
+                while slots[i] >= 0:
+                    i = (i + 1) & mask
+                slots[i] = uid
+        return -1
+    return add
+
+
 @dataclass
 class SearchResult:
     """Outcome of one run.
@@ -332,8 +364,9 @@ def run_search(problem: Problem, cfg: SearchConfig,
     mode, rect = cfg.mode, RECTIFIERS[cfg.rectifier]
     sa, r0 = mode == "sa", rect(0)
     emit = trace.append if trace is not None else None
+    clock, limit = time.perf_counter, cfg.expansion_limit or math.inf
 
-    t0 = time.perf_counter()
+    t0 = clock()
     deadline = t0 + cfg.time_limit
     tree = SearchTree(problem._control_names, problem)
     add, state_at = tree.add, tree.state
@@ -343,10 +376,11 @@ def run_search(problem: Problem, cfg: SearchConfig,
     open_list = OpenList()
     push, pop = open_list.push, open_list.pop
     push(fs[root], root)
-    seen = {state_key(problem.init, problem)} if cfg.duplicate_detection else None
+    seen = cfg.duplicate_detection and uid_table(lambda uid: problem._state_key(state_at(uid)))
+    if seen:
+        seen(state_key(problem.init, problem))
 
-    expansions = 0
-    reexpansions = 0
+    expansions = reexpansions = 0
     peak_open = size = 1
     outcome = None
     goal_uid: Optional[int] = None
@@ -355,10 +389,10 @@ def run_search(problem: Problem, cfg: SearchConfig,
         if not size:
             outcome = "exhausted"
             break
-        if time.perf_counter() - t0 > cfg.time_limit:
+        if clock() > deadline:
             outcome = "timeout"
             break
-        if cfg.expansion_limit is not None and expansions >= cfg.expansion_limit:
+        if expansions >= limit:
             outcome = "budget"
             break
 
@@ -382,13 +416,9 @@ def run_search(problem: Problem, cfg: SearchConfig,
 
         sample = sampler(state, trials[uid], rng, deadline)
         trials[uid] += sample.trials
-        if sample.ok:
-            duplicate = False
-            if seen is not None:
-                child_key = state_key(sample.successor, problem)
-                duplicate = child_key in seen
-                seen.add(child_key)
-            if duplicate:
+        if sample.successor is not None:
+            # a new key's uid in seen is the one add gives the child next
+            if seen and seen(state_key(sample.successor, problem)) >= 0:
                 if emit:
                     emit(("duplicate", uid))
             else:
@@ -423,7 +453,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
         expansions=expansions,
         reexpansions=reexpansions,
         peak_open=peak_open,
-        time_s=time.perf_counter() - t0,
+        time_s=clock() - t0,
         root=TreeNode(tree, root),
     )
 

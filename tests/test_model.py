@@ -514,9 +514,9 @@ def keyed_states(draw):
 @settings(max_examples=500, deadline=None)
 @given(keyed_states())
 def test_state_key_matches_reference(case):
-    """Packed or not, keys compare as key_by_name's tuples and the old
-    name-sorted keys do, whichever path (compiled for the problem's layout,
-    or by name) made them."""
+    """Keys compare as key_by_name's tuples and the old name-sorted keys
+    do, whichever path (compiled for the problem's layout, or by name) made
+    them."""
     problem, a, b = case
     key_a, key_b = state_key(a, problem), state_key(b, problem)
     assert (key_a == key_b) is (key_by_name(a, problem) == key_by_name(b, problem))
@@ -524,10 +524,11 @@ def test_state_key_matches_reference(case):
     assert hash(key_a) is not None and hash(key_b) is not None
 
 
-def test_key_packs_unless_that_could_merge_keys():
+def test_key_is_the_reference_tuple():
+    """The compiled key builds key_by_name's tuple, and hands the states it
+    cannot round inline, or that are in another layout, to key_by_name."""
     problem = key_problem(("p",), ("x",))
-    assert state_key(State(bools={"p": True}, nums={"x": 1.5}), problem) == (
-        struct.pack("<?q", True, 1_500_000))
+    assert state_key(State(bools={"p": True}, nums={"x": 1.5}), problem) == (True, 1_500_000)
     assert state_key(State(bools={"p": 1}, nums={"x": 1.5}), problem) == (
         state_key(State(bools={"p": True}, nums={"x": 1.5}), problem))
     for bools, nums in (({"p": 2}, {"x": 1.5}), ({"p": True}, {"x": math.inf}),
@@ -535,7 +536,8 @@ def test_key_packs_unless_that_could_merge_keys():
         state = State(bools=bools, nums=nums)
         # in the problem's layout, and in one with an undeclared variable
         for twin in (state, State(bools=bools, nums={**nums, "z": 0.0})):
-            assert state_key(twin, problem) == key_by_name(state, problem)
+            key = state_key(twin, problem)
+            assert type(key) is tuple and key == key_by_name(state, problem)
 
 
 def same_by_name(a, b) -> bool:
