@@ -5,11 +5,12 @@ constraint to `(state, controls) -> bool` and an expression to
 `(state, controls) -> float`; a problem's liveness to `(state) -> [bool]`
 and a goal's count of failed top-level conjuncts to `(state) -> float`.
 Each is compiled for one state layout and reads and writes the state's
-value tuples by constant index. The source is three-address code, exec'd
-once per object and layout; model caches the function on the object and
-imports this module on the first evaluation, so importing cvplan does not
-pay for it. A problem's state key compiles once, for the problem's layout,
-and its control draw once per grid.
+value tuples by constant index. The source is three-address code that
+nests no `if` in another, written by walks that keep their own stacks, so a
+tree of any depth compiles. It is exec'd once per object and layout; model
+caches the function on the object and imports this module on the first
+evaluation, so importing cvplan does not pay for it. A problem's state key
+compiles once, for the problem's layout, and its control draw once per grid.
 The code does the float operations the tree spells, in the tree's order:
 left operands first, `and`/`or` short-circuiting left to right, `BoolEq` as
 an `is` test and `Pow` through _pow_limit. A variable that is unbound, in
@@ -30,11 +31,6 @@ from .sampling import _MAX_GRID_DIGITS, snap
 
 #: the Python spelling of each comparison against zero
 _CMP_SOURCE = {"<": "<", "<=": "<=", "=": "==", ">=": ">=", ">": ">"}
-
-#: and/or nested deeper than this under or/not moves into a helper function,
-#: well below the tokenizer's limit of 100 indentation levels
-_MAX_INDENT = 40
-
 
 def _pow_limit(base: float, exponent: int) -> float:
     """base ** exponent where that raised OverflowError.
@@ -62,8 +58,9 @@ def _unbound(exc: KeyError, bool_names: frozenset) -> ModelError:
 class _Emitter:
     """Python source for one compiled function `(state, c)` over states of
     one layout, as three-address code: each interior expression node gets a
-    local of its own, so the source nests no parentheses however deep the
-    tree.
+    local of its own, and each line runs under no `if` or under the current
+    guard, one `if` at the top level of the body, so neither parentheses nor
+    indentation grow with the tree's depth.
 
     Constants, exponents and names that are not str reach the code through
     the tuple K, never as literals; str names enter only as repr() dict
@@ -78,11 +75,18 @@ class _Emitter:
         self.bool_names: set = set()
         self.reads: set = set()          # which of "b" and "n" the body reads
         self.lines: List[str] = []
-        self.helpers: List[List[str]] = []
+        self._guard: Optional[str] = None  # the test the next lines run under
+        self._block: Optional[str] = None  # the test of the open `if`, if any
         self._temps = 0
 
-    def emit(self, indent: int, text: str):
-        self.lines.append("    " * indent + text)
+    def emit(self, text: str, depth: int = 0):
+        """Append a line depth levels into the current guard's block, which
+        opens when the guard changed or its local was reassigned."""
+        if self._guard != self._block:
+            self._block = self._guard
+            if self._guard is not None:
+                self.lines.append(f"if {self._guard}:")
+        self.lines.append("    " * (depth + (self._guard is not None)) + text)
 
     def const(self, value) -> str:
         index = self._const_index.get(id(value))
@@ -109,13 +113,16 @@ class _Emitter:
         absent name. Reads by index cannot, and the state cannot change."""
         return operand.startswith(("c[", "_absent("))
 
-    def assign(self, indent: int, source: str) -> str:
+    def local(self) -> str:
         self._temps += 1
-        local = f"t{self._temps}"
-        self.emit(indent, f"{local} = {source}")
+        return f"t{self._temps}"
+
+    def assign(self, source: str) -> str:
+        local = self.local()
+        self.emit(f"{local} = {source}")
         return local
 
-    def expr(self, root: NumericExpr, indent: int) -> str:
+    def expr(self, root: NumericExpr) -> str:
         """Emit root's evaluation; return the operand that holds its value.
 
         The walk keeps its own stack, so trees of any depth compile.
@@ -135,94 +142,95 @@ class _Emitter:
                 elif phase == 1:
                     # look a left-hand variable up before the right side runs
                     if self.may_raise(operands[-1]) and not isinstance(node.rhs, (Const, Var)):
-                        operands.append(self.assign(indent, operands.pop()))
+                        operands.append(self.assign(operands.pop()))
                     stack += ((node, 2), (node.rhs, 0))
                 else:
                     rhs, lhs = operands.pop(), operands.pop()
                     op = "+" if isinstance(node, Add) else "-" if isinstance(node, Sub) else "*"
-                    operands.append(self.assign(indent, f"{lhs} {op} {rhs}"))
+                    operands.append(self.assign(f"{lhs} {op} {rhs}"))
             elif isinstance(node, Neg):
                 if phase == 0:
                     stack += ((node, 1), (node.arg, 0))
                 else:
-                    operands.append(self.assign(indent, f"-{operands.pop()}"))
+                    operands.append(self.assign(f"-{operands.pop()}"))
             elif isinstance(node, Pow):
                 if phase == 0:
                     stack += ((node, 1), (node.base, 0))
                 else:
                     base, exponent = operands.pop(), self.const(node.exponent)
-                    self.emit(indent, "try:")
-                    local = self.assign(indent + 1, f"{base} ** {exponent}")
-                    self.emit(indent, "except OverflowError:")
-                    self.emit(indent + 1, f"{local} = _pow_limit({base}, {exponent})")
+                    local = self.local()
+                    self.emit("try:")
+                    self.emit(f"{local} = {base} ** {exponent}", 1)
+                    self.emit("except OverflowError:")
+                    self.emit(f"{local} = _pow_limit({base}, {exponent})", 1)
                     operands.append(local)
             else:
                 raise ModelError(f"not a numeric expression: {node!r}")
         return operands[0]
 
-    def _compare(self, con: Cmp, indent: int) -> str:
+    def _compare(self, con: Cmp) -> str:
         op = _CMP_SOURCE.get(con.op)
         if op is None:
             raise ModelError(f"unknown comparison operator: {con.op!r}")
-        return f"{self.expr(con.expr, indent)} {op} 0"
+        return f"{self.expr(con.expr)} {op} 0"
 
     def _flag(self, con: BoolEq) -> str:
         self.bool_names.add(con.name)
         return f"{self.read(con.name, 'b')} is {self.const(con.value)}"
 
-    def require(self, con: Constraint, indent: int, fail: str):
-        """Emit code that runs the statement `fail` unless con holds."""
-        if isinstance(con, And):
-            for item in con.items:
-                self.require(item, indent, fail)
-        elif isinstance(con, Cmp):
-            self.emit(indent, f"if not {self._compare(con, indent)}: {fail}")
-        elif isinstance(con, BoolEq):
-            self.emit(indent, f"if not {self._flag(con)}: {fail}")
-        else:
-            self.emit(indent, f"if not {self.truth(con, indent)}: {fail}")
+    def require(self, con: Constraint, fail: str):
+        """Emit code that runs the statement `fail` unless con holds: one
+        test per top-level conjunct."""
+        for item in conjuncts(con):
+            test = (self._compare(item) if isinstance(item, Cmp)
+                    else self._flag(item) if isinstance(item, BoolEq) else self.truth(item))
+            self.emit(f"if not {test}: {fail}")
 
-    def truth(self, con: Constraint, indent: int) -> str:
-        """Emit con's evaluation; return the local that holds its truth."""
-        if isinstance(con, Cmp):
-            return self.assign(indent, self._compare(con, indent))
-        if isinstance(con, BoolEq):
-            return self.assign(indent, self._flag(con))
-        if isinstance(con, Not):
-            return self.assign(indent, f"not {self.truth(con.item, indent)}")
-        if not isinstance(con, (And, Or)):
-            raise ModelError(f"not a constraint: {con!r}")
-        if not con.items:
-            return self.assign(indent, "True" if isinstance(con, And) else "False")
-        if indent >= _MAX_INDENT:
-            return self.assign(indent, f"{self._helper(con)}(b, n, c)")
-        result = self.truth(con.items[0], indent)
-        guard = f"if {result}:" if isinstance(con, And) else f"if not {result}:"
-        for item in con.items[1:]:
-            self.emit(indent, guard)
-            item_truth = self.truth(item, indent + 1)
-            self.emit(indent + 1, f"{result} = {item_truth}")
-        return result
+    def truth(self, root: Constraint) -> str:
+        """Emit root's evaluation; return the local that holds its truth.
 
-    def _helper(self, con: Constraint) -> str:
-        """Name of a new function of (b, n, c) that tests con."""
-        self._temps += 1
-        name = f"h{self._temps}"
-        outer, self.lines = self.lines, []
-        self.emit(0, f"def {name}(b, n, c):")
-        self.require(con, 1, "return False")
-        self.emit(1, "return True")
-        self.helpers.append(self.lines)
-        self.lines = outer
-        self.reads.update("bn")
-        return name
+        The walk keeps its own stack. An and/or node's local starts, under
+        no guard, as the value of the test the node runs under, negated for
+        an or; each item then runs under the test `local` (`not local` for
+        an or) and stores its truth there, so the items short-circuit left
+        to right and a node whose own test fails leaves them all unrun.
+        """
+        truths: List[str] = []
+        stack: list = [("visit", root, None)]
+        while stack:
+            step, node, self._guard = stack.pop()
+            if step == "not":                    # the item of not node is done
+                truths.append(self.assign(f"not {truths.pop()}"))
+            elif step == "store":                # an and/or item is done; node is its local
+                self.emit(f"{node} = {truths.pop()}")
+                self._block = None               # the guard reads node: test it again
+            elif isinstance(node, Cmp):
+                truths.append(self.assign(self._compare(node)))
+            elif isinstance(node, BoolEq):
+                truths.append(self.assign(self._flag(node)))
+            elif isinstance(node, Not):
+                stack += (("not", node, self._guard), ("visit", node.item, self._guard))
+            elif isinstance(node, (And, Or)):
+                test = self._guard or "True"
+                if isinstance(node, Or):
+                    test = ("False" if test == "True" else test[4:] if test[:4] == "not "
+                            else "not " + test)
+                self._guard = None
+                local = self.assign(test)
+                truths.append(local)
+                inner = local if isinstance(node, And) else f"not {local}"
+                for item in reversed(node.items):
+                    stack += (("store", local, inner), ("visit", item, inner))
+            else:
+                raise ModelError(f"not a constraint: {node!r}")
+        self._guard = None
+        return truths[0]
 
     def build(self, params: str = "state, c") -> Callable:
         """exec the source written so far and return the function."""
         bool_names = self.const(frozenset(self.bool_names))
         src = ["def _make(K):",
                f"    {', '.join(f'k{i}' for i in range(len(self.consts)))}, = K"]
-        src += ["    " + line for helper in self.helpers for line in helper]
         src.append(f"    def run({params}):")
         src += [f"        {m} = state.{'bool_values' if m == 'b' else 'num_values'}"
                 for m in sorted(self.reads)]
@@ -240,15 +248,15 @@ class _Emitter:
 def _compile_expr(expr: NumericExpr,
                   layout: Layout) -> Callable[[State, ControlValuation], float]:
     em = _Emitter(layout)
-    em.emit(0, f"return {em.expr(expr, 0)}")
+    em.emit(f"return {em.expr(expr)}")
     return em.build()
 
 
 def _compile_constraint(con: Constraint,
                         layout: Layout) -> Callable[[State, ControlValuation], bool]:
     em = _Emitter(layout)
-    em.require(con, 0, "return False")
-    em.emit(0, "return True")
+    em.require(con, "return False")
+    em.emit("return True")
     return em.build()
 
 
@@ -265,7 +273,7 @@ def _compile_action(action: Action,
     the layout lacks extends the successor's layout, as it would extend a
     dict: appended at its first assignment, the last assignment winning."""
     em = _Emitter(layout)
-    em.require(action.precondition, 0, "return None")
+    em.require(action.precondition, "return None")
     em.reads.update("bn")
     bools = {name: f"b[{i}]" for i, name in enumerate(layout.bools)}
     for name, value in action.effect.bool_assigns:
@@ -273,14 +281,14 @@ def _compile_action(action: Action,
     nums = {name: f"n[{i}]" for i, name in enumerate(layout.nums)}
     for name, expr in action.effect.num_assigns:
         # all right-hand sides read the pre-state, evaluated in this order
-        value = em.expr(expr, 0)
-        nums[name] = em.assign(0, value) if em.may_raise(value) else value
+        value = em.expr(expr)
+        nums[name] = em.assign(value) if em.may_raise(value) else value
     successor = layout_of(tuple(bools), tuple(nums))
-    em.emit(0, "s = _new(State)")
-    em.emit(0, f"s.layout = {em.const(successor)}")
-    em.emit(0, f"s.bool_values = {_tuple(bools.values()) if action.effect.bool_assigns else 'b'}")
-    em.emit(0, f"s.num_values = {_tuple(nums.values()) if action.effect.num_assigns else 'n'}")
-    em.emit(0, "return s")
+    em.emit("s = _new(State)")
+    em.emit(f"s.layout = {em.const(successor)}")
+    em.emit(f"s.bool_values = {_tuple(bools.values()) if action.effect.bool_assigns else 'b'}")
+    em.emit(f"s.num_values = {_tuple(nums.values()) if action.effect.num_assigns else 'n'}")
+    em.emit("return s")
     return em.build()
 
 
@@ -292,8 +300,8 @@ def compile_liveness(problem: Problem, layout: Layout) -> Callable[[State], List
     tests = []
     for action in problem.actions:
         free = [con for con in conjuncts(action.precondition) if not reads_control(con)]
-        tests.append(f"{em._helper(And(tuple(free)))}(b, n, _EMPTY)" if free else "True")
-    em.emit(0, f"return [{', '.join(tests)}]")
+        tests.append(em.truth(And(tuple(free))) if free else "True")
+    em.emit(f"return [{', '.join(tests)}]")
     return em.build("state")
 
 
@@ -312,12 +320,12 @@ def compile_draw(problem: Problem, digits: int) -> Callable[..., Dict[str, float
     for name, lower, width in box:
         value = f"{em.const(lower)} + {em.const(width)} * u()"
         if inline:
-            t = em.assign(0, f"({value}) * {k_scale}")
+            t = em.assign(f"({value}) * {k_scale}")
             value = f"({floor}({t} + 0.5) if {t} >= 0 else -{floor}(0.5 - {t})) / {k_scale}"
         elif scale is not None:
             value = f"{em.const(snap)}({value}, {em.const(digits)}, {k_scale})"
-        items.append(f"{em.key(name)}: {em.assign(0, value)}")
-    em.emit(0, f"return {{{', '.join(items)}}}")
+        items.append(f"{em.key(name)}: {em.assign(value)}")
+    em.emit(f"return {{{', '.join(items)}}}")
     return em.build("u")
 
 
@@ -325,12 +333,12 @@ def compile_goal_count(goal: Constraint, layout: Layout) -> Callable[[State], fl
     """`(state) -> float`: how many of goal's top-level conjuncts fail in
     state, each tested in order as goal_test would test it."""
     em = _Emitter(layout)
-    em.emit(0, "u = 0")
+    em.emit("u = 0")
     parts = list(conjuncts(goal))
     for con in parts:
-        em.require(con, 0, "u += 1")
+        em.require(con, "u += 1")
     # one float object per count, shared by every state that has it
-    em.emit(0, f"return {em.const(tuple(float(u) for u in range(len(parts) + 1)))}[u]")
+    em.emit(f"return {em.const(tuple(float(u) for u in range(len(parts) + 1)))}[u]")
     return em.build("state, c=_EMPTY")
 
 
@@ -344,17 +352,17 @@ def compile_state_key(problem: Problem) -> Callable[[State], tuple]:
     em = _Emitter(layout)
     em.reads.update("bn")
     slow = f"return {em.const(key_by_name)}(state, {em.const(problem)})"
-    em.emit(0, f"if state.layout is not {em.const(layout)}: {slow}")
+    em.emit(f"if state.layout is not {em.const(layout)}: {slow}")
     scale, floor = em.const(10 ** KEY_DIGITS), em.const(math.floor)
-    em.emit(0, "try:")
+    em.emit("try:")
     rounded = []
     for i in range(len(layout.nums)):
-        em.emit(1, f"s{i} = n[{i}] * {scale}")
+        em.emit(f"s{i} = n[{i}] * {scale}", 1)
         rounded.append(f"{floor}(s{i} + 0.5) if s{i} >= 0 else -{floor}(0.5 - s{i})")
     nums = _tuple(rounded)
-    em.emit(1, f"return {('b + ' + nums if rounded else 'b') if layout.bools else nums}")
-    em.emit(0, "except (OverflowError, ValueError):")
-    em.emit(1, slow)
+    em.emit(f"return {('b + ' + nums if rounded else 'b') if layout.bools else nums}", 1)
+    em.emit("except (OverflowError, ValueError):")
+    em.emit(slow, 1)
     return em.build("state")
 
 

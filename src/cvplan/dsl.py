@@ -47,7 +47,7 @@ class SourceSpan:
 #: span used for diagnostics about problems built programmatically
 SYNTHETIC_SPAN = SourceSpan(0, 0, 1, 1)
 
-#: the error of a problem whose trees nest deeper than Python's recursion limit
+#: the error of a problem text that nests deeper than the parser's recursion reaches
 _TOO_DEEP = "nesting too deep"
 
 
@@ -468,75 +468,60 @@ def _iv_pow(a, k):
 
 
 def _expr_interval(expr: NumericExpr, box: Dict[str, Tuple[float, float]]):
-    """Interval of possible values with state variables unconstrained."""
-    if isinstance(expr, Const):
-        return (expr.value, expr.value)
-    if isinstance(expr, Var):
-        if expr.kind == "control":
-            return box.get(expr.name, _FULL)
-        return _FULL
-    if isinstance(expr, (Add, Sub, Mul)):
-        combine = (_iv_add if isinstance(expr, Add)
-                   else _iv_sub if isinstance(expr, Sub) else _iv_mul)
-        return combine(_expr_interval(expr.lhs, box), _expr_interval(expr.rhs, box))
-    if isinstance(expr, Neg):
-        lo, hi = _expr_interval(expr.arg, box)
-        return (-hi, -lo)
-    if isinstance(expr, Pow):
-        return _iv_pow(_expr_interval(expr.base, box), expr.exponent)
-    return _FULL
+    """Interval of possible values with state variables unconstrained. The
+    walk meets every node after its operands and keeps their intervals on a
+    stack, so any depth works."""
+    values = []
+    for node in reversed(list(iter_exprs(expr))):
+        if isinstance(node, Const):
+            values.append((node.value, node.value))
+        elif isinstance(node, Var):
+            values.append(box.get(node.name, _FULL) if node.kind == "control" else _FULL)
+        elif isinstance(node, (Add, Sub, Mul)):
+            combine = (_iv_add if isinstance(node, Add)
+                       else _iv_sub if isinstance(node, Sub) else _iv_mul)
+            values.append(combine(values.pop(), values.pop()))
+        elif isinstance(node, Neg):
+            lo, hi = values.pop()
+            values.append((-hi, -lo))
+        elif isinstance(node, Pow):
+            values.append(_iv_pow(values.pop(), node.exponent))
+        else:
+            values.append(_FULL)
+    return values[0]
 
 
 def _fold_constraint(con: Constraint, box) -> Optional[bool]:
-    """Three-valued fold: True / False only when certain, else None."""
-    if isinstance(con, Cmp):
-        lo, hi = _expr_interval(con.expr, box)
-        if con.op == "<":
-            if hi < 0:
-                return True
-            if lo >= 0:
-                return False
-        elif con.op == "<=":
-            if hi <= 0:
-                return True
-            if lo > 0:
-                return False
-        elif con.op == "=":
-            if lo == hi == 0:
-                return True
-            if lo > 0 or hi < 0:
-                return False
-        elif con.op == ">=":
-            if lo >= 0:
-                return True
-            if hi < 0:
-                return False
-        elif con.op == ">":
-            if lo > 0:
-                return True
-            if hi <= 0:
-                return False
-        return None
-    if isinstance(con, BoolEq):
-        return None
-    if isinstance(con, And):
-        vals = [_fold_constraint(c, box) for c in con.items]
-        if any(v is False for v in vals):
-            return False
-        if all(v is True for v in vals):
-            return True
-        return None
-    if isinstance(con, Or):
-        vals = [_fold_constraint(c, box) for c in con.items]
-        if any(v is True for v in vals):
-            return True
-        if all(v is False for v in vals):
-            return False
-        return None
-    if isinstance(con, Not):
-        v = _fold_constraint(con.item, box)
-        return None if v is None else not v
-    return None
+    """Three-valued fold: True / False only when certain, else None. The
+    walk meets every node after its items and keeps their values on a
+    stack, so any depth works."""
+    values: List[Optional[bool]] = []
+    for node in reversed(list(iter_constraints(con))):
+        value = None
+        if isinstance(node, Cmp):
+            lo, hi = _expr_interval(node.expr, box)
+            if node.op == "<":
+                value = True if hi < 0 else False if lo >= 0 else None
+            elif node.op == "<=":
+                value = True if hi <= 0 else False if lo > 0 else None
+            elif node.op == "=":
+                value = True if lo == hi == 0 else False if lo > 0 or hi < 0 else None
+            elif node.op == ">=":
+                value = True if lo >= 0 else False if hi < 0 else None
+            elif node.op == ">":
+                value = True if lo > 0 else False if hi <= 0 else None
+        elif isinstance(node, (And, Or)):
+            items = [values.pop() for _ in node.items]
+            decisive = isinstance(node, Or)     # the item value that settles the node
+            if any(v is decisive for v in items):
+                value = decisive
+            elif None not in items:
+                value = not decisive
+        elif isinstance(node, Not):
+            item = values.pop()
+            value = None if item is None else not item
+        values.append(value)
+    return values[0]
 
 
 def _finite_number(value) -> bool:
@@ -669,16 +654,12 @@ def validate(problem: Problem) -> List[Diagnostic]:
     Errors: duplicate declarations, bad control bounds, partial initial
     state, a non-finite initial value or constant, references to undeclared
     or wrongly typed variables, a control in the goal, effect targets
-    outside the declared sets or assigned twice, duplicate action names,
-    trees nested too deep to check.
+    outside the declared sets or assigned twice, duplicate action names.
     Warnings: precondition constant-folds to false over the control box,
     non-conjunction goal top level, equality precondition on a control
     variable (rejection sampling can never hit a measure-zero set).
     """
-    try:
-        return _check(problem, {})
-    except RecursionError:
-        return [Diagnostic("error", _TOO_DEEP, SYNTHETIC_SPAN)]
+    return _check(problem, {})
 
 
 # ---------------------------------------------------------------------------

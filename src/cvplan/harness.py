@@ -243,9 +243,7 @@ def load_suite(text: str) -> SuiteConfig:
                 cfg.workers = int(value)
             else:
                 raise ValueError(f"unknown key {key!r}")
-            # the run-level limits must pass the engine's own check
-            check_config(SearchConfig(time_limit=cfg.time_limit,
-                                      expansion_limit=cfg.expansion_limit))
+            check_suite(cfg)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if not cfg.instances:
@@ -253,6 +251,13 @@ def load_suite(text: str) -> SuiteConfig:
     if not cfg.algorithms:
         raise ValueError("suite config declares no algorithms")
     return cfg
+
+
+def check_suite(cfg: SuiteConfig) -> None:
+    """Raise ValueError if a suite's run-level limits or workers cannot be run."""
+    check_config(SearchConfig(time_limit=cfg.time_limit, expansion_limit=cfg.expansion_limit))
+    if cfg.workers < 1:
+        raise ValueError("workers must be at least 1")
 
 
 def run_algo(problem: Problem, config: SearchConfig | MctsConfig, seed: int,
@@ -303,6 +308,7 @@ def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
     """
     if not cfg.instances or not cfg.algorithms:
         raise ValueError("suite needs at least one instance and one algorithm")
+    check_suite(cfg)
     problems: List[Tuple[str, Optional[Problem], str]] = []
     for source in cfg.instances:
         try:

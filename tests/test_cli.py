@@ -280,6 +280,14 @@ class TestSuite:
                      "--workers", "2"]) == 0
         assert (out / "runs.csv").exists()
 
+    def test_workers_below_one(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(SUITE_CFG)
+        out = tmp_path / "out"
+        assert main(["suite", str(cfg), "-o", str(out), "--workers", "0"]) == 2
+        assert capsys.readouterr().err == "error: workers must be at least 1\n"
+        assert not out.exists()
+
 
 class TestReport:
     def test_table(self, suite_dir, capsys):

@@ -3,16 +3,18 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cvplan.search import MctsConfig, SearchConfig, run_mcts, run_search
 from cvplan.dsl import (
+    _FULL, _expr_interval, _fold_constraint, _iv_add, _iv_mul, _iv_pow, _iv_sub,
     Diagnostic, key_values, load_problem, parse_problem, serialize_plan,
     serialize_problem, validate,
 )
 from cvplan.domains import InstanceSpec, generate
 from cvplan.model import (
     Add, And, BoolEq, Cmp, Const, ControlVarSpec, Decision, Effect, Action,
-    Mul, Neg, Not, Or, Pow, Problem, State, Sub, Var,
+    CMP_OPS, Mul, Neg, Not, Or, Pow, Problem, State, Sub, TRUE, Var, iter_constraints,
 )
 
 COUNTERS_2 = """\
@@ -266,20 +268,139 @@ def test_validate_refuses_non_finite_numbers():
 
 def test_validate_reports_deep_nesting():
     """A 3000-deep sum, deeper than the parser reaches: run_search solves
-    it, and validate returns the error parse_problem gives deep text."""
+    it, validate answers as it does for the sum written shallow, and
+    parse_problem gives deep text an error."""
     expr = Var("x")
     for _ in range(3000):
         expr = Add(expr, Const(1.0))
-    p = Problem("deep", (), ("x",), (), (Action("a", Cmp(Sub(expr, Const(5000.0)), "<"),
-                                                Effect((), (("x", expr),))),),
-                State({}, {"x": 0.0}), Cmp(Sub(Var("x"), Const(3000.0)), ">="))
+
+    def problem(expr):
+        return Problem("deep", (), ("x",), (), (Action("a", Cmp(Sub(expr, Const(5000.0)), "<"),
+                                                       Effect((), (("x", expr),))),),
+                       State({}, {"x": 0.0}), Cmp(Sub(Var("x"), Const(3000.0)), ">="))
+    p = problem(expr)
     assert run_search(p, SearchConfig(seed=0, expansion_limit=10)).outcome == "solved"
-    (err,) = validate(p)
-    assert (err.severity, err.message) == ("error", "nesting too deep")
+    assert validate(p) == validate(problem(Add(Var("x"), Const(3000.0))))
     text = "(problem p (bools) (nums (x 0)) (controls) (goal (>= %s0%s 0)))" % (
         "(+ 1 " * 3000, ")" * 3000)
     (err,) = parse_err(text)
     assert err.message == "nesting too deep"
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the recursive interval fold the iterative one replaced
+
+def ref_expr_interval(expr, box):
+    if isinstance(expr, Const):
+        return (expr.value, expr.value)
+    if isinstance(expr, Var):
+        if expr.kind == "control":
+            return box.get(expr.name, _FULL)
+        return _FULL
+    if isinstance(expr, (Add, Sub, Mul)):
+        combine = (_iv_add if isinstance(expr, Add)
+                   else _iv_sub if isinstance(expr, Sub) else _iv_mul)
+        return combine(ref_expr_interval(expr.lhs, box), ref_expr_interval(expr.rhs, box))
+    if isinstance(expr, Neg):
+        lo, hi = ref_expr_interval(expr.arg, box)
+        return (-hi, -lo)
+    if isinstance(expr, Pow):
+        return _iv_pow(ref_expr_interval(expr.base, box), expr.exponent)
+    return _FULL
+
+
+def ref_fold_constraint(con, box):
+    if isinstance(con, Cmp):
+        lo, hi = ref_expr_interval(con.expr, box)
+        if con.op == "<":
+            if hi < 0:
+                return True
+            if lo >= 0:
+                return False
+        elif con.op == "<=":
+            if hi <= 0:
+                return True
+            if lo > 0:
+                return False
+        elif con.op == "=":
+            if lo == hi == 0:
+                return True
+            if lo > 0 or hi < 0:
+                return False
+        elif con.op == ">=":
+            if lo >= 0:
+                return True
+            if hi < 0:
+                return False
+        elif con.op == ">":
+            if lo > 0:
+                return True
+            if hi <= 0:
+                return False
+        return None
+    if isinstance(con, BoolEq):
+        return None
+    if isinstance(con, And):
+        vals = [ref_fold_constraint(c, box) for c in con.items]
+        if any(v is False for v in vals):
+            return False
+        if all(v is True for v in vals):
+            return True
+        return None
+    if isinstance(con, Or):
+        vals = [ref_fold_constraint(c, box) for c in con.items]
+        if any(v is True for v in vals):
+            return True
+        if all(v is False for v in vals):
+            return False
+        return None
+    if isinstance(con, Not):
+        v = ref_fold_constraint(con.item, box)
+        return None if v is None else not v
+    return None
+
+
+#: "w" is a control the box lacks
+FOLD_BOX = {"u": (0.0, 1.0), "v": (-2.0, 3.0)}
+
+fold_exprs = st.recursive(
+    st.one_of(
+        st.builds(Const, st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e300]),
+                                   st.floats())),
+        st.builds(Var, st.just("x"), st.just("state")),
+        st.builds(Var, st.sampled_from(("u", "v", "w")), st.just("control")),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Add, kids, kids), st.builds(Sub, kids, kids),
+        st.builds(Mul, kids, kids), st.builds(Neg, kids),
+        st.builds(Pow, kids, st.sampled_from([0, 1, 2, 3, 10 ** 400, 10 ** 400 + 1])),
+    ),
+    max_leaves=12,
+)
+
+fold_constraints = st.recursive(
+    st.one_of(st.builds(Cmp, fold_exprs, st.sampled_from(CMP_OPS)),
+              st.builds(BoolEq, st.just("p"), st.booleans())),
+    lambda kids: st.one_of(
+        st.builds(And, st.lists(kids, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(kids, max_size=3).map(tuple)),
+        st.builds(Not, kids),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fold_constraints)
+@example(Cmp(Mul(Const(0.0), Var("x")), "="))                 # 0 * inf widens
+@example(Cmp(Sub(Pow(Var("v"), 10 ** 400), Const(1.0)), "<"))  # exponent past the floats
+@example(Or((TRUE, Or(()), Not(And(())))))
+def test_interval_fold_matches_reference(con):
+    assert _fold_constraint(con, FOLD_BOX) is ref_fold_constraint(con, FOLD_BOX)
+    for node in iter_constraints(con):
+        if isinstance(node, Cmp):
+            got = _expr_interval(node.expr, FOLD_BOX)
+            assert repr(got) == repr(ref_expr_interval(node.expr, FOLD_BOX))
 
 
 def test_serialize_writes_trees_at_any_depth():

@@ -167,6 +167,8 @@ class TestLoadSuite:
          "line 1: time_limit must be positive"),
         ("expansion_limit = 0\ninstance = counters n=2\nalgo = a\n",
          "line 1: expansion_limit must be positive"),
+        ("workers = -3\ninstance = counters n=2\nalgo = a\n",
+         "line 1: workers must be at least 1"),
         ("instance = counters n=2\nalgo = a rectifier=lin rectifier=log\n",
          "line 2: duplicate key 'rectifier'"),
         ("instance = counters n=2 n=5\nalgo = a\n", "line 1: duplicate key 'n'"),

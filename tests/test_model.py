@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvplan.domains import default_ladder, generate, make_drone
-from cvplan.dsl import parse_problem
-from cvplan import model
+from cvplan.dsl import parse_problem, validate
+from cvplan import codegen, model
 from cvplan.model import (
     CMP_OPS, Action, Add, And, BoolEq, Cmp, Const, ControlVarSpec, Decision,
     Effect, ModelError, Mul, Neg, Not, Or, Pow, Problem, State, Sub, TRUE, Var,
     conjuncts, eval_constraint, eval_expr, goal_test, iter_constraints,
-    iter_exprs, key_by_name, liveness, make_heuristic, reads_control,
+    iter_exprs, key_by_name, layout_of, liveness, make_heuristic, reads_control,
     replay_plan, round_half_away, state_key, try_apply,
 )
 from cvplan.search import SearchConfig, run_search
@@ -756,6 +756,69 @@ def test_deep_connectives():
     for x in (1.0, -1.0, math.nan):
         state = State({}, {"x": x})
         assert eval_constraint(con, state, {}) is ref_eval_constraint(con, state, {})
+
+
+#: wrappers that leave a constraint's truth as it is: each call adds a level
+SAME_TRUTH = {
+    "and": lambda con, i: And((con,)),
+    "or": lambda con, i: Or((con,)),
+    "not-not": lambda con, i: Not(Not(con)),
+    "alternating": lambda con, i: (And((con, TRUE)), Or((con,)), Not(Not(con)))[i % 3],
+}
+
+
+def wrapped(con, shape, depth):
+    for i in range(depth):
+        con = SAME_TRUTH[shape](con, i)
+    return con
+
+
+def deepest_indent(con):
+    em = codegen._Emitter(layout_of((), ("x",)))
+    em.require(con, "return False")
+    return max(len(line) - len(line.lstrip(" ")) for line in em.lines)
+
+
+@pytest.mark.parametrize("shape", sorted(SAME_TRUTH))
+def test_connectives_at_any_depth(shape):
+    """3000 levels in a precondition, a free precondition conjunct and a
+    goal act as their shallow twins do, and the source indents no deeper
+    than at 50 levels."""
+    free, ctl, goal = (Cmp(Var("x"), ">"), Cmp(Sub(Var("x"), Var("u", "control")), ">"),
+                       Cmp(Sub(Var("x"), Const(1.0)), ">"))
+    eff = Effect((), (("x", Add(Var("x"), Var("u", "control"))),))
+
+    def problem(wrap):
+        act = Action("a", And((wrap(free), wrap(ctl))), eff)
+        return Problem("deep", (), ("x",), (ControlVarSpec("u", 0, 1),), (act,),
+                       State({}, {"x": 0.5}), And((wrap(goal),)))
+    deep, shallow = problem(lambda con: wrapped(con, shape, 3000)), problem(lambda con: con)
+    h_deep, h_shallow = make_heuristic(deep), make_heuristic(shallow)
+    for x in (2.0, 0.75, -1.0, math.nan):
+        state = State({}, {"x": x})
+        for mu in ({"u": 0.5}, {"u": 0.0}):
+            pre = deep.actions[0].precondition
+            for con, twin in zip((pre, *pre.items), (shallow.actions[0].precondition, free, ctl)):
+                assert eval_constraint(con, state, mu) is eval_constraint(twin, state, mu)
+            assert same_state(try_apply(state, deep.actions[0], mu),
+                              try_apply(state, shallow.actions[0], mu))
+        assert goal_test(state, deep.goal) is goal_test(state, shallow.goal)
+        assert h_deep(state) == h_shallow(state)
+        assert liveness(state, deep) == liveness(state, shallow)
+    with pytest.raises(ModelError, match="unbound variable: 'u'"):
+        try_apply(State({}, {"x": 2.0}), deep.actions[0], {})
+    unbound = State({}, {"y": 1.0})
+    for check in (lambda: goal_test(unbound, deep.goal), lambda: h_deep(unbound),
+                  lambda: liveness(unbound, deep)):
+        with pytest.raises(ModelError, match="unbound variable: 'x'"):
+            check()
+    config = SearchConfig(seed=0, expansion_limit=2000, time_limit=30.0)
+    result = run_search(deep, config)
+    assert result.outcome == "solved"
+    assert result.plan == run_search(shallow, config).plan
+    assert validate(deep) == validate(shallow)
+    for con in (free, ctl):
+        assert deepest_indent(wrapped(con, shape, 50)) == deepest_indent(wrapped(con, shape, 3000))
 
 
 def test_huge_exponent():
