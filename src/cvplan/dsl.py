@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .model import (
     Action, Add, And, BoolEq, Cmp, CMP_OPS, Const, Constraint, ControlVarSpec,
     Decision, Effect, Mul, Neg, Not, NumericExpr, Or, Pow, Problem, State, Sub,
-    Var, iter_constraints, iter_exprs, reads_control,
+    Var, iter_constraints, iter_exprs,
 )
 
 
@@ -61,6 +62,21 @@ class Diagnostic:
         return f"{self.span.line}:{self.span.col}: {self.severity}: {self.message}"
 
 
+def _diagnostics(text: str, found: List[tuple]) -> List[Diagnostic]:
+    """The Diagnostics of found's (severity, message, start, end) findings,
+    in order: the one place that turns offsets into text into a line and a
+    column. Offsets 0, 0 give SYNTHETIC_SPAN."""
+    if not found:
+        return []
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    diags = []
+    for severity, message, start, end in found:
+        line = bisect_right(line_starts, start)
+        span = SourceSpan(start, end, line, start - line_starts[line - 1] + 1)
+        diags.append(Diagnostic(severity, message, span))
+    return diags
+
+
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
@@ -71,146 +87,125 @@ _KEYWORDS = {
 }
 
 
+def _is_name(text) -> bool:
+    """Whether text can stand in the text format as a declared name."""
+    return isinstance(text, str) and _NAME_RE.match(text) is not None \
+        and text not in _KEYWORDS
+
+
 # ---------------------------------------------------------------------------
-# reading: text -> token stream -> nested lists
+# reading: text -> nested lists
 
 @dataclass(frozen=True)
 class SAtom:
     text: str
-    span: SourceSpan
+    start: int
+    end: int
 
 
 @dataclass(frozen=True)
 class SList:
     items: Tuple["SExpr", ...]
-    span: SourceSpan
+    start: int
+    end: int
 
 
 SExpr = Union[SAtom, SList]
 
-
-def _tokenize(text: str):
-    """Yield ("(", span) / (")", span) / (atom_text, span); total on any input."""
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, SourceSpan(i, i + 1, line, col)
-            i += 1
-            col += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in "() \t\r\n;":
-                i += 1
-                col += 1
-            yield text[start:i], SourceSpan(start, i, line, start_col)
+#: a comment, a parenthesis or an atom; whatever lies between is whitespace
+_TOKEN_RE = re.compile(r";[^\n]*|[()]|[^() \t\r\n;]+")
 
 
-def _read(text: str) -> Tuple[List[SExpr], List[Diagnostic]]:
-    """Read all top-level s-expressions; collects balance errors."""
-    diags: List[Diagnostic] = []
-    top: List[SExpr] = []
-    stack: List[Tuple[List[SExpr], SourceSpan]] = []
-    for tok, span in _tokenize(text):
+def _read(text: str) -> Tuple[List[SExpr], List[tuple]]:
+    """Read all top-level s-expressions; balance errors become findings."""
+    found: List[tuple] = []
+    top = items = []
+    stack: List[Tuple[List[SExpr], int]] = []     # the outer items and start of each open list
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
         if tok == "(":
-            stack.append(([], span))
+            stack.append((items, m.start()))
+            items = []
         elif tok == ")":
             if not stack:
-                diags.append(Diagnostic("error", "unmatched closing parenthesis", span))
+                found.append(("error", "unmatched closing parenthesis", m.start(), m.end()))
                 continue
-            items, open_span = stack.pop()
-            node = SList(tuple(items), SourceSpan(open_span.start, span.end,
-                                                  open_span.line, open_span.col))
-            (stack[-1][0] if stack else top).append(node)
-        else:
-            node = SAtom(tok, span)
-            (stack[-1][0] if stack else top).append(node)
-    for _, open_span in stack:
-        diags.append(Diagnostic("error", "unclosed parenthesis", open_span))
-    return top, diags
+            outer, start = stack.pop()
+            outer.append(SList(tuple(items), start, m.end()))
+            items = outer
+        elif tok[0] != ";":
+            items.append(SAtom(tok, m.start(), m.end()))
+    for _, start in stack:
+        found.append(("error", "unclosed parenthesis", start, start + 1))
+    return top, found
 
 
 # ---------------------------------------------------------------------------
 # interpretation: nested lists -> Problem
 
 class _ParseFail(Exception):
-    """Internal: abort interpretation with its one error Diagnostic."""
+    """Internal: abort interpretation with its one error's message and node."""
 
 
 class _Interp:
     """Reads the grammar of a (problem ...) form. The semantic rules are
     all _check's; for them the interpreter keeps declarations in order,
-    repeats included, and records a span table: each declaration's span
+    repeats included, and records a node table: each declaration's node
     under ("decl", position), the last initial value of each numeric under
     ("init", name), and under id() of each Action, Const, Var, BoolEq and
-    effect pair that of its name, literal, reference, test or target."""
+    effect pair the node of its name, literal, reference, test or target."""
 
     def __init__(self):
         self.bools: List[Tuple[str, bool]] = []
         self.nums: List[Tuple[str, float]] = []
         self.controls: List[ControlVarSpec] = []
         self.control_names: set = set()
-        self.spans: Dict[object, SourceSpan] = {}
+        self.nodes: Dict[object, SExpr] = {}
 
-    def error(self, message: str, span: SourceSpan):
-        raise _ParseFail(Diagnostic("error", message, span))
+    def error(self, message: str, node: SExpr):
+        raise _ParseFail(message, node)
 
-    def declare(self, decls: list, decl, span: SourceSpan):
+    def declare(self, decls: list, decl, node: SExpr):
         position = len(self.bools) + len(self.nums) + len(self.controls)
-        self.spans["decl", position] = span
+        self.nodes["decl", position] = node
         decls.append(decl)
 
     # -- leaf helpers ------------------------------------------------------
 
     def expect_list(self, node: SExpr, what: str) -> SList:
         if not isinstance(node, SList):
-            self.error(f"expected {what}", node.span)
+            self.error(f"expected {what}", node)
         return node
 
     def expect_head(self, node: SExpr, keyword: str) -> SList:
         lst = self.expect_list(node, f"({keyword} ...)")
         if not lst.items or not isinstance(lst.items[0], SAtom) \
                 or lst.items[0].text != keyword:
-            self.error(f"expected ({keyword} ...)", lst.span)
+            self.error(f"expected ({keyword} ...)", lst)
         return lst
 
     def expect_name(self, node: SExpr, what: str = "name") -> str:
-        if not isinstance(node, SAtom) or not _NAME_RE.match(node.text) \
-                or node.text in _KEYWORDS:
-            self.error(f"expected {what}", node.span)
+        if not isinstance(node, SAtom) or not _is_name(node.text):
+            self.error(f"expected {what}", node)
         return node.text
 
     def expect_number(self, node: SExpr) -> float:
         if not isinstance(node, SAtom) or not _NUMBER_RE.match(node.text):
-            self.error("expected a number", node.span)
+            self.error("expected a number", node)
         return float(node.text)
 
     def expect_int(self, node: SExpr, what: str = "an integer") -> int:
         if not isinstance(node, SAtom) or not _INT_RE.match(node.text):
-            self.error(f"expected {what}", node.span)
+            self.error(f"expected {what}", node)
         try:
             return int(node.text)
         except ValueError:  # beyond the interpreter's int digit limit
-            self.error("integer literal too long", node.span)
+            self.error("integer literal too long", node)
 
     def expect_bool(self, node: SExpr) -> bool:
         if isinstance(node, SAtom) and node.text in ("true", "false"):
             return node.text == "true"
-        self.error("expected true or false", node.span)
+        self.error("expected true or false", node)
 
     # -- sections ----------------------------------------------------------
 
@@ -222,31 +217,31 @@ class _Interp:
                 init = False
             else:
                 if len(decl.items) != 2:
-                    self.error("expected (name bool)", decl.span)
+                    self.error("expected (name bool)", decl)
                 name = self.expect_name(decl.items[0], "boolean variable name")
                 init = self.expect_bool(decl.items[1])
-            self.declare(self.bools, (name, init), decl.span)
+            self.declare(self.bools, (name, init), decl)
 
     def parse_nums(self, node: SExpr):
         lst = self.expect_head(node, "nums")
         for decl in lst.items[1:]:
             d = self.expect_list(decl, "(name number)")
             if len(d.items) != 2:
-                self.error("expected (name number)", d.span)
+                self.error("expected (name number)", d)
             name = self.expect_name(d.items[0], "numeric variable name")
-            self.declare(self.nums, (name, self.expect_number(d.items[1])), d.span)
-            self.spans["init", name] = d.items[1].span
+            self.declare(self.nums, (name, self.expect_number(d.items[1])), d)
+            self.nodes["init", name] = d.items[1]
 
     def parse_controls(self, node: SExpr):
         lst = self.expect_head(node, "controls")
         for decl in lst.items[1:]:
             d = self.expect_list(decl, "(name int int)")
             if len(d.items) != 3:
-                self.error("expected (name lower upper)", d.span)
+                self.error("expected (name lower upper)", d)
             name = self.expect_name(d.items[0], "control variable name")
             lower = self.expect_int(d.items[1], "an integer lower bound")
             upper = self.expect_int(d.items[2], "an integer upper bound")
-            self.declare(self.controls, ControlVarSpec(name, lower, upper), d.span)
+            self.declare(self.controls, ControlVarSpec(name, lower, upper), d)
             self.control_names.add(name)
 
     # -- expressions and constraints ----------------------------------------
@@ -257,18 +252,18 @@ class _Interp:
                 leaf = Const(float(node.text))
             else:
                 leaf = Var(node.text, "control" if node.text in self.control_names else "state")
-            self.spans[id(leaf)] = node.span
+            self.nodes[id(leaf)] = node
             return leaf
         lst = node
         if not lst.items or not isinstance(lst.items[0], SAtom):
-            self.error("expected an expression", lst.span)
+            self.error("expected an expression", lst)
         head = lst.items[0].text
         args = lst.items[1:]
         if head in ("+", "-", "*"):
             if head == "-" and len(args) == 1:
                 return Neg(self.parse_expr(args[0]))
             if len(args) < 2:
-                self.error(f"operator {head} needs at least two arguments", lst.span)
+                self.error(f"operator {head} needs at least two arguments", lst)
             node_cls = {"+": Add, "-": Sub, "*": Mul}[head]
             acc = self.parse_expr(args[0])
             for arg in args[1:]:
@@ -276,18 +271,18 @@ class _Interp:
             return acc
         if head == "^":
             if len(args) != 2:
-                self.error("expected (^ expr int)", lst.span)
+                self.error("expected (^ expr int)", lst)
             base = self.parse_expr(args[0])
             exp = self.expect_int(args[1], "a nonnegative integer exponent")
             if exp < 0:
-                self.error("exponent must be nonnegative", args[1].span)
+                self.error("exponent must be nonnegative", args[1])
             return Pow(base, exp)
-        self.error(f"unknown operator: {head}", lst.items[0].span)
+        self.error(f"unknown operator: {head}", lst.items[0])
 
     def parse_constr(self, node: SExpr) -> Constraint:
         lst = self.expect_list(node, "a constraint")
         if not lst.items or not isinstance(lst.items[0], SAtom):
-            self.error("expected a constraint", lst.span)
+            self.error("expected a constraint", lst)
         head = lst.items[0].text
         args = lst.items[1:]
         if head == "and":
@@ -296,7 +291,7 @@ class _Interp:
             return Or(tuple(self.parse_constr(a) for a in args))
         if head == "not":
             if len(args) != 1:
-                self.error("not takes exactly one constraint", lst.span)
+                self.error("not takes exactly one constraint", lst)
             return Not(self.parse_constr(args[0]))
         if head in CMP_OPS:
             # boolean test form: (= name true|false)
@@ -304,60 +299,60 @@ class _Interp:
                     and args[1].text in ("true", "false"):
                 test = BoolEq(self.expect_name(args[0], "boolean variable name"),
                               args[1].text == "true")
-                self.spans[id(test)] = args[0].span
+                self.nodes[id(test)] = args[0]
                 return test
             if len(args) != 2:
-                self.error(f"comparison {head} takes two expressions", lst.span)
+                self.error(f"comparison {head} takes two expressions", lst)
             lhs = self.parse_expr(args[0])
             rhs = self.parse_expr(args[1])
             if isinstance(rhs, Const) and rhs.value == 0.0:
                 return Cmp(lhs, head)
             return Cmp(Sub(lhs, rhs), head)
-        self.error(f"unknown constraint keyword: {head}", lst.items[0].span)
+        self.error(f"unknown constraint keyword: {head}", lst.items[0])
 
     def parse_assign(self, node: SExpr) -> tuple:
         lst = self.expect_list(node, "(assign ...) or (set ...)")
         if not lst.items or not isinstance(lst.items[0], SAtom):
-            self.error("expected (assign ...) or (set ...)", lst.span)
+            self.error("expected (assign ...) or (set ...)", lst)
         head = lst.items[0].text
         args = lst.items[1:]
         if head == "assign":
             if len(args) != 2:
-                self.error("expected (assign name expr)", lst.span)
+                self.error("expected (assign name expr)", lst)
             pair = (self.expect_name(args[0], "numeric variable name"),
                     self.parse_expr(args[1]))
         elif head == "set":
             if len(args) != 2:
-                self.error("expected (set name bool)", lst.span)
+                self.error("expected (set name bool)", lst)
             pair = (self.expect_name(args[0], "boolean variable name"),
                     self.expect_bool(args[1]))
         else:
-            self.error(f"unknown effect keyword: {head}", lst.items[0].span)
-        self.spans[id(pair)] = args[0].span
+            self.error(f"unknown effect keyword: {head}", lst.items[0])
+        self.nodes[id(pair)] = args[0]
         return pair
 
     def parse_action(self, node: SExpr) -> Action:
         lst = self.expect_head(node, "action")
         if len(lst.items) != 4:
-            self.error("expected (action name (pre ...) (eff ...))", lst.span)
+            self.error("expected (action name (pre ...) (eff ...))", lst)
         name = self.expect_name(lst.items[1], "action name")
         pre_lst = self.expect_head(lst.items[2], "pre")
         if len(pre_lst.items) != 2:
-            self.error("expected (pre constraint)", pre_lst.span)
+            self.error("expected (pre constraint)", pre_lst)
         pre = self.parse_constr(pre_lst.items[1])
         eff_lst = self.expect_head(lst.items[3], "eff")
         pairs = [self.parse_assign(item) for item in eff_lst.items[1:]]
         action = Action(name, pre, Effect(
             tuple(p for p in pairs if isinstance(p[1], bool)),
             tuple(p for p in pairs if not isinstance(p[1], bool))))
-        self.spans[id(action)] = lst.items[1].span
+        self.nodes[id(action)] = lst.items[1]
         return action
 
     def parse_problem_form(self, node: SExpr) -> Problem:
         lst = self.expect_head(node, "problem")
         if len(lst.items) < 6:
             self.error("expected (problem name (bools...) (nums...) "
-                       "(controls...) actions... (goal ...))", lst.span)
+                       "(controls...) actions... (goal ...))", lst)
         name = self.expect_name(lst.items[1], "problem name")
         self.parse_bools(lst.items[2])
         self.parse_nums(lst.items[3])
@@ -365,7 +360,7 @@ class _Interp:
         actions = tuple(self.parse_action(form) for form in lst.items[5:-1])
         goal_lst = self.expect_head(lst.items[-1], "goal")
         if len(goal_lst.items) != 2:
-            self.error("expected (goal constraint)", goal_lst.span)
+            self.error("expected (goal constraint)", goal_lst)
         return Problem(
             name=name,
             bools=tuple(n for n, _ in self.bools),
@@ -385,23 +380,24 @@ def parse_problem(text: str) -> Tuple[Optional[Problem], List[Diagnostic]]:
     problem is None whenever any error diagnostic was produced. Never raises
     on arbitrary input.
     """
-    forms, diags = _read(text)
-    if diags:
-        return None, diags
-    span_all = SourceSpan(0, len(text), 1, 1)
-    if not forms:
-        return None, [Diagnostic("error", "empty document", span_all)]
-    if len(forms) > 1:
-        return None, [Diagnostic("error", "expected a single (problem ...) form",
-                                 forms[1].span)]
+    forms, found = _read(text)
+    if not found and not forms:
+        found = [("error", "empty document", 0, len(text))]
+    elif not found and len(forms) > 1:
+        found = [("error", "expected a single (problem ...) form",
+                  forms[1].start, forms[1].end)]
+    if found:
+        return None, _diagnostics(text, found)
     interp = _Interp()
     try:
         problem = interp.parse_problem_form(forms[0])
-        diags = _check(problem, interp.spans)
+        found = _check(problem, interp.nodes)
     except _ParseFail as fail:
-        return None, list(fail.args)
+        message, node = fail.args
+        problem, found = None, [("error", message, node.start, node.end)]
     except RecursionError:
-        return None, [Diagnostic("error", _TOO_DEEP, span_all)]
+        problem, found = None, [("error", _TOO_DEEP, 0, len(text))]
+    diags = _diagnostics(text, found)
     if any(d.severity == "error" for d in diags):
         return None, diags
     return problem, diags
@@ -532,27 +528,33 @@ def _finite_number(value) -> bool:
         return False
 
 
-def _check(problem: Problem, spans: Dict[object, SourceSpan]) -> List[Diagnostic]:
-    """Every semantic rule of a problem. spans is parse_problem's span table
-    (see _Interp). A diagnostic whose subject has no span there, as none has
-    in a problem built in code, gets SYNTHETIC_SPAN and a prefix naming the
-    action, control or goal concerned."""
-    diags: List[Diagnostic] = []
+def _check(problem: Problem, nodes: Dict[object, SExpr]) -> List[tuple]:
+    """Every semantic rule of a problem, as _diagnostics' findings. nodes is
+    parse_problem's node table (see _Interp). A finding whose subject has no
+    node there, as none has in a problem built in code, gets SYNTHETIC_SPAN's
+    offsets and a prefix naming the action, control or goal concerned."""
+    found: List[tuple] = []
 
     def report(severity: str, key, where: str, message: str):
-        span = spans.get(key)
-        if span is None:
-            span = SYNTHETIC_SPAN
-            message = f"{where}: {message}" if where else message
-        diags.append(Diagnostic(severity, message, span))
+        node = nodes.get(key)
+        if node is None:
+            found.append((severity, f"{where}: {message}" if where else message, 0, 0))
+        else:
+            found.append((severity, message, node.start, node.end))
 
     bool_set = set(problem.bools)
     num_set = set(problem.nums)
     control_set = {c.name for c in problem.controls}
 
+    if not _is_name(problem.name):
+        report("error", None, "", f"invalid problem name: {problem.name!r}")
     declared: set = set()
-    names = list(problem.bools) + list(problem.nums) + [c.name for c in problem.controls]
-    for position, name in enumerate(names):
+    names = ([(name, "boolean variable") for name in problem.bools]
+             + [(name, "numeric variable") for name in problem.nums]
+             + [(c.name, "control variable") for c in problem.controls])
+    for position, (name, kind) in enumerate(names):
+        if not _is_name(name):
+            report("error", ("decl", position), "", f"invalid {kind} name: {name!r}")
         if name in declared:
             report("error", ("decl", position), "", f"duplicate declaration: {name}")
         declared.add(name)
@@ -576,44 +578,71 @@ def _check(problem: Problem, spans: Dict[object, SourceSpan]) -> List[Diagnostic
             report("error", ("init", name), f"initial value of {name}",
                    "not a finite number")
 
-    #: the constants reported as not finite numbers, which the fold cannot take
-    not_finite: List[Const] = []
+    #: the nodes reported as errors that the fold cannot take: constants that
+    #: are no finite number, exponents that are no nonnegative int, unknown
+    #: comparison operators, and constraints and expressions out of place
+    unfoldable: list = []
 
-    def check_expr(expr: NumericExpr, where: str, allow_controls: bool):
+    def check_expr(expr: NumericExpr, where: str, allow_controls: bool) -> bool:
+        """Reports expr's errors; returns whether it reads a control variable."""
+        reads_control = False
         for e in iter_exprs(expr):
-            if isinstance(e, Const) and not _finite_number(e.value):
-                report("error", id(e), where, "not a finite number")
-                not_finite.append(e)
-            if not isinstance(e, Var):
-                continue
-            if e.kind == "control":
-                if e.name not in control_set:
-                    report("error", id(e), where, f"undeclared control variable: {e.name}")
-                elif not allow_controls:
+            if isinstance(e, Var):
+                if e.kind == "control":
+                    reads_control = True
+                    if e.name not in control_set:
+                        report("error", id(e), where,
+                               f"undeclared control variable: {e.name}")
+                    elif not allow_controls:
+                        report("error", id(e), where,
+                               f"control variable not allowed here: {e.name}")
+                elif e.name not in num_set:
                     report("error", id(e), where,
-                           f"control variable not allowed here: {e.name}")
-            elif e.name not in num_set:
-                report("error", id(e), where,
-                       f"boolean variable in numeric expression: {e.name}"
-                       if e.name in bool_set else f"undeclared variable: {e.name}")
+                           f"boolean variable in numeric expression: {e.name}"
+                           if e.name in bool_set else f"undeclared variable: {e.name}")
+            elif isinstance(e, Const):
+                if not _finite_number(e.value):
+                    report("error", id(e), where, "not a finite number")
+                    unfoldable.append(e)
+            elif isinstance(e, Pow):
+                if not (type(e.exponent) is int and e.exponent >= 0):
+                    report("error", id(e), where, "exponent must be a nonnegative int")
+                    unfoldable.append(e)
+            elif not isinstance(e, (Add, Sub, Mul, Neg)):
+                report("error", id(e), where, f"not a numeric expression: {type(e).__name__}")
+                unfoldable.append(e)
+        return reads_control
 
-    def check_constraint(con: Constraint, where: str, allow_controls: bool):
+    def check_constraint(con: Constraint, where: str, allow_controls: bool) -> int:
+        """Reports con's errors; returns its count of = comparisons reading a control."""
+        equalities = 0
         for node in iter_constraints(con):
             if isinstance(node, BoolEq) and node.name not in bool_set:
                 report("error", id(node), where,
                        f"not a boolean variable: {node.name}" if node.name in declared
                        else f"undeclared boolean variable: {node.name}")
             elif isinstance(node, Cmp):
-                check_expr(node.expr, where, allow_controls)
+                if node.op not in CMP_OPS:
+                    report("error", id(node), where,
+                           f"unknown comparison operator: {node.op!r}")
+                    unfoldable.append(node)
+                if check_expr(node.expr, where, allow_controls) and node.op == "=":
+                    equalities += 1
+            elif not isinstance(node, (BoolEq, And, Or, Not)):
+                report("error", id(node), where, f"not a constraint: {type(node).__name__}")
+                unfoldable.append(node)
+        return equalities
 
     action_names = set()
     for act in problem.actions:
         where = f"action {act.name}"
+        if not _is_name(act.name):
+            report("error", id(act), "", f"invalid action name: {act.name!r}")
         if act.name in action_names:
             report("error", id(act), "", f"duplicate action name: {act.name}")
         action_names.add(act.name)
-        reported = len(not_finite)
-        check_constraint(act.precondition, f"{where} precondition", True)
+        reported = len(unfoldable)
+        equalities = check_constraint(act.precondition, f"{where} precondition", True)
         targets = set()
         for pair in act.effect.bool_assigns + act.effect.num_assigns:
             if pair[0] in targets:
@@ -632,19 +661,18 @@ def _check(problem: Problem, spans: Dict[object, SourceSpan]) -> List[Diagnostic
                 report("error", id(pair), where,
                        f"assign target {name} is not a numeric variable")
             check_expr(expr, where, True)
-        if len(not_finite) == reported and _fold_constraint(act.precondition, box) is False:
+        if len(unfoldable) == reported and _fold_constraint(act.precondition, box) is False:
             report("warning", id(act), where,
                    "precondition is unsatisfiable over the control box")
-        for node in iter_constraints(act.precondition):
-            if isinstance(node, Cmp) and node.op == "=" and reads_control(node):
-                report("warning", id(act), where, "equality constraint on a control "
-                       "variable confines sampling to a measure-zero set")
+        for _ in range(equalities):
+            report("warning", id(act), where, "equality constraint on a control "
+                   "variable confines sampling to a measure-zero set")
 
     check_constraint(problem.goal, "goal", False)
     if not isinstance(problem.goal, And):
         report("warning", None, "", "goal top level is not a conjunction; goal "
                "counting treats it as a single conjunct")
-    return diags
+    return found
 
 
 def validate(problem: Problem) -> List[Diagnostic]:
@@ -654,12 +682,16 @@ def validate(problem: Problem) -> List[Diagnostic]:
     Errors: duplicate declarations, bad control bounds, partial initial
     state, a non-finite initial value or constant, references to undeclared
     or wrongly typed variables, a control in the goal, effect targets
-    outside the declared sets or assigned twice, duplicate action names.
+    outside the declared sets or assigned twice, duplicate action names;
+    and what the text cannot hold or run_search cannot run: a problem,
+    variable or action name that is no name of the text format, an
+    exponent that is no nonnegative int, an unknown comparison operator,
+    a constraint where an expression belongs and the reverse.
     Warnings: precondition constant-folds to false over the control box,
     non-conjunction goal top level, equality precondition on a control
     variable (rejection sampling can never hit a measure-zero set).
     """
-    return _check(problem, {})
+    return _diagnostics("", _check(problem, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +753,8 @@ def _constr_text(con: Constraint) -> str:
 
 
 def serialize_problem(problem: Problem) -> str:
-    """Canonical text form; parse_problem(serialize_problem(p)) equals p."""
+    """Canonical text form; parse_problem(serialize_problem(p)) equals p
+    whenever validate(p) holds no error."""
     lines = [f"(problem {problem.name}"]
     init_bools, init_nums = problem.init.bools, problem.init.nums
     bools = " ".join(

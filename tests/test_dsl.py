@@ -1,15 +1,16 @@
 import hashlib
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cvplan.search import MctsConfig, SearchConfig, run_mcts, run_search
 from cvplan.dsl import (
-    _FULL, _expr_interval, _fold_constraint, _iv_add, _iv_mul, _iv_pow, _iv_sub,
-    Diagnostic, key_values, load_problem, parse_problem, serialize_plan,
-    serialize_problem, validate,
+    _FULL, _diagnostics, _expr_interval, _fold_constraint, _iv_add, _iv_mul, _iv_pow,
+    _iv_sub, _read, Diagnostic, SAtom, SList, SourceSpan, SYNTHETIC_SPAN, key_values,
+    load_problem, parse_problem, serialize_plan, serialize_problem, validate,
 )
 from cvplan.domains import InstanceSpec, generate
 from cvplan.model import (
@@ -287,6 +288,41 @@ def test_validate_reports_deep_nesting():
     assert err.message == "nesting too deep"
 
 
+def one_action(pre, action="a", name="p", bools=(), nums=("x",), control="u"):
+    """A problem built in code around one action's precondition."""
+    act = Action(action, pre, Effect((), ((nums[0], Add(Var(nums[0]), Var(control, "control"))),)))
+    return Problem(name, bools, nums, (ControlVarSpec(control, 0, 1),), (act,),
+                   State(dict.fromkeys(bools, False), dict.fromkeys(nums, 0.0)), And(()))
+
+
+@pytest.mark.parametrize("pre, message", [
+    # the interval fold would compute 0.0 ** -1 over u's box [0, 1]
+    (Cmp(Pow(Var("u", "control"), -1), ">"), "exponent must be a nonnegative int"),
+    # run_search computes a float power, which the text cannot hold
+    (Cmp(Sub(Pow(Var("x"), 0.5), Const(1.0)), "<"), "exponent must be a nonnegative int"),
+    # run_search raises codegen's ModelError on each of these
+    (Cmp(Var("x"), "!="), "unknown comparison operator: '!='"),
+    (Cmp(And(()), ">="), "not a numeric expression: And"),
+    (And((Cmp(Var("x"), ">"), Var("x"))), "not a constraint: Var"),
+])
+def test_validate_refuses_trees_the_search_cannot_run(pre, message):
+    (err,) = validate(one_action(pre))
+    assert err.severity == "error"
+    assert err.message == f"action a precondition: {message}"
+
+
+@pytest.mark.parametrize("bad", ["and", "true", "1x", "x y", "u)"])
+def test_validate_refuses_names_the_text_cannot_hold(bad):
+    for problem, message in (
+            (one_action(TRUE, name=bad), f"invalid problem name: {bad!r}"),
+            (one_action(TRUE, bools=(bad,)), f"invalid boolean variable name: {bad!r}"),
+            (one_action(TRUE, nums=(bad,)), f"invalid numeric variable name: {bad!r}"),
+            (one_action(TRUE, control=bad), f"invalid control variable name: {bad!r}"),
+            (one_action(TRUE, action=bad), f"invalid action name: {bad!r}")):
+        (err,) = validate(problem)
+        assert (err.severity, err.message) == ("error", message)
+
+
 # ---------------------------------------------------------------------------
 # reference oracle: the recursive interval fold the iterative one replaced
 
@@ -479,6 +515,120 @@ def test_semantic_error_spans(marked, message):
     assert (err.span.start, err.span.end) == (start, marked.index("}") - 1)
 
 
+# ---------------------------------------------------------------------------
+# reference oracle: the per-character reader, with a span per token, that
+# the regex reader replaced
+
+@dataclass(frozen=True)
+class RefAtom:
+    text: str
+    span: SourceSpan
+
+
+@dataclass(frozen=True)
+class RefList:
+    items: tuple
+    span: SourceSpan
+
+
+def ref_tokenize(text):
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+        elif ch in " \t\r":
+            i += 1
+            col += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            yield ch, SourceSpan(i, i + 1, line, col)
+            i += 1
+            col += 1
+        else:
+            start = i
+            start_col = col
+            while i < n and text[i] not in "() \t\r\n;":
+                i += 1
+                col += 1
+            yield text[start:i], SourceSpan(start, i, line, start_col)
+
+
+def ref_read(text):
+    diags = []
+    top = []
+    stack = []
+    for tok, span in ref_tokenize(text):
+        if tok == "(":
+            stack.append(([], span))
+        elif tok == ")":
+            if not stack:
+                diags.append(Diagnostic("error", "unmatched closing parenthesis", span))
+                continue
+            items, open_span = stack.pop()
+            node = RefList(tuple(items), SourceSpan(open_span.start, span.end,
+                                                    open_span.line, open_span.col))
+            (stack[-1][0] if stack else top).append(node)
+        else:
+            node = RefAtom(tok, span)
+            (stack[-1][0] if stack else top).append(node)
+    for _, open_span in stack:
+        diags.append(Diagnostic("error", "unclosed parenthesis", open_span))
+    return top, diags
+
+
+def preorder(forms):
+    """Every node of a forest, parents first, with an explicit stack."""
+    stack = list(reversed(forms))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (SList, RefList)):
+            stack.extend(reversed(node.items))
+
+
+reader_texts = st.one_of(
+    st.text(alphabet="();\n\r\t\f abcxyz019\u00e9", max_size=120),
+    # a random cut spliced into a whole problem, so that the interpreter and
+    # the semantic rules report at many lines and columns
+    st.builds(lambda cut, junk: COUNTERS_2[:cut] + junk + COUNTERS_2[cut:],
+              st.integers(0, len(COUNTERS_2)),
+              st.text(alphabet="();\n\r\t\f abuxz019\u00e9", max_size=12)),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(reader_texts)
+@example("(a\n\t(b ;c)\r\n\f\u00e9) )\n (")
+def test_reader_matches_reference(text):
+    """The regex reader gives the reference reader's trees and balance
+    errors, and parse_problem each of its diagnostics at the span that the
+    reference reader gives the same offsets."""
+    forms, found = _read(text)
+    ref_forms, ref_diags = ref_read(text)
+    nodes, ref_nodes = list(preorder(forms)), list(preorder(ref_forms))
+    spans = [d.span for d in _diagnostics(text, [("", "", n.start, n.end) for n in nodes])]
+
+    def shape(node):    # an atom's text, a list's length
+        return node.text if isinstance(node, (SAtom, RefAtom)) else len(node.items)
+    assert [(shape(n), span) for n, span in zip(nodes, spans)] == \
+        [(shape(n), n.span) for n in ref_nodes]
+    assert _diagnostics(text, found) == ref_diags
+
+    expected = {(0, 0): SYNTHETIC_SPAN, (0, len(text)): SourceSpan(0, len(text), 1, 1)}
+    expected.update(((n.span.start, n.span.end), n.span) for n in ref_nodes)
+    expected.update(((d.span.start, d.span.end), d.span) for d in ref_diags)
+    for d in parse_problem(text)[1]:
+        assert d.span == expected[d.span.start, d.span.end]
+
+
 # -- serialization ----------------------------------------------------------
 
 def test_round_trip_counters():
@@ -514,6 +664,71 @@ def test_round_trip_nested_goal_and_negation():
     reparsed = parse_ok(text)
     assert reparsed == p
     assert serialize_problem(reparsed) == text
+
+
+#: names the text format cannot hold
+INVALID_NAMES = ("and", "true", "1x", "x y", "u)")
+
+
+def coded_name(name):
+    """name most of the time, else a name the text cannot hold."""
+    return st.sampled_from((name,) * 40 + INVALID_NAMES)
+
+
+# leaves and operands repeat, so that most trees are well formed; the rest
+# read an undeclared or boolean variable or hold a malformed node
+coded_exprs = st.recursive(
+    st.sampled_from((Var("x"), Var("y"), Var("u", "control"),
+                     Const(0.0), Const(-2.5), Const(1e300)) * 4
+                    + (Var("z"), Var("b"), TRUE)),
+    lambda kids: st.one_of(
+        st.builds(Add, kids, kids), st.builds(Sub, kids, kids),
+        st.builds(Mul, kids, kids), st.builds(Neg, kids),
+        st.builds(Pow, kids, st.sampled_from((0, 1, 2, 3) * 4 + (-1, 0.5, True)))),
+    max_leaves=4)
+
+coded_constraints = st.recursive(
+    st.one_of(st.builds(Cmp, coded_exprs, st.sampled_from(CMP_OPS * 4 + ("!=",))),
+              st.sampled_from((BoolEq("b", True), BoolEq("b", False)) * 4
+                              + (BoolEq("x", True), Var("x")))),
+    lambda kids: st.one_of(
+        st.builds(And, st.lists(kids, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(kids, max_size=3).map(tuple)),
+        st.builds(Not, kids)),
+    max_leaves=4)
+
+
+@st.composite
+def coded_problems(draw):
+    """Small problems built in code over the booleans b, the numerics x and
+    y and the control u, with now and then a name the text cannot hold."""
+    bools = (draw(coded_name("b")),)
+    nums = (draw(coded_name("x")), draw(coded_name("y")))
+    controls = (ControlVarSpec(draw(coded_name("u")), draw(st.integers(-2, 0)),
+                               draw(st.integers(1, 3))),)
+    actions = tuple(
+        Action(draw(coded_name(f"go-{i}")), draw(coded_constraints), Effect(
+            tuple(draw(st.lists(st.tuples(st.just("b"), st.booleans()), max_size=1))),
+            tuple(draw(st.lists(st.tuples(st.sampled_from(("x", "y")), coded_exprs),
+                                max_size=2)))))
+        for i in range(draw(st.integers(0, 2))))
+    init = State({bools[0]: draw(st.booleans())},
+                 {name: draw(st.sampled_from((0.0, -1.5, 2))) for name in nums})
+    goal = draw(st.sampled_from((TRUE, BoolEq("b", True), Cmp(Var("u", "control"), ">"),
+                                 And((Cmp(Sub(Var("x"), Const(1.0)), ">="),)))))
+    return Problem(draw(coded_name("p")), bools, nums, controls, actions, init, goal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coded_problems())
+def test_validated_problems_round_trip(p):
+    """validate never raises, and the text of a problem it passes reads
+    back as the problem, as serialize_problem promises."""
+    if any(d.severity == "error" for d in validate(p)):
+        return
+    problem, diags = parse_problem(serialize_problem(p))
+    assert not [d for d in diags if d.severity == "error"]
+    assert problem == p
 
 
 def test_serialize_plan_format():
