@@ -521,11 +521,9 @@ def _fold_constraint(con: Constraint, box) -> Optional[bool]:
 
 
 def _finite_number(value) -> bool:
-    """Whether value is an int or float that converts to a finite float."""
-    try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:
-        return False
+    """Whether value is a finite float. model turns each int that a float
+    equals into that float, so an int here is one that none equals."""
+    return type(value) is float and math.isfinite(value)
 
 
 def _check(problem: Problem, nodes: Dict[object, SExpr]) -> List[tuple]:
@@ -563,7 +561,7 @@ def _check(problem: Problem, nodes: Dict[object, SExpr]) -> List[tuple]:
         key, where = ("decl", position), f"control {spec.name}"
         if not spec.lower < spec.upper:
             report("error", key, where, "lower bound must be < upper bound")
-        if not (isinstance(spec.lower, int) and isinstance(spec.upper, int)):
+        if not (type(spec.lower) is int and type(spec.upper) is int):  # a bool is not
             report("error", key, where, "bounds must be integers")
         try:
             box[spec.name] = (float(spec.lower), float(spec.upper))
@@ -577,6 +575,9 @@ def _check(problem: Problem, nodes: Dict[object, SExpr]) -> List[tuple]:
         if not _finite_number(value):
             report("error", ("init", name), f"initial value of {name}",
                    "not a finite number")
+    for name, value in problem.init.bools.items():
+        if value is not True and value is not False:
+            report("error", None, f"initial value of {name}", "not a boolean")
 
     #: the nodes reported as errors that the fold cannot take: constants that
     #: are no finite number, exponents that are no nonnegative int, unknown
@@ -588,7 +589,9 @@ def _check(problem: Problem, nodes: Dict[object, SExpr]) -> List[tuple]:
         reads_control = False
         for e in iter_exprs(expr):
             if isinstance(e, Var):
-                if e.kind == "control":
+                if e.kind not in ("state", "control"):
+                    report("error", id(e), where, f"unknown variable kind: {e.kind!r}")
+                elif e.kind == "control":
                     reads_control = True
                     if e.name not in control_set:
                         report("error", id(e), where,
@@ -608,6 +611,11 @@ def _check(problem: Problem, nodes: Dict[object, SExpr]) -> List[tuple]:
                 if not (type(e.exponent) is int and e.exponent >= 0):
                     report("error", id(e), where, "exponent must be a nonnegative int")
                     unfoldable.append(e)
+                else:
+                    try:
+                        str(e.exponent)   # the text holds only as many digits as int() reads
+                    except ValueError:
+                        report("error", id(e), where, "integer literal too long")
             elif not isinstance(e, (Add, Sub, Mul, Neg)):
                 report("error", id(e), where, f"not a numeric expression: {type(e).__name__}")
                 unfoldable.append(e)
@@ -652,6 +660,8 @@ def _check(problem: Problem, nodes: Dict[object, SExpr]) -> List[tuple]:
             if pair[0] not in bool_set:
                 report("error", id(pair), where,
                        f"set target {pair[0]} is not a boolean variable")
+            if pair[1] is not True and pair[1] is not False:
+                report("error", id(pair), where, f"set value of {pair[0]} is not a boolean")
         for pair in act.effect.num_assigns:
             name, expr = pair
             if name in control_set:
@@ -684,9 +694,12 @@ def validate(problem: Problem) -> List[Diagnostic]:
     or wrongly typed variables, a control in the goal, effect targets
     outside the declared sets or assigned twice, duplicate action names;
     and what the text cannot hold or run_search cannot run: a problem,
-    variable or action name that is no name of the text format, an
-    exponent that is no nonnegative int, an unknown comparison operator,
-    a constraint where an expression belongs and the reverse.
+    variable or action name that is no name of the text format, a number
+    that no float equals, a boolean value that is not True or False, a
+    variable kind other than "state" and "control", an exponent that is no
+    nonnegative int or has more digits than the text reads, an unknown
+    comparison operator, a constraint where an expression belongs and the
+    reverse.
     Warnings: precondition constant-folds to false over the control box,
     non-conjunction goal top level, equality precondition on a control
     variable (rejection sampling can never hit a measure-zero set).

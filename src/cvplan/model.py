@@ -61,6 +61,20 @@ class _Compiles(_Cached):
         return _PerLayout(partial(compile_node, self))
 
 
+def _as_float(value):
+    """value, or the float equal to it where value is an int or a float."""
+    try:
+        number = float(value) if isinstance(value, (int, float)) else value
+    except OverflowError:
+        return value
+    return number if number == value else value
+
+
+def _as_bool(value):
+    """value, or the bool equal to it where value is the number 0 or 1."""
+    return bool(value) if isinstance(value, (int, float)) and value in (0, 1) else value
+
+
 class _Numeric(_Compiles):
     """Base of the numeric expression nodes."""
 
@@ -74,7 +88,11 @@ class _Condition(_Compiles):
 
 @dataclass(frozen=True)
 class Const(_Numeric):
+    """A constant; an int or bool value that a float equals becomes that float."""
     value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _as_float(self.value))
 
 
 @dataclass(frozen=True)
@@ -163,9 +181,15 @@ TRUE = And(())
 
 @dataclass(frozen=True)
 class Effect:
-    """Simultaneous assignments; at most one per variable (checked upstream)."""
+    """Simultaneous assignments; at most one per variable (checked upstream).
+    A boolean value 0 or 1 becomes False or True."""
     bool_assigns: Tuple[Tuple[str, bool], ...] = ()
     num_assigns: Tuple[Tuple[str, NumericExpr], ...] = ()
+
+    def __post_init__(self):
+        if not all(_as_bool(value) is value for _, value in self.bool_assigns):
+            object.__setattr__(self, "bool_assigns", tuple(
+                (name, _as_bool(value)) for name, value in self.bool_assigns))
 
 
 @dataclass(frozen=True)
@@ -216,7 +240,9 @@ class State:
     """Total valuation of the declared boolean and numeric state variables.
 
     The values sit in two tuples, bool_values and num_values, in the order
-    of layout: the names in the order the constructor receives them.
+    of layout: the names in the order the constructor receives them, and
+    the values as _as_bool and _as_float give them, so 0 and 1 booleans
+    and int numerics become bools and floats where these equal them.
     try_apply's successors keep their parent's layout. bools and nums are
     read-only proxies of fresh name -> value dicts. Immutable by contract:
     nothing assigns to a State; try_apply always builds a fresh one.
@@ -227,8 +253,8 @@ class State:
     def __init__(self, bools: Mapping[str, bool] = _EMPTY,
                  nums: Mapping[str, float] = _EMPTY):
         self.layout = layout_of(tuple(bools), tuple(nums))
-        self.bool_values = tuple(bools.values())
-        self.num_values = tuple(nums.values())
+        self.bool_values = tuple(map(_as_bool, bools.values()))
+        self.num_values = tuple(map(_as_float, nums.values()))
 
     @property
     def bools(self) -> Mapping[str, bool]:
@@ -309,6 +335,11 @@ class Decision:
 
 @dataclass(frozen=True)
 class Problem(_Cached):
+    """A planning problem. Its parts normalize their values on construction
+    (see Const, Effect and State), and it puts an init that assigns each
+    declared variable exactly once in the declared order. Each replaced
+    value equals its replacement, so every == holds as before."""
+
     name: str
     bools: Tuple[str, ...]
     nums: Tuple[str, ...]
@@ -316,6 +347,14 @@ class Problem(_Cached):
     actions: Tuple[Action, ...]
     init: State
     goal: Constraint
+
+    def __post_init__(self):
+        init, bools, nums = self.init, tuple(self.bools), tuple(self.nums)
+        values, numbers = init.bools, init.nums
+        if (init.layout is not layout_of(bools, nums) and {*values} == {*bools}
+                and {*numbers} == {*nums} and len(values) + len(numbers) == len(bools + nums)):
+            object.__setattr__(self, "init", State({k: values[k] for k in bools},
+                                                   {k: numbers[k] for k in nums}))
 
     @cached_property
     def _liveness(self) -> _PerLayout:
@@ -340,25 +379,6 @@ class Problem(_Cached):
     def _state_key(self) -> Callable[[State], tuple]:
         from .codegen import compile_state_key
         return compile_state_key(self)
-
-    @cached_property
-    def _packable(self) -> bool:
-        """Whether every state the compiled actions reach from init is in the
-        problem's layout with float numerics and True or False booleans, and
-        every decision one float per control: so when init is, control names
-        are distinct, and effects assign declared names True, False or float
-        expressions (float constants, integer powers)."""
-        effects = [act.effect for act in self.actions]
-        nodes = [node for e in effects for _, expr in e.num_assigns for node in iter_exprs(expr)]
-        return (self.init.layout is layout_of(tuple(self.bools), tuple(self.nums))
-                and len(set(self._control_names)) == len(self.controls)
-                and all(b is True or b is False for b in self.init.bool_values)
-                and all(type(v) is float for v in self.init.num_values)
-                and all(name in self.bools and (b is True or b is False)
-                        for e in effects for name, b in e.bool_assigns)
-                and all(name in self.nums for e in effects for name, _ in e.num_assigns)
-                and all(type(n.value) is float for n in nodes if isinstance(n, Const))
-                and all(type(n.exponent) is int for n in nodes if isinstance(n, Pow)))
 
     @cached_property
     def _control_names(self) -> Tuple[str, ...]:

@@ -36,7 +36,10 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .model import Decision, Problem, State, goal_test, make_heuristic, state_key
+from .model import (
+    Const, Decision, Pow, Problem, State, goal_test, iter_exprs, layout_of, make_heuristic,
+    state_key,
+)
 from .sampling import make_sampler, sample_uniform
 
 #: priority rectifiers by CLI tag; each maps the partial-expansion counter
@@ -77,52 +80,58 @@ class SearchTree:
 
     parent (-1 at the root), g, h, n, trials (the sampler's trials on the
     node, over all its expansions) and f (the priority the node was last
-    queued with) are arrays; layout, action (None at the root), bool_values,
-    num_values and values (the decision's, in the order of names, the
-    control names every sampled decision shares) are lists. In the tree of a
-    _packable problem (see model.Problem), though, bool_values keeps one
-    tuple per distinct value, and num_values and values are array("d")s of
-    len(problem.nums) and len(names) floats per node (zeros for the root's
-    decision), written and read by struct bit for bit. So a node is atomics
-    and tuples of atomics, which the garbage collector stops tracking.
+    queued with) are arrays, action (None at the root) a list. Each state
+    is in the problem's layout: bool_values keeps one tuple per distinct
+    value, and num_values and values (the decision's, in the order of
+    names, the control names every sampled decision shares; zeros at the
+    root) are array("d")s of len(problem.nums) and len(names) floats per
+    node, written and read by struct bit for bit. So a node is atomics and
+    tuples of atomics, which the garbage collector stops tracking. A
+    problem whose search could leave that format raises ValueError naming
+    the cause (model.Problem normalizes the rest on construction).
     add(parent, g, h, f, state, decision) appends a node at n = 0 and
-    trials = 0 and returns its uid; a packed tree takes only states that the
-    problem's search reaches.
+    trials = 0 and returns its uid, and state(uid) builds node uid's state.
     """
 
-    def __init__(self, names: Tuple[str, ...], problem: Optional[Problem] = None):
+    def __init__(self, problem: Problem):
+        init, names = problem.init, problem._control_names
+        flags = [*zip(init.layout.bools, init.bool_values),
+                 *[pair for act in problem.actions for pair in act.effect.bool_assigns]]
+        numbers = [*zip(init.layout.nums, map(Const, init.num_values)),
+                   *[pair for act in problem.actions for pair in act.effect.num_assigns]]
+        terms = [term for _, expr in numbers for term in iter_exprs(expr)]
+        for fault, cause in (
+                (init.layout is not layout_of(tuple(problem.bools), tuple(problem.nums)),
+                 "the initial state does not assign each declared variable exactly once"),
+                (len(set(names)) < len(names), f"duplicate control names: {names}"),
+                (any(name not in problem.bools for name, _ in flags)
+                 or any(name not in problem.nums for name, _ in numbers),
+                 "an effect assigns an undeclared variable"),
+                (any(b is not True and b is not False for _, b in flags),
+                 "a boolean value is not True or False"),
+                (any(type(t.value) is not float for t in terms if isinstance(t, Const)),
+                 "a numeric value is not a float"),
+                (any(type(t.exponent) is not int for t in terms if isinstance(t, Pow)),
+                 "an exponent is not an int")):
+            if fault:
+                raise ValueError(cause)
         self.names = names
+        num_row, self._value_row = (
+            struct.Struct(f"<{k}d") for k in (len(problem.nums), len(names)))
         self.parent, self.g, self.n, self.trials = (array("q") for _ in range(4))
-        self.h, self.f = array("d"), array("d")
-        self.layout, self.action, self.bool_values = [], [], []
+        self.h, self.f, self.num_values, self.values = (array("d") for _ in range(4))
+        self.action, self.bool_values = [], []
         #: each node's first child and next sibling, -1 for none; built by
         #: children, again once the tree has grown
         self._first, self._sibling = array("q"), array("q")
-        bools = self.bool_values.append
-        if problem is not None and problem._packable:
-            num_row, value_row = (struct.Struct(f"<{k}d") for k in (len(problem.nums), len(names)))
-            nums, values = self.num_values, self.values = array("d"), array("d")
-            intern, put_nums, put_values = {}.setdefault, nums.frombytes, values.frombytes
-            pack_nums, pack_values, blank = num_row.pack, value_row.pack, (0.0,) * len(names)
-
-            def put_row(state, decision_values):
-                bools(intern(state.bool_values, state.bool_values))
-                put_nums(pack_nums(*state.num_values))
-                put_values(pack_values(*decision_values))
-            self._read_nums = (num_row.unpack_from, num_row.size)
-            self._read_values = (value_row.unpack_from, value_row.size)
-        else:
-            nums, values = self.num_values, self.values = [], []
-            put_nums, put_values, blank = nums.append, values.append, ()
-
-            def put_row(state, decision_values):
-                bools(state.bool_values)
-                put_nums(state.num_values)
-                put_values(decision_values)
-            self._read_nums = self._read_values = (list.__getitem__, 1)
-        layouts = self.layout
-        parents, gs, hs, ns, trials, fs, put_layout, actions = (column.append for column in (
-            self.parent, self.g, self.h, self.n, self.trials, self.f, layouts, self.action))
+        intern, blank, new = {}.setdefault, (0.0,) * len(names), object.__new__
+        pack_nums, pack_values = num_row.pack, self._value_row.pack
+        put_nums, put_values = self.num_values.frombytes, self.values.frombytes
+        layout, unpack_nums, num_size = init.layout, num_row.unpack_from, num_row.size
+        nodes, bool_rows, num_rows = self.action, self.bool_values, self.num_values
+        parents, gs, hs, ns, trials, fs, actions, bools = (
+            column.append for column in (self.parent, self.g, self.h, self.n, self.trials,
+                                         self.f, nodes, bool_rows))
 
         def add(parent: int, g: int, h: float, f: float, state: State,
                 decision: Optional[Decision]) -> int:
@@ -132,21 +141,22 @@ class SearchTree:
             ns(0)
             trials(0)
             fs(f)
-            put_layout(state.layout)
             actions(decision and decision.action)
-            put_row(state, decision.values if decision else blank)
-            return len(layouts) - 1
-        self.add = add
+            bools(intern(state.bool_values, state.bool_values))
+            put_nums(pack_nums(*state.num_values))
+            put_values(pack_values(*(decision.values if decision else blank)))
+            return len(nodes) - 1
+
+        def state(uid: int) -> State:
+            """Node uid's state, built afresh."""
+            node = new(State)
+            node.layout, node.bool_values, node.num_values = (
+                layout, bool_rows[uid], unpack_nums(num_rows, uid * num_size))
+            return node
+        self.add, self.state = add, state
 
     def __len__(self) -> int:
         return len(self.parent)
-
-    def state(self, uid: int) -> State:
-        """Node uid's state, built afresh."""
-        state, (read, stride) = object.__new__(State), self._read_nums
-        state.layout, state.bool_values, state.num_values = (
-            self.layout[uid], self.bool_values[uid], read(self.num_values, uid * stride))
-        return state
 
     def children(self, uid: int) -> List[int]:
         """Node uid's children in insertion order. The links behind them are
@@ -191,9 +201,9 @@ class TreeNode:
     @property
     def decision(self) -> Optional[Decision]:
         tree, uid = self.tree, self.uid
-        action, (read, stride) = tree.action[uid], tree._read_values
-        return None if action is None else Decision._of(action, tree.names,
-                                                        read(tree.values, uid * stride))
+        action, row = tree.action[uid], tree._value_row
+        return None if action is None else Decision._of(
+            action, tree.names, row.unpack_from(tree.values, uid * row.size))
 
     @property
     def parent(self) -> Optional["TreeNode"]:
@@ -344,10 +354,11 @@ def run_search(problem: Problem, cfg: SearchConfig,
                trace=None) -> SearchResult:
     """Run the best-first engine on a problem.
 
-    The nodes live in one SearchTree of the problem, packed when the problem
-    is _packable, whose root the result holds as a TreeNode view; the loop
-    appends through its add, and the open list queues uids by f. A
-    node's State is built when it is extracted, and a Decision only for the plan.
+    The nodes live in one SearchTree of the problem, whose root the result
+    holds as a TreeNode view; the loop appends through its add, and the
+    open list queues uids by f. A node's State is built when it is
+    extracted, and a Decision only for the plan. A problem whose states
+    the tree cannot hold raises ValueError.
 
     cfg.time_limit bounds sampling too: the samplers get the run's deadline
     and cut a call short once it has passed.
@@ -368,7 +379,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
 
     t0 = clock()
     deadline = t0 + cfg.time_limit
-    tree = SearchTree(problem._control_names, problem)
+    tree = SearchTree(problem)
     add, state_at = tree.add, tree.state
     gs, hs, ns, fs, trials = tree.g, tree.h, tree.n, tree.f, tree.trials
     h0 = h_fn(problem.init)

@@ -1,7 +1,7 @@
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -251,8 +251,9 @@ def test_validate_refuses_non_finite_numbers():
         return Problem("p", (), ("x",), (), (act,), State({}, {"x": init}), And(()))
 
     assert validate(problem()) == []
-    # an int beyond the float range, a string and None are no finite number
-    for bad in (math.nan, math.inf, -math.inf, 10 ** 400, "1", None):
+    # an int beyond the float range or that no float equals, a string and
+    # None are no finite number
+    for bad in (math.nan, math.inf, -math.inf, 10 ** 400, 2 ** 53 + 1, "1", None):
         (err,) = validate(problem(const=bad))
         assert err.message == "action a: not a finite number"
         (err,) = validate(problem(pre=bad))
@@ -304,11 +305,36 @@ def one_action(pre, action="a", name="p", bools=(), nums=("x",), control="u"):
     (Cmp(Var("x"), "!="), "unknown comparison operator: '!='"),
     (Cmp(And(()), ">="), "not a numeric expression: And"),
     (And((Cmp(Var("x"), ">"), Var("x"))), "not a constraint: Var"),
+    # the text cannot hold these: int() reads at most 4300 digits, and a
+    # variable reads back as a state or a control variable
+    (Cmp(Pow(Var("x"), 10 ** 5000), ">"), "integer literal too long"),
+    (Cmp(Var("x", "ctrl"), ">"), "unknown variable kind: 'ctrl'"),
 ])
 def test_validate_refuses_trees_the_search_cannot_run(pre, message):
     (err,) = validate(one_action(pre))
     assert err.severity == "error"
     assert err.message == f"action a precondition: {message}"
+
+
+def test_validate_refuses_bools_the_text_cannot_hold():
+    """The text writes a bool as true or false and a control bound as an
+    int, so each of these reads back unequal or not at all."""
+    p = one_action(TRUE, bools=("b",))
+    (act,) = p.actions
+    for problem, message in (
+            (replace(p, controls=(ControlVarSpec("u", False, True),)),
+             "control u: bounds must be integers"),
+            (replace(p, init=State({"b": 2}, {"x": 0.0})), "initial value of b: not a boolean"),
+            (replace(p, actions=(replace(act, effect=Effect((("b", 2),), ())),)),
+             "action a: set value of b is not a boolean")):
+        assert [(d.severity, d.message) for d in validate(problem)] == [("error", message)]
+
+
+def test_validate_folds_int_constants_as_floats():
+    """A constant built from an int holds a float, so its power to a
+    4000-digit exponent overflows the interval fold at once, where int
+    arithmetic would not finish."""
+    assert validate(one_action(Cmp(Pow(Const(3), 10 ** 3999), ">"))) == []
 
 
 @pytest.mark.parametrize("bad", ["and", "true", "1x", "x y", "u)"])
@@ -679,12 +705,12 @@ def coded_name(name):
 # read an undeclared or boolean variable or hold a malformed node
 coded_exprs = st.recursive(
     st.sampled_from((Var("x"), Var("y"), Var("u", "control"),
-                     Const(0.0), Const(-2.5), Const(1e300)) * 4
-                    + (Var("z"), Var("b"), TRUE)),
+                     Const(0.0), Const(-2.5), Const(1e300), Const(3)) * 4
+                    + (Var("z"), Var("b"), Var("x", "ctrl"), Const(2 ** 53 + 1), TRUE)),
     lambda kids: st.one_of(
         st.builds(Add, kids, kids), st.builds(Sub, kids, kids),
         st.builds(Mul, kids, kids), st.builds(Neg, kids),
-        st.builds(Pow, kids, st.sampled_from((0, 1, 2, 3) * 4 + (-1, 0.5, True)))),
+        st.builds(Pow, kids, st.sampled_from((0, 1, 2, 3) * 4 + (-1, 0.5, True, 10 ** 5000)))),
     max_leaves=4)
 
 coded_constraints = st.recursive(
@@ -698,21 +724,25 @@ coded_constraints = st.recursive(
     max_leaves=4)
 
 
+#: boolean values: 0 and 1 normalize to False and True, 2 stays an error
+coded_bools = st.sampled_from((True, False) * 4 + (0, 1, 2))
+
+
 @st.composite
 def coded_problems(draw):
     """Small problems built in code over the booleans b, the numerics x and
     y and the control u, with now and then a name the text cannot hold."""
     bools = (draw(coded_name("b")),)
     nums = (draw(coded_name("x")), draw(coded_name("y")))
-    controls = (ControlVarSpec(draw(coded_name("u")), draw(st.integers(-2, 0)),
-                               draw(st.integers(1, 3))),)
+    controls = (ControlVarSpec(draw(coded_name("u")), draw(st.sampled_from((-2, -1, 0, False))),
+                               draw(st.sampled_from((1, 2, 3, True)))),)
     actions = tuple(
         Action(draw(coded_name(f"go-{i}")), draw(coded_constraints), Effect(
-            tuple(draw(st.lists(st.tuples(st.just("b"), st.booleans()), max_size=1))),
+            tuple(draw(st.lists(st.tuples(st.just("b"), coded_bools), max_size=1))),
             tuple(draw(st.lists(st.tuples(st.sampled_from(("x", "y")), coded_exprs),
                                 max_size=2)))))
         for i in range(draw(st.integers(0, 2))))
-    init = State({bools[0]: draw(st.booleans())},
+    init = State({bools[0]: draw(coded_bools)},
                  {name: draw(st.sampled_from((0.0, -1.5, 2))) for name in nums})
     goal = draw(st.sampled_from((TRUE, BoolEq("b", True), Cmp(Var("u", "control"), ">"),
                                  And((Cmp(Sub(Var("x"), Const(1.0)), ">="),)))))

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import operator
 import pickle
 import struct
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvplan.domains import default_ladder, generate, make_drone
-from cvplan.dsl import parse_problem, validate
+from cvplan.dsl import parse_problem, serialize_problem, validate
 from cvplan import codegen, model
 from cvplan.model import (
     CMP_OPS, Action, Add, And, BoolEq, Cmp, Const, ControlVarSpec, Decision,
@@ -921,3 +922,82 @@ assert "cvplan.codegen" in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# normalization on construction
+
+#: numbers a problem may be built with: floats, ints and a bool that a
+#: float equals, and an int that no float equals
+BUILT_NUMBERS = (0.0, -1.5, 0, 3, True, 2 ** 53 + 1)
+#: boolean values: 0, 1 and 1.0 normalize to bools, 2 stays as it is
+BUILT_BOOLEANS = (True, False, 0, 1, 1.0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.permutations(("p", "q")), st.permutations(("x", "y")),
+       st.lists(st.sampled_from(BUILT_BOOLEANS), min_size=2, max_size=2),
+       st.lists(st.sampled_from(BUILT_NUMBERS), min_size=2, max_size=2),
+       st.lists(st.tuples(st.sampled_from(("p", "q")), st.sampled_from(BUILT_BOOLEANS)),
+                max_size=2, unique_by=lambda pair: pair[0]),
+       st.lists(st.tuples(st.sampled_from(("x", "y")), st.sampled_from(BUILT_NUMBERS)),
+                max_size=2, unique_by=lambda pair: pair[0]))
+def test_problems_normalize_to_equal_problems(bool_order, num_order, bools, nums,
+                                             sets, assigns):
+    """States, effects and constants keep == to the values they were built
+    with and hold bools and floats wherever these equal them; a problem puts
+    its init in declared order. Normalizing again changes nothing, pickles
+    keep the normal form, and run_search runs the problem exactly when
+    nothing was left to mend."""
+    raw_bools, raw_nums = dict(zip(bool_order, bools)), dict(zip(num_order, nums))
+    init = State(raw_bools, raw_nums)
+    assert init.bools == raw_bools and init.nums == raw_nums
+    consts = [Const(value) for _, value in assigns]
+    assert [c.value for c in consts] == [value for _, value in assigns]
+    u = Var("u", "control")
+    step = Action("step", TRUE, Effect(tuple(sets), tuple(
+        (name, Add(Var(name), Mul(c, u))) for (name, _), c in zip(assigns, consts))))
+    assert step.effect.bool_assigns == tuple(sets)
+    p = Problem("p", ("p", "q"), ("x", "y"), (ControlVarSpec("u", 0, 1),), (step,), init, TRUE)
+    assert p.init == init and p.init.layout is layout_of(("p", "q"), ("x", "y"))
+    flags = [*p.init.bool_values, *[value for _, value in step.effect.bool_assigns]]
+    numbers = [*p.init.num_values, *[c.value for c in consts]]
+    assert all(v is True or v is False or v == 2 for v in flags)
+    assert all(type(v) is float or v == 2 ** 53 + 1 for v in numbers)
+    again = dataclasses.replace(p, init=State(p.init.bools, p.init.nums),
+                                actions=(dataclasses.replace(step),))
+    assert again == p and repr(again) == repr(p)
+    assert all(map(operator.is_, again.init.bool_values + again.init.num_values,
+                   p.init.bool_values + p.init.num_values))
+    assert all(map(operator.is_, [Const(c.value).value for c in consts], [c.value for c in consts]))
+    assert again.actions[0].effect.bool_assigns is step.effect.bool_assigns
+    copied = pickle.loads(pickle.dumps(p))
+    assert copied == p and repr(copied) == repr(p)
+    assert copied.init.layout is p.init.layout
+    normal = 2 not in flags and 2 ** 53 + 1 not in numbers
+    try:
+        run_search(p, SearchConfig(seed=0, expansion_limit=20))
+    except ValueError:
+        assert not normal
+    else:
+        assert normal
+
+
+def test_normal_problems_keep_their_parts():
+    """A boolean assigned 1 now holds True, which BoolEq's is test accepts;
+    a problem whose init is in declared order keeps its very init and
+    actions, as every generated and parsed problem does."""
+    act = Action("a", TRUE, Effect((("b", 1),), (("x", Add(Var("x"), Const(1))),)))
+    p = Problem("p", ("b",), ("x",), (), (act,), State({"b": False}, {"x": 0}), TRUE)
+    assert p.actions[0] is act and act.effect.bool_assigns == (("b", True),)
+    succ = try_apply(p.init, act, {})
+    assert (succ.bool_values, succ.num_values) == ((True,), (1.0,))
+    assert type(succ.num_values[0]) is float
+    assert eval_constraint(BoolEq("b", True), succ, {})
+    generated = generate(default_ladder()[5])
+    for g in (generated, parse_problem(serialize_problem(generated))[0]):
+        rebuilt = Problem(*[getattr(g, f.name) for f in dataclasses.fields(g)])
+        assert rebuilt.init is g.init and rebuilt.actions is g.actions
+    reordered = Problem("p", ("b",), ("x", "y"), (), (), State({"b": 1}, {"y": 2, "x": 0}), TRUE)
+    assert reordered.init.layout is layout_of(("b",), ("x", "y"))
+    assert (reordered.init.bool_values, reordered.init.num_values) == ((True,), (0.0, 2.0))

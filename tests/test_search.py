@@ -5,15 +5,16 @@ import time
 import tracemalloc
 from array import array
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvplan import sampling, search
-from cvplan.dsl import parse_problem
+from cvplan.dsl import parse_problem, validate
 from cvplan.domains import make_counters, make_drone, make_sailing
 from cvplan.model import (
-    Action, Add, And, Cmp, Const, ControlVarSpec, Decision, Effect, Problem,
+    Action, Add, And, Cmp, Const, ControlVarSpec, Decision, Effect, Pow, Problem,
     State, Sub, TRUE, Var, goal_test, key_by_name, make_heuristic, replay_plan,
     state_key,
 )
@@ -173,7 +174,7 @@ def test_config_validation():
 
 def undeclared_variable_problem():
     """Its one action also assigns z, which the problem does not declare, so
-    every successor has a layout the initial state lacks."""
+    every successor would have a layout the initial state lacks."""
     u = Var("u", "control")
     step = Action("step", TRUE, Effect((), (("x", Add(Var("x"), u)), ("z", u))))
     return Problem(
@@ -209,10 +210,8 @@ def run_recorded(monkeypatch, problem, expansion_limit):
     return result, events, {e[1]: out for e, out in zip(placed, sampled) if e[0] == "insert"}
 
 
-@pytest.mark.parametrize("make_problem,layouts", [
-    (lambda: make_counters(2), 1), (undeclared_variable_problem, 2)])
-def test_tree_view_holds_what_the_sampler_returned(monkeypatch, make_problem, layouts):
-    problem = make_problem()
+def test_tree_view_holds_what_the_sampler_returned(monkeypatch):
+    problem = make_counters(2)
     result, events, inserted = run_recorded(monkeypatch, problem, 20_000)
     assert result.outcome == "solved"
     root, tree = result.root, result.root.tree
@@ -227,7 +226,7 @@ def test_tree_view_holds_what_the_sampler_returned(monkeypatch, make_problem, la
         assert node.decision == out.decision
         assert (node.g, node.h) == (node.parent.g + 1, h(out.successor))
         assert node.uid in [child.uid for child in node.parent.children]
-    assert len(set(tree.layout)) == layouts
+    assert not hasattr(tree, "layout")
     goal = events[-1][1]
     expected, node = [], TreeNode(tree, goal)
     while node.parent is not None:
@@ -269,7 +268,6 @@ def flag_problem(init_nums=(("x", 0.0), ("y", 0.0)), flag_value=True, y_value=1.
                                           lambda: make_drone(2, 2), flag_problem])
 def test_packed_rows_read_back_what_the_sampler_returned(monkeypatch, make_problem):
     problem = make_problem()
-    assert problem._packable
     result, _, inserted = run_recorded(monkeypatch, problem, 3000)
     tree = result.root.tree
     assert (type(tree.num_values), type(tree.values)) == (array, array)
@@ -286,22 +284,45 @@ def test_packed_rows_read_back_what_the_sampler_returned(monkeypatch, make_probl
     {"flag_value": 1},                              # a boolean assignment of 1
     {"init_nums": (("y", 0.0), ("x", 0.0))},        # init in another order
 ])
-def test_unpackable_problems_keep_their_tuples(monkeypatch, changes):
-    assert flag_problem()._packable
+def test_normalized_problems_pack_and_search_alike(monkeypatch, changes):
+    """Each variant normalizes to flag_problem()'s values: its tree packs
+    its rows, holds what the sampler returned, and its trace is
+    flag_problem()'s event for event."""
     problem = flag_problem(**changes)
-    assert not problem._packable
-    result, _, inserted = run_recorded(monkeypatch, problem, 300)
+    result, events, inserted = run_recorded(monkeypatch, problem, 300)
     tree = result.root.tree
+    assert (type(tree.num_values), type(tree.values)) == (array, array)
     assert len(tree) > 100
     assert_nodes_hold_exactly(tree, problem, inserted)
-    # the very tuples the states hold, each kept as it is
-    states = {0: problem.init, **{uid: out.successor for uid, out in inserted.items()}}
-    for uid, state in states.items():
-        assert tree.bool_values[uid] is state.bool_values
-        assert tree.num_values[uid] is state.num_values
-    if changes == {"flag_value": 1}:
-        # (1,) == (True,), and neither stands in for the other
-        assert [type(row[0]) for row in tree.bool_values] == [bool] + [int] * len(inserted)
+    reference = []
+    run_search(flag_problem(), SearchConfig(seed=0, expansion_limit=300), trace=reference)
+    assert events == reference
+
+
+def test_run_search_refuses_what_normalizing_cannot_mend():
+    """States that leave the declared layout, decisions with fewer values
+    than control names, and values that no float or bool equals: each is
+    a ValueError that names its cause, and a validate error."""
+    flags = flag_problem()
+    power = Action("step", TRUE, Effect((), (("x", Pow(Var("x"), 0.5)),)))
+    layout = "the initial state does not assign each declared variable exactly once"
+    cases = [
+        (undeclared_variable_problem(), "an effect assigns an undeclared variable"),
+        (replace(flags, init=State({"flag": True}, {"x": 0.0})), layout),
+        (replace(flags, nums=("x", "y", "x")), layout),
+        (replace(flags, controls=flags.controls * 2), "duplicate control names: \\('u', 'u'\\)"),
+        (replace(flags, init=State({"flag": 2}, {"x": 0.0, "y": 0.0})),
+         "a boolean value is not True or False"),
+        (flag_problem(flag_value=2), "a boolean value is not True or False"),
+        (flag_problem(init_nums=(("x", 2 ** 53 + 1), ("y", 0.0))),
+         "a numeric value is not a float"),
+        (flag_problem(y_value=10 ** 400), "a numeric value is not a float"),
+        (replace(flags, actions=(power,)), "an exponent is not an int"),
+    ]
+    for problem, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_search(problem, SearchConfig(seed=0, expansion_limit=10))
+        assert any(d.severity == "error" for d in validate(problem)), message
 
 
 def test_search_reaches_its_layers_through_module_names(monkeypatch):
@@ -395,7 +416,7 @@ def test_uid_table_matches_a_set(stream):
 def micro_grid(y0=0.0):
     """x and y step by 1e-6 between -3e-6 and 0, so that keys hold -1 and
     -2 and many paths reach one key with unequal floats; y0 = 0 (an int)
-    makes the problem unpackable."""
+    normalizes to 0.0."""
     def step(name, sign, bound):
         pre = Cmp(Sub(Var(name), Const(bound)), "<=" if sign > 0 else ">=")
         effect = Effect((), ((name, Add(Var(name), Const(sign * 1e-6))),))
@@ -642,7 +663,7 @@ def test_drifted_nodes_flags_a_stale_f():
 
 
 def test_reconstruct_plan_orders_decisions():
-    tree = SearchTree(("u",))
+    tree = SearchTree(impossible_problem())       # numeric x, control u
     root = tree.add(-1, 0, 0.0, 0.0, State(bools={}, nums={"x": 0.0}), None)
     mid = tree.add(root, 1, 0.0, 1.0, State(bools={}, nums={"x": 1.0}),
                    Decision("first", {"u": 1.0}))
@@ -683,7 +704,7 @@ def test_solution_bound_negative_and_mode_guard():
                        expansion_limit=20000, time_limit=30.0)
     result = run_search(p, cfg)
     # corrupt: pretend the root was never re-expanded and had a zero estimate
-    fake_tree = SearchTree(p._control_names)
+    fake_tree = SearchTree(p)
     fake_root = TreeNode(fake_tree, fake_tree.add(-1, 0, 0.0, 0.0, p.init, None))
     if len(result.plan) > 0:
         assert not solution_cost_within_bound(result, fake_root, cfg)
@@ -709,7 +730,7 @@ def test_node_memory_guard():
         tracemalloc.stop()
     nodes = len(result.root.tree)
     assert result.expansions == 20_000
-    assert peak / nodes <= 242, (peak, nodes)
+    assert peak / nodes <= 232, (peak, nodes)
 
 
 def test_finished_search_keeps_no_tracked_object_per_node():
