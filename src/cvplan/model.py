@@ -387,6 +387,33 @@ class Problem(_Cached):
         return tuple(spec.name for spec in self.controls)
 
     @cached_property
+    def _refusal(self) -> Optional[str]:
+        """Why search.SearchTree cannot hold this problem's nodes, or None:
+        what normalizing on construction cannot mend."""
+        init, names = self.init, self._control_names
+        flags = [*zip(init.layout.bools, init.bool_values),
+                 *[pair for act in self.actions for pair in act.effect.bool_assigns]]
+        numbers = [*zip(init.layout.nums, map(Const, init.num_values)),
+                   *[pair for act in self.actions for pair in act.effect.num_assigns]]
+        terms = [term for _, expr in numbers for term in iter_exprs(expr)]
+        for fault, cause in (
+                (init.layout is not layout_of(tuple(self.bools), tuple(self.nums)),
+                 "the initial state does not assign each declared variable exactly once"),
+                (len(set(names)) < len(names), f"duplicate control names: {names}"),
+                (any(name not in self.bools for name, _ in flags)
+                 or any(name not in self.nums for name, _ in numbers),
+                 "an effect assigns an undeclared variable"),
+                (any(b is not True and b is not False for _, b in flags),
+                 "a boolean value is not True or False"),
+                (any(type(t.value) is not float for t in terms if isinstance(t, Const)),
+                 "a numeric value is not a float"),
+                (any(type(t.exponent) is not int for t in terms if isinstance(t, Pow)),
+                 "an exponent is not an int")):
+            if fault:
+                return cause
+        return None
+
+    @cached_property
     def _control_box(self) -> Tuple[Tuple[str, float, float], ...]:
         """(name, lower, upper - lower) per control, the ints converted to
         float as float arithmetic converts them (so bounds beyond the float

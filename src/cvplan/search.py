@@ -36,10 +36,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .model import (
-    Const, Decision, Pow, Problem, State, goal_test, iter_exprs, layout_of, make_heuristic,
-    state_key,
-)
+from .model import Decision, Problem, State, goal_test, make_heuristic, state_key
 from .sampling import make_sampler, sample_uniform
 
 #: priority rectifiers by CLI tag; each maps the partial-expansion counter
@@ -78,52 +75,37 @@ class SearchTree:
     """The best-first engine's nodes as columns indexed by uid: 0 for the
     root, then the nodes in insertion order.
 
-    parent (-1 at the root), g, h, n, trials (the sampler's trials on the
-    node, over all its expansions) and f (the priority the node was last
-    queued with) are arrays, action (None at the root) a list. Each state
-    is in the problem's layout: bool_values keeps one tuple per distinct
-    value, and num_values and values (the decision's, in the order of
-    names, the control names every sampled decision shares; zeros at the
-    root) are array("d")s of len(problem.nums) and len(names) floats per
-    node, written and read by struct bit for bit. So a node is atomics and
-    tuples of atomics, which the garbage collector stops tracking. A
-    problem whose search could leave that format raises ValueError naming
-    the cause (model.Problem normalizes the rest on construction).
+    parent (-1 at the root), g, n and trials (the sampler's trials on the
+    node, over all its expansions) are array("i")s of 4-byte ints, which
+    raise OverflowError on a value past 2**31 - 1 rather than wrap; h and f
+    (the priority the node was last queued with) are array("d")s, action
+    (None at the root) a list. Each state is in the problem's layout:
+    bool_values keeps one tuple per distinct value, and num_values and
+    values (the decision's, in the order of names, the control names every
+    sampled decision shares; zeros at the root) are array("d")s of
+    len(problem.nums) and len(names) floats per node, written and read by
+    struct bit for bit. So a node is atomics and tuples of atomics, which
+    the garbage collector stops tracking. A problem whose search could
+    leave that format raises ValueError naming the cause, which
+    Problem._refusal finds once per problem (model.Problem normalizes the
+    rest on construction).
     add(parent, g, h, f, state, decision) appends a node at n = 0 and
     trials = 0 and returns its uid, and state(uid) builds node uid's state.
     """
 
     def __init__(self, problem: Problem):
+        if (cause := problem._refusal) is not None:
+            raise ValueError(cause)
         init, names = problem.init, problem._control_names
-        flags = [*zip(init.layout.bools, init.bool_values),
-                 *[pair for act in problem.actions for pair in act.effect.bool_assigns]]
-        numbers = [*zip(init.layout.nums, map(Const, init.num_values)),
-                   *[pair for act in problem.actions for pair in act.effect.num_assigns]]
-        terms = [term for _, expr in numbers for term in iter_exprs(expr)]
-        for fault, cause in (
-                (init.layout is not layout_of(tuple(problem.bools), tuple(problem.nums)),
-                 "the initial state does not assign each declared variable exactly once"),
-                (len(set(names)) < len(names), f"duplicate control names: {names}"),
-                (any(name not in problem.bools for name, _ in flags)
-                 or any(name not in problem.nums for name, _ in numbers),
-                 "an effect assigns an undeclared variable"),
-                (any(b is not True and b is not False for _, b in flags),
-                 "a boolean value is not True or False"),
-                (any(type(t.value) is not float for t in terms if isinstance(t, Const)),
-                 "a numeric value is not a float"),
-                (any(type(t.exponent) is not int for t in terms if isinstance(t, Pow)),
-                 "an exponent is not an int")):
-            if fault:
-                raise ValueError(cause)
         self.names = names
         num_row, self._value_row = (
             struct.Struct(f"<{k}d") for k in (len(problem.nums), len(names)))
-        self.parent, self.g, self.n, self.trials = (array("q") for _ in range(4))
+        self.parent, self.g, self.n, self.trials = (array("i") for _ in range(4))
         self.h, self.f, self.num_values, self.values = (array("d") for _ in range(4))
         self.action, self.bool_values = [], []
         #: each node's first child and next sibling, -1 for none; built by
         #: children, again once the tree has grown
-        self._first, self._sibling = array("q"), array("q")
+        self._first, self._sibling = array("i"), array("i")
         intern, blank, new = {}.setdefault, (0.0,) * len(names), object.__new__
         pack_nums, pack_values = num_row.pack, self._value_row.pack
         put_nums, put_values = self.num_values.frombytes, self.values.frombytes
@@ -163,7 +145,7 @@ class SearchTree:
         built in one pass over parent, on the first call after the tree grew."""
         size, parent = len(self), self.parent
         if len(self._first) != size:
-            first, sibling = array("q", [-1]) * size, array("q", [-1]) * size
+            first, sibling = array("i", [-1]) * size, array("i", [-1]) * size
             for child in range(size - 1, 0, -1):
                 sibling[child] = first[parent[child]]
                 first[parent[child]] = child
@@ -258,11 +240,12 @@ class OpenList:
 def uid_table(key: Callable[[int], Hashable]) -> Callable[[Hashable], int]:
     """Duplicate detection over uids 0, 1, 2, ... keeping no key: key(uid)
     recomputes uid's key. add(k) returns the uid of an added key equal to
-    k, or -1 after adding k under the next uid. The table is an array("q")
-    of uids, -1 where empty, power-of-two sized, at most half full (it grows
-    fourfold) and probed linearly from hash & mask; hashes holds each uid's
-    hash, and keys are compared only where hashes are equal."""
-    hashes, slots, mask = array("q"), array("q", [-1]) * 8, 7
+    k, or -1 after adding k under the next uid. The table is an array("i")
+    of 4-byte uids, -1 where empty, power-of-two sized, at most half full
+    (it grows fourfold) and probed linearly from hash & mask; hashes holds
+    each uid's 8-byte hash, and keys are compared only where hashes are
+    equal. So a key costs 16 to 40 B."""
+    hashes, slots, mask = array("q"), array("i", [-1]) * 8, 7
 
     def add(k: Hashable) -> int:
         nonlocal slots, mask
@@ -276,7 +259,7 @@ def uid_table(key: Callable[[int], Hashable]) -> Callable[[Hashable], int]:
         hashes.append(h)
         if 2 * uid >= mask:
             mask = 4 * mask + 3
-            slots = array("q", [-1]) * (mask + 1)
+            slots = array("i", [-1]) * (mask + 1)
             for uid, h in enumerate(hashes):
                 i = h & mask
                 while slots[i] >= 0:

@@ -325,6 +325,18 @@ def test_run_search_refuses_what_normalizing_cannot_mend():
         assert any(d.severity == "error" for d in validate(problem)), message
 
 
+def test_refusal_scan_runs_once_per_problem():
+    """run_search reads a problem's refusal from Problem._refusal, computed
+    on the first search: a second search does not scan again, as a cause
+    planted in the cache after the first shows."""
+    problem = make_counters(2)
+    run_search(problem, SearchConfig(seed=0, expansion_limit=10))
+    assert vars(problem)["_refusal"] is None
+    vars(problem)["_refusal"] = "planted cause"
+    with pytest.raises(ValueError, match="planted cause"):
+        run_search(problem, SearchConfig(seed=0, expansion_limit=10))
+
+
 def test_search_reaches_its_layers_through_module_names(monkeypatch):
     """Every heap operation goes through OpenList, and every model call,
     sampler and heuristic through the names of search and sampling, where
@@ -730,7 +742,22 @@ def test_node_memory_guard():
         tracemalloc.stop()
     nodes = len(result.root.tree)
     assert result.expansions == 20_000
-    assert peak / nodes <= 232, (peak, nodes)
+    assert peak / nodes <= 183, (peak, nodes)
+
+
+def test_integer_columns_are_four_bytes_and_overflow_loudly():
+    """parent, g, n and trials hold 4-byte ints; a value past 2**31 - 1
+    raises OverflowError and leaves the column as it was."""
+    tree = run_search(make_counters(2), SearchConfig(seed=0, expansion_limit=50)).root.tree
+    assert [getattr(tree, name).itemsize for name in ("parent", "g", "n", "trials")] == [4] * 4
+    root = TreeNode(tree, 0)
+    for name in ("trials", "n"):
+        before = getattr(tree, name).tobytes()
+        with pytest.raises(OverflowError):
+            setattr(root, name, 2 ** 31)
+        assert getattr(tree, name).tobytes() == before
+    root.trials = 2 ** 31 - 1
+    assert tree.trials[0] == 2 ** 31 - 1
 
 
 def test_finished_search_keeps_no_tracked_object_per_node():
