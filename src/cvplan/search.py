@@ -34,6 +34,7 @@ import struct
 import time
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .model import Decision, Problem, State, goal_test, make_heuristic, state_key
@@ -71,9 +72,22 @@ class SearchConfig:
     duplicate_detection: bool = True
 
 
+#: nodes per block of a SearchTree column, a power of two; node uid sits at
+#: column[uid >> SHIFT][uid & MASK]
+BLOCK = 4096
+SHIFT, MASK = BLOCK.bit_length() - 1, BLOCK - 1
+
+
 class SearchTree:
     """The best-first engine's nodes as columns indexed by uid: 0 for the
     root, then the nodes in insertion order.
+
+    Each column is a list of blocks of BLOCK nodes, node uid at
+    column[uid >> SHIFT][uid & MASK]; a block fills by append and never
+    moves once full. A column grown as one buffer is moved by realloc as
+    it grows, and once a freed search's mmapped buffers have raised
+    glibc's mmap threshold, a later search's moves leave holes in the heap
+    that peak RSS keeps; blocks of one bounded size are reused instead.
 
     parent (-1 at the root), g, n and trials (the sampler's trials on the
     node, over all its expansions) are array("i")s of 4-byte ints, which
@@ -100,23 +114,39 @@ class SearchTree:
         self.names = names
         num_row, self._value_row = (
             struct.Struct(f"<{k}d") for k in (len(problem.nums), len(names)))
-        self.parent, self.g, self.n, self.trials = (array("i") for _ in range(4))
-        self.h, self.f, self.num_values, self.values = (array("d") for _ in range(4))
-        self.action, self.bool_values = [], []
+        self.parent, self.g, self.n, self.trials = ints = [], [], [], []
+        self.h, self.f, self.num_values, self.values = floats = [], [], [], []
+        self.action, self.bool_values = objects = [], []
         #: each node's first child and next sibling, -1 for none; built by
         #: children, again once the tree has grown
         self._first, self._sibling = array("i"), array("i")
         intern, blank, new = {}.setdefault, (0.0,) * len(names), object.__new__
         pack_nums, pack_values = num_row.pack, self._value_row.pack
-        put_nums, put_values = self.num_values.frombytes, self.values.frombytes
         layout, unpack_nums, num_size = init.layout, num_row.unpack_from, num_row.size
-        nodes, bool_rows, num_rows = self.action, self.bool_values, self.num_values
-        parents, gs, hs, ns, trials, fs, actions, bools = (
-            column.append for column in (self.parent, self.g, self.h, self.n, self.trials,
-                                         self.f, nodes, bool_rows))
+        bool_rows, num_rows = self.bool_values, self.num_values
+
+        def open_block() -> tuple:
+            """Append a fresh block to every column; return add's appenders.
+            Neither it nor add refers to the tree, so a dropped tree is freed
+            without waiting for the cyclic collector."""
+            for column in ints:
+                column.append(array("i"))
+            for column in floats:
+                column.append(array("d"))
+            for column in objects:
+                column.append([])
+            return (*(column[-1].append for column in (*ints, *floats[:2], *objects)),
+                    *(column[-1].frombytes for column in floats[2:]))
+        parents, gs, ns, trials, hs, fs, actions, bools, put_nums, put_values = open_block()
+        size = 0
 
         def add(parent: int, g: int, h: float, f: float, state: State,
                 decision: Optional[Decision]) -> int:
+            nonlocal size, parents, gs, ns, trials, hs, fs, actions, bools, put_nums, put_values
+            uid = size
+            if not uid & MASK and uid:
+                (parents, gs, ns, trials, hs, fs, actions, bools, put_nums,
+                 put_values) = open_block()
             parents(parent)
             gs(g)
             hs(h)
@@ -127,18 +157,19 @@ class SearchTree:
             bools(intern(state.bool_values, state.bool_values))
             put_nums(pack_nums(*state.num_values))
             put_values(pack_values(*(decision.values if decision else blank)))
-            return len(nodes) - 1
+            size = uid + 1
+            return uid
 
         def state(uid: int) -> State:
             """Node uid's state, built afresh."""
-            node = new(State)
+            node, block, i = new(State), uid >> SHIFT, uid & MASK
             node.layout, node.bool_values, node.num_values = (
-                layout, bool_rows[uid], unpack_nums(num_rows, uid * num_size))
+                layout, bool_rows[block][i], unpack_nums(num_rows[block], i * num_size))
             return node
         self.add, self.state = add, state
 
     def __len__(self) -> int:
-        return len(self.parent)
+        return (len(self.parent) - 1) * BLOCK + len(self.parent[-1])
 
     def children(self, uid: int) -> List[int]:
         """Node uid's children in insertion order. The links behind them are
@@ -147,8 +178,9 @@ class SearchTree:
         if len(self._first) != size:
             first, sibling = array("i", [-1]) * size, array("i", [-1]) * size
             for child in range(size - 1, 0, -1):
-                sibling[child] = first[parent[child]]
-                first[parent[child]] = child
+                up = parent[child >> SHIFT][child & MASK]
+                sibling[child] = first[up]
+                first[up] = child
             self._first, self._sibling = first, sibling
         kids, child = [], self._first[uid]
         while child >= 0:
@@ -159,19 +191,24 @@ class SearchTree:
 
 def _column(name: str) -> property:
     """A TreeNode field that reads and writes its node's entry of a column."""
-    return property(lambda node: getattr(node.tree, name)[node.uid],
-                    lambda node, value: getattr(node.tree, name).__setitem__(node.uid, value))
+    return property(
+        lambda node: getattr(node.tree, name)[node.uid >> SHIFT][node.uid & MASK],
+        lambda node, value: getattr(node.tree, name)[node.uid >> SHIFT].__setitem__(
+            node.uid & MASK, value))
 
 
 class TreeNode:
     """View of node uid of a SearchTree, with the fields of a tree node.
     g, h, n, f and trials read and write the tree's columns; state,
     decision and parent (None at the root) and children (in insertion
-    order) are built on each read."""
+    order) are built on each read. A uid outside range(len(tree)) raises
+    IndexError."""
 
     __slots__ = ("tree", "uid")
 
     def __init__(self, tree: SearchTree, uid: int):
+        if not 0 <= uid < len(tree):
+            raise IndexError(f"node {uid} is not in a tree of {len(tree)} nodes")
         self.tree, self.uid = tree, uid
 
     g, h, n, f, trials = map(_column, ("g", "h", "n", "f", "trials"))
@@ -182,14 +219,14 @@ class TreeNode:
 
     @property
     def decision(self) -> Optional[Decision]:
-        tree, uid = self.tree, self.uid
-        action, row = tree.action[uid], tree._value_row
+        tree, block, i = self.tree, self.uid >> SHIFT, self.uid & MASK
+        action, row = tree.action[block][i], tree._value_row
         return None if action is None else Decision._of(
-            action, tree.names, row.unpack_from(tree.values, uid * row.size))
+            action, tree.names, row.unpack_from(tree.values[block], i * row.size))
 
     @property
     def parent(self) -> Optional["TreeNode"]:
-        parent = self.tree.parent[self.uid]
+        parent = self.tree.parent[self.uid >> SHIFT][self.uid & MASK]
         return None if parent < 0 else TreeNode(self.tree, parent)
 
     @property
@@ -366,10 +403,11 @@ def run_search(problem: Problem, cfg: SearchConfig,
     add, state_at = tree.add, tree.state
     gs, hs, ns, fs, trials = tree.g, tree.h, tree.n, tree.f, tree.trials
     h0 = h_fn(problem.init)
-    root = add(-1, 0, h0, f_value(0, h0, 0, mode, rect), problem.init, None)
+    f0 = f_value(0, h0, 0, mode, rect)
+    root = add(-1, 0, h0, f0, problem.init, None)
     open_list = OpenList()
     push, pop = open_list.push, open_list.pop
-    push(fs[root], root)
+    push(f0, root)
     seen = cfg.duplicate_detection and uid_table(lambda uid: problem._state_key(state_at(uid)))
     if seen:
         seen(state_key(problem.init, problem))
@@ -391,8 +429,9 @@ def run_search(problem: Problem, cfg: SearchConfig,
             break
 
         uid = pop()
+        block, i = uid >> SHIFT, uid & MASK
         if emit:
-            emit(("extract", uid, fs[uid]))
+            emit(("extract", uid, fs[block][i]))
 
         state = state_at(uid)
         hit = goal_test(state, problem.goal)
@@ -404,21 +443,22 @@ def run_search(problem: Problem, cfg: SearchConfig,
             break
 
         expansions += 1
-        n = ns[uid]
+        n = ns[block][i]
         if n > 0:
             reexpansions += 1
 
-        sample = sampler(state, trials[uid], rng, deadline)
-        trials[uid] += sample.trials
+        sample = sampler(state, trials[block][i], rng, deadline)
+        trials[block][i] += sample.trials
+        g = gs[block][i]
         if sample.successor is not None:
             # a new key's uid in seen is the one add gives the child next
             if seen and seen(state_key(sample.successor, problem)) >= 0:
                 if emit:
                     emit(("duplicate", uid))
             else:
-                g, h = gs[uid] + 1, h_fn(sample.successor)
-                f = g + (h + r0) if sa else h + r0
-                child = add(uid, g, h, f, sample.successor, sample.decision)
+                h = h_fn(sample.successor)
+                f = g + 1 + (h + r0) if sa else h + r0
+                child = add(uid, g + 1, h, f, sample.successor, sample.decision)
                 push(f, child)
                 size += 1
                 if emit:
@@ -427,8 +467,8 @@ def run_search(problem: Problem, cfg: SearchConfig,
             if emit:
                 emit(("fail", uid))
 
-        n = ns[uid] = n + 1
-        f = fs[uid] = gs[uid] + (hs[uid] + rect(n)) if sa else hs[uid] + rect(n)
+        n = ns[block][i] = n + 1
+        f = fs[block][i] = g + (hs[block][i] + rect(n)) if sa else hs[block][i] + rect(n)
         if sample.exhausted:
             size -= 1
             if emit:
@@ -477,7 +517,8 @@ def drifted_nodes(tree: SearchTree, cfg: SearchConfig) -> List[str]:
     no g or h."""
     rect = RECTIFIERS[cfg.rectifier]
     bad = []
-    for uid, (g, h, n, f) in enumerate(zip(tree.g, tree.h, tree.n, tree.f)):
+    columns = (chain.from_iterable(blocks) for blocks in (tree.g, tree.h, tree.n, tree.f))
+    for uid, (g, h, n, f) in enumerate(zip(*columns)):
         expect = f_value(g, h, n, cfg.mode, rect)
         if abs(f - expect) > F_TOL:
             bad.append(f"node {uid} at f {f!r}, not {expect!r}")

@@ -1,8 +1,13 @@
 import gc
 import heapq
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
 import tracemalloc
+import weakref
 from array import array
 from collections import Counter
 from dataclasses import replace
@@ -19,8 +24,8 @@ from cvplan.model import (
     state_key,
 )
 from cvplan.search import (
-    RECTIFIERS, SearchConfig, SearchTree, TraceCheck, TreeNode, drifted_nodes,
-    f_value, reconstruct_plan, run_search, solution_cost_within_bound,
+    BLOCK, MASK, RECTIFIERS, SHIFT, SearchConfig, SearchTree, TraceCheck, TreeNode,
+    drifted_nodes, f_value, reconstruct_plan, run_search, solution_cost_within_bound,
     validate_trace,
 )
 
@@ -252,6 +257,16 @@ def assert_nodes_hold_exactly(tree, problem, inserted):
         exact(TreeNode(tree, uid).decision, out.decision)
 
 
+def assert_row_blocks_are_arrays(tree):
+    """Each block of the two row columns is an array("d") of one row of
+    floats per node of the block."""
+    widths = (len(tree.state(0).num_values), len(tree.names))
+    for column, width in zip((tree.num_values, tree.values), widths):
+        assert [type(block) for block in column] == [array] * len(tree.parent)
+        assert {block.typecode for block in column} == {"d"}
+        assert [len(block) for block in column] == [width * len(block) for block in tree.parent]
+
+
 def flag_problem(init_nums=(("x", 0.0), ("y", 0.0)), flag_value=True, y_value=1.0):
     """A boolean flag that starts True, numerics x and y and a control u;
     its one action sets flag to flag_value, adds u to x and sets y to
@@ -270,12 +285,12 @@ def test_packed_rows_read_back_what_the_sampler_returned(monkeypatch, make_probl
     problem = make_problem()
     result, _, inserted = run_recorded(monkeypatch, problem, 3000)
     tree = result.root.tree
-    assert (type(tree.num_values), type(tree.values)) == (array, array)
+    assert_row_blocks_are_arrays(tree)
     assert len(tree) > 100
     assert_nodes_hold_exactly(tree, problem, inserted)
     # equal boolean tuples are one object, though each flag_problem step builds its own
-    distinct = set(tree.bool_values)
-    assert len({id(row) for row in tree.bool_values}) == len(distinct) <= 2 ** len(problem.bools)
+    rows = [row for block in tree.bool_values for row in block]
+    assert len({id(row) for row in rows}) == len(set(rows)) <= 2 ** len(problem.bools)
 
 
 @pytest.mark.parametrize("changes", [
@@ -291,7 +306,7 @@ def test_normalized_problems_pack_and_search_alike(monkeypatch, changes):
     problem = flag_problem(**changes)
     result, events, inserted = run_recorded(monkeypatch, problem, 300)
     tree = result.root.tree
-    assert (type(tree.num_values), type(tree.values)) == (array, array)
+    assert_row_blocks_are_arrays(tree)
     assert len(tree) > 100
     assert_nodes_hold_exactly(tree, problem, inserted)
     reference = []
@@ -665,13 +680,48 @@ def test_drifted_nodes_flags_a_stale_f():
     tree = result.root.tree
     assert drifted_nodes(tree, cfg) == []
     # the root, its first child and the last node, each corrupted alone
-    for uid in (0, result.root.children[0].uid, len(tree) - 1):
-        stored = tree.f[uid]
-        tree.f[uid] = stored + 0.5
+    assert_drift_is_flagged(tree, cfg, (0, result.root.children[0].uid, len(tree) - 1))
+
+
+def assert_drift_is_flagged(tree, cfg, uids):
+    """drifted_nodes flags each of uids, corrupted alone, and nothing else."""
+    for uid in uids:
+        block = tree.f[uid >> SHIFT]
+        stored = block[uid & MASK]
+        block[uid & MASK] = stored + 0.5
         assert drifted_nodes(tree, cfg) == [
             f"node {uid} at f {stored + 0.5!r}, not {stored!r}"]
-        tree.f[uid] = stored
+        block[uid & MASK] = stored
     assert drifted_nodes(tree, cfg) == []
+
+
+def test_a_tree_of_three_blocks_reads_back_across_its_boundaries(monkeypatch):
+    """On a tree that fills two blocks and opens a third, every node holds
+    its sampled state and decision and the parent its trace shows; children,
+    plans and drifted_nodes reach across the block boundaries."""
+    problem = make_counters(6)
+    result, events, inserted = run_recorded(monkeypatch, problem, 9000)
+    tree = result.root.tree
+    assert 2 * BLOCK < len(tree) < 3 * BLOCK
+    assert [len(block) for block in tree.g] == [BLOCK, BLOCK, len(tree) - 2 * BLOCK]
+    assert_nodes_hold_exactly(tree, problem, inserted)
+    parent_of, kids = {}, {uid: [] for uid in range(len(tree))}
+    for event in events:
+        if event[0] == "extract":
+            extracted = event[1]
+        elif event[0] == "insert":
+            parent_of[event[1]] = extracted
+            kids[extracted].append(event[1])
+    assert [TreeNode(tree, uid).parent.uid for uid in range(1, len(tree))] == [
+        parent_of[uid] for uid in range(1, len(tree))]
+    assert all(tree.children(uid) == kids[uid] for uid in kids)
+    for uid in (BLOCK - 1, BLOCK, len(tree) - 1):
+        plan, node = [], uid
+        while node:
+            plan.append(inserted[node].decision)
+            node = parent_of[node]
+        assert reconstruct_plan(TreeNode(tree, uid)) == plan[::-1]
+    assert_drift_is_flagged(tree, SearchConfig(seed=0), (BLOCK - 1, BLOCK, len(tree) - 1))
 
 
 def test_reconstruct_plan_orders_decisions():
@@ -692,6 +742,18 @@ def test_reconstruct_plan_orders_decisions():
     late = tree.add(root, 1, 0.0, 1.0, State(bools={}, nums={"x": 3.0}),
                     Decision("late", {"u": 0.25}))
     assert [child.uid for child in TreeNode(tree, root).children] == [mid, sibling, late]
+
+
+def test_tree_node_refuses_a_uid_outside_the_tree():
+    """A view of uid -1 or len(tree) raises IndexError rather than read
+    another node's fields."""
+    tree = SearchTree(impossible_problem())
+    for x in (0.0, 1.0, 2.0):
+        tree.add(-1, 0, 0.0, 0.0, State(bools={}, nums={"x": x}), None)
+    assert TreeNode(tree, len(tree) - 1).state == State(bools={}, nums={"x": 2.0})
+    for uid in (-1, len(tree)):
+        with pytest.raises(IndexError):
+            TreeNode(tree, uid)
 
 
 # -- solution cost bound ----------------------------------------------------------
@@ -746,18 +808,20 @@ def test_node_memory_guard():
 
 
 def test_integer_columns_are_four_bytes_and_overflow_loudly():
-    """parent, g, n and trials hold 4-byte ints; a value past 2**31 - 1
-    raises OverflowError and leaves the column as it was."""
+    """Each block of parent, g, n and trials holds 4-byte ints; a value past
+    2**31 - 1 raises OverflowError and leaves the block as it was."""
     tree = run_search(make_counters(2), SearchConfig(seed=0, expansion_limit=50)).root.tree
-    assert [getattr(tree, name).itemsize for name in ("parent", "g", "n", "trials")] == [4] * 4
+    names = ("parent", "g", "n", "trials")
+    assert [block.itemsize for name in names for block in getattr(tree, name)] == [4] * (
+        4 * len(tree.parent))
     root = TreeNode(tree, 0)
     for name in ("trials", "n"):
-        before = getattr(tree, name).tobytes()
+        before = getattr(tree, name)[0].tobytes()
         with pytest.raises(OverflowError):
             setattr(root, name, 2 ** 31)
-        assert getattr(tree, name).tobytes() == before
+        assert getattr(tree, name)[0].tobytes() == before
     root.trials = 2 ** 31 - 1
-    assert tree.trials[0] == 2 ** 31 - 1
+    assert tree.trials[0][0] == 2 ** 31 - 1
 
 
 def test_finished_search_keeps_no_tracked_object_per_node():
@@ -775,3 +839,59 @@ def test_finished_search_keeps_no_tracked_object_per_node():
     nodes = len(result.root.tree)
     assert result.expansions == 20_000
     assert grown / nodes < 0.05, (grown, nodes)
+
+
+def test_a_finished_tree_is_freed_without_the_collector():
+    """Dropping a search's result frees its tree by reference counting
+    alone: a tree in a reference cycle would stay beside the next search's
+    until a full collection."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run_search(make_counters(2), SearchConfig(seed=0, expansion_limit=50))
+        tree = weakref.ref(result.root.tree)
+        del result
+        assert tree() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+#: two 100k-expansion counters-6 sa-log searches, seed 0 then seed 1, after a
+#: warm-up; prints how far the second raises peak RSS, in KiB
+SECOND_SEARCH_GROWTH = """
+import resource
+from cvplan.domains import make_counters
+from cvplan.search import SearchConfig, run_search
+
+
+def search(seed, expansions):
+    cfg = SearchConfig(mode="sa", rectifier="log", seed=seed,
+                       expansion_limit=expansions, time_limit=120.0)
+    assert run_search(make_counters(6), cfg).expansions == expansions
+
+
+search(0, 2000)
+search(0, 100_000)
+first = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+search(1, 100_000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - first)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator")
+def test_a_second_search_reuses_the_first_searchs_memory():
+    """A search that follows an equal one in the same process raises peak
+    RSS by less than 2 MB. Freeing the first search's mmapped buffers
+    raises glibc's mmap threshold, so the second's come from the heap,
+    where columns grown by realloc would leave holes; tracemalloc cannot
+    see them. Runs in a fresh interpreter with the default allocators."""
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("MALLOC_")
+           and name not in ("PYTHONMALLOC", "PYTHONDEVMODE", "PYTHONTRACEMALLOC",
+                            "GLIBC_TUNABLES")}
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", SECOND_SEARCH_GROWTH], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert int(out.stdout) < 2048, out.stdout   # ru_maxrss is in KiB on Linux
