@@ -96,7 +96,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8-sig") as fh:
         cfg = load_suite(fh.read())
     if args.workers is not None:
         cfg.workers = args.workers

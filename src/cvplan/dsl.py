@@ -404,9 +404,9 @@ def parse_problem(text: str) -> Tuple[Optional[Problem], List[Diagnostic]]:
 
 
 def load_problem(path: str) -> Tuple[Optional[Problem], List[Diagnostic]]:
-    """parse_problem of a file's text. An unreadable file raises OSError or
-    ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """parse_problem of a UTF-8 file's text, byte-order mark or not. An
+    unreadable file raises OSError or ValueError."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_problem(fh.read())
 
 

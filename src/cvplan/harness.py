@@ -375,7 +375,7 @@ def read_records(path: str) -> List[RunRecord]:
     """The records of a runs.csv file. A missing column, a short row or a
     value of the wrong type raises ValueError."""
     records: List[RunRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             for row in reader:

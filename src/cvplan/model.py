@@ -387,6 +387,13 @@ class Problem(_Cached):
         return tuple(spec.name for spec in self.controls)
 
     @cached_property
+    def _name_clash(self) -> Optional[str]:
+        """Why a plan, which names its actions, could replay the wrong one; or None."""
+        first: Dict[str, int] = {}
+        twins = [a.name for i, a in enumerate(self.actions) if first.setdefault(a.name, i) != i]
+        return f"duplicate action name: {twins[0]}" if twins else None
+
+    @cached_property
     def _refusal(self) -> Optional[str]:
         """Why search.SearchTree cannot hold this problem's nodes, or None:
         what normalizing on construction cannot mend."""
@@ -400,6 +407,7 @@ class Problem(_Cached):
                 (init.layout is not layout_of(tuple(self.bools), tuple(self.nums)),
                  "the initial state does not assign each declared variable exactly once"),
                 (len(set(names)) < len(names), f"duplicate control names: {names}"),
+                (self._name_clash, self._name_clash),
                 (any(name not in self.bools for name, _ in flags)
                  or any(name not in self.nums for name, _ in numbers),
                  "an effect assigns an undeclared variable"),

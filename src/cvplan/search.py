@@ -79,94 +79,86 @@ SHIFT, MASK = BLOCK.bit_length() - 1, BLOCK - 1
 
 
 class SearchTree:
-    """The best-first engine's nodes as columns indexed by uid: 0 for the
-    root, then the nodes in insertion order.
-
-    Each column is a list of blocks of BLOCK nodes, node uid at
-    column[uid >> SHIFT][uid & MASK]; a block fills by append and never
-    moves once full. A column grown as one buffer is moved by realloc as
-    it grows, and once a freed search's mmapped buffers have raised
-    glibc's mmap threshold, a later search's moves leave holes in the heap
-    that peak RSS keeps; blocks of one bounded size are reused instead.
+    """The best-first engine's nodes as seven columns indexed by uid: 0 for
+    the root, then the nodes in insertion order. Each column is a list of
+    blocks of BLOCK nodes that fill by append and never move: a column
+    grown as one buffer moves by realloc, and once a freed search's mmapped
+    buffers have raised glibc's mmap threshold, a later search's moves
+    leave holes in the heap that peak RSS keeps.
 
     parent (-1 at the root), g, n and trials (the sampler's trials on the
     node, over all its expansions) are array("i")s of 4-byte ints, which
-    raise OverflowError on a value past 2**31 - 1 rather than wrap; h and f
-    (the priority the node was last queued with) are array("d")s, action
-    (None at the root) a list. Each state is in the problem's layout:
-    bool_values keeps one tuple per distinct value, and num_values and
-    values (the decision's, in the order of names, the control names every
-    sampled decision shares; zeros at the root) are array("d")s of
-    len(problem.nums) and len(names) floats per node, written and read by
-    struct bit for bit. So a node is atomics and tuples of atomics, which
-    the garbage collector stops tracking. A problem whose search could
-    leave that format raises ValueError naming the cause, which
-    Problem._refusal finds once per problem (model.Problem normalizes the
-    rest on construction).
+    raise OverflowError past 2**31 - 1 rather than wrap; h and f (the
+    priority the node was last queued with) are array("d")s. rows is an
+    array("B") of one struct row per node, written and read bit for bit:
+    the state's booleans and numerics in the problem's layout (<{b}?{n}d),
+    the index of the node's action in problem.actions (i, -1 at the root)
+    and the decision's values in the order of the control names ({c}d,
+    zeros at the root). So a node holds no Python object for the garbage
+    collector to track. A problem whose search could leave that format
+    raises ValueError naming the cause, which Problem._refusal finds once
+    per problem (model.Problem normalizes the rest on construction).
     add(parent, g, h, f, state, decision) appends a node at n = 0 and
-    trials = 0 and returns its uid, and state(uid) builds node uid's state.
+    trials = 0 and returns its uid; state(uid) and decision(uid) build node
+    uid's state and decision.
     """
 
     def __init__(self, problem: Problem):
         if (cause := problem._refusal) is not None:
             raise ValueError(cause)
-        init, names = problem.init, problem._control_names
-        self.names = names
-        num_row, self._value_row = (
-            struct.Struct(f"<{k}d") for k in (len(problem.nums), len(names)))
-        self.parent, self.g, self.n, self.trials = ints = [], [], [], []
-        self.h, self.f, self.num_values, self.values = floats = [], [], [], []
-        self.action, self.bool_values = objects = [], []
+        names, actions, bools = problem._control_names, problem.actions, len(problem.bools)
+        state_row, decision_row = (struct.Struct(f"<{bools}?{len(problem.nums)}d"),
+                                   struct.Struct(f"<i{len(names)}d"))
+        pack = struct.Struct(state_row.format + decision_row.format[1:]).pack
+        width, at = state_row.size + decision_row.size, state_row.size
+        self.parent, self.g, self.n, self.trials, self.h, self.f, self.rows = columns = (
+            [], [], [], [], [], [], rows := [])
         #: each node's first child and next sibling, -1 for none; built by
         #: children, again once the tree has grown
         self._first, self._sibling = array("i"), array("i")
-        intern, blank, new = {}.setdefault, (0.0,) * len(names), object.__new__
-        pack_nums, pack_values = num_row.pack, self._value_row.pack
-        layout, unpack_nums, num_size = init.layout, num_row.unpack_from, num_row.size
-        bool_rows, num_rows = self.bool_values, self.num_values
+        index = {act.name: i for i, act in enumerate(actions)}
+        root, new, layout = (-1, (0.0,) * len(names)), object.__new__, problem.init.layout
+        unpack_state, unpack_decision = state_row.unpack_from, decision_row.unpack_from
 
         def open_block() -> tuple:
             """Append a fresh block to every column; return add's appenders.
             Neither it nor add refers to the tree, so a dropped tree is freed
             without waiting for the cyclic collector."""
-            for column in ints:
-                column.append(array("i"))
-            for column in floats:
-                column.append(array("d"))
-            for column in objects:
-                column.append([])
-            return (*(column[-1].append for column in (*ints, *floats[:2], *objects)),
-                    *(column[-1].frombytes for column in floats[2:]))
-        parents, gs, ns, trials, hs, fs, actions, bools, put_nums, put_values = open_block()
+            for column, typecode in zip(columns, "iiiiddB"):
+                column.append(array(typecode))
+            return (*(column[-1].append for column in columns[:-1]), rows[-1].frombytes)
+        parents, gs, ns, trials, hs, fs, put_row = open_block()
         size = 0
 
         def add(parent: int, g: int, h: float, f: float, state: State,
                 decision: Optional[Decision]) -> int:
-            nonlocal size, parents, gs, ns, trials, hs, fs, actions, bools, put_nums, put_values
+            nonlocal size, parents, gs, ns, trials, hs, fs, put_row
             uid = size
             if not uid & MASK and uid:
-                (parents, gs, ns, trials, hs, fs, actions, bools, put_nums,
-                 put_values) = open_block()
+                parents, gs, ns, trials, hs, fs, put_row = open_block()
             parents(parent)
             gs(g)
             hs(h)
             ns(0)
             trials(0)
             fs(f)
-            actions(decision and decision.action)
-            bools(intern(state.bool_values, state.bool_values))
-            put_nums(pack_nums(*state.num_values))
-            put_values(pack_values(*(decision.values if decision else blank)))
+            action, values = (index[decision.action], decision.values) if decision else root
+            put_row(pack(*state.bool_values, *state.num_values, action, *values))
             size = uid + 1
             return uid
 
         def state(uid: int) -> State:
             """Node uid's state, built afresh."""
-            node, block, i = new(State), uid >> SHIFT, uid & MASK
-            node.layout, node.bool_values, node.num_values = (
-                layout, bool_rows[block][i], unpack_nums(num_rows[block], i * num_size))
+            node, values = new(State), unpack_state(rows[uid >> SHIFT], (uid & MASK) * width)
+            node.layout, node.bool_values, node.num_values = layout, values[:bools], values[bools:]
             return node
-        self.add, self.state = add, state
+
+        def decision(uid: int) -> Optional[Decision]:
+            """Node uid's decision, built afresh; None at the root."""
+            values = unpack_decision(rows[uid >> SHIFT], (uid & MASK) * width + at)
+            return None if values[0] < 0 else Decision._of(
+                actions[values[0]].name, names, values[1:])
+        self.add, self.state, self.decision = add, state, decision
 
     def __len__(self) -> int:
         return (len(self.parent) - 1) * BLOCK + len(self.parent[-1])
@@ -219,10 +211,7 @@ class TreeNode:
 
     @property
     def decision(self) -> Optional[Decision]:
-        tree, block, i = self.tree, self.uid >> SHIFT, self.uid & MASK
-        action, row = tree.action[block][i], tree._value_row
-        return None if action is None else Decision._of(
-            action, tree.names, row.unpack_from(tree.values[block], i * row.size))
+        return self.tree.decision(self.uid)
 
     @property
     def parent(self) -> Optional["TreeNode"]:
@@ -668,11 +657,14 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
     A trial's reward is 1 when it reaches a goal (at which point the trial's
     decision prefix is returned as the plan) and 1 / (1 + h(final)) when the
     rollout is cut off. As in run_search, sampling stops at the deadline
-    that cfg.time_limit sets. widen_violations, when given, collects
-    (visits, child count) pairs seen above the cap; it stays empty unless the
-    widening rule is broken.
+    that cfg.time_limit sets, and a problem whose actions share a name
+    raises ValueError (Problem._name_clash). widen_violations, when given,
+    collects (visits, child count) pairs seen above the cap; it stays empty
+    unless the widening rule is broken.
     """
     check_config(cfg)
+    if problem._name_clash:
+        raise ValueError(problem._name_clash)
     rng = random.Random(cfg.seed)
     h_fn = make_heuristic(problem)
     budget = cfg.reject_budget

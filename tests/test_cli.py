@@ -1,6 +1,8 @@
+import codecs
 import heapq
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +216,31 @@ class TestSolve:
             "(action a (pre (> x 0)) (eff)) (goal (> x 0)))")
         assert main(["solve", str(bad)]) == 2
         assert "lower bound" in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """Problem files, suite configs and runs.csv files saved as UTF-8 with
+    a byte-order mark read as they do without one."""
+
+    def test_problem_file(self, counters_file, capsys):
+        path = Path(counters_file)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert main(["solve", counters_file, "--expansion-limit", "20000"]) == 0
+        assert "plan length=" in capsys.readouterr().out
+
+    def test_suite_config(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(SUITE_CFG, encoding="utf-8-sig")
+        assert main(["suite", str(cfg), "-o", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "runs.csv").exists()
+
+    def test_runs_csv(self, suite_dir, capsys):
+        main(["report", suite_dir, "--table"])
+        table = capsys.readouterr().out
+        runs = Path(suite_dir) / "runs.csv"
+        runs.write_bytes(codecs.BOM_UTF8 + runs.read_bytes())
+        assert main(["report", suite_dir, "--table"]) == 0
+        assert capsys.readouterr().out == table
 
 
 #: a value other than the engine default for every algorithm setting

@@ -3,6 +3,7 @@ import heapq
 import math
 import os
 import platform
+import struct
 import subprocess
 import sys
 import time
@@ -257,14 +258,18 @@ def assert_nodes_hold_exactly(tree, problem, inserted):
         exact(TreeNode(tree, uid).decision, out.decision)
 
 
-def assert_row_blocks_are_arrays(tree):
-    """Each block of the two row columns is an array("d") of one row of
-    floats per node of the block."""
-    widths = (len(tree.state(0).num_values), len(tree.names))
-    for column, width in zip((tree.num_values, tree.values), widths):
-        assert [type(block) for block in column] == [array] * len(tree.parent)
-        assert {block.typecode for block in column} == {"d"}
-        assert [len(block) for block in column] == [width * len(block) for block in tree.parent]
+def assert_row_blocks_are_arrays(tree, problem):
+    """The tree's per-node columns are seven lists of array blocks, and each
+    block of rows is an array("B") of one row per node of the block: the
+    state's booleans and numerics, the action's index and the control
+    values."""
+    columns = {name: value for name, value in vars(tree).items() if isinstance(value, list)}
+    assert sorted(columns) == sorted(("parent", "g", "n", "trials", "h", "f", "rows"))
+    assert {type(block) for blocks in columns.values() for block in blocks} == {array}
+    width = struct.calcsize(
+        f"<{len(problem.bools)}?{len(problem.nums)}di{len(problem.controls)}d")
+    assert {block.typecode for block in tree.rows} == {"B"}
+    assert [len(block) for block in tree.rows] == [width * len(block) for block in tree.parent]
 
 
 def flag_problem(init_nums=(("x", 0.0), ("y", 0.0)), flag_value=True, y_value=1.0):
@@ -285,12 +290,11 @@ def test_packed_rows_read_back_what_the_sampler_returned(monkeypatch, make_probl
     problem = make_problem()
     result, _, inserted = run_recorded(monkeypatch, problem, 3000)
     tree = result.root.tree
-    assert_row_blocks_are_arrays(tree)
+    assert_row_blocks_are_arrays(tree, problem)
     assert len(tree) > 100
     assert_nodes_hold_exactly(tree, problem, inserted)
-    # equal boolean tuples are one object, though each flag_problem step builds its own
-    rows = [row for block in tree.bool_values for row in block]
-    assert len({id(row) for row in rows}) == len(set(rows)) <= 2 ** len(problem.bools)
+    assert all(flag is True or flag is False
+               for uid in range(len(tree)) for flag in tree.state(uid).bool_values)
 
 
 @pytest.mark.parametrize("changes", [
@@ -306,12 +310,54 @@ def test_normalized_problems_pack_and_search_alike(monkeypatch, changes):
     problem = flag_problem(**changes)
     result, events, inserted = run_recorded(monkeypatch, problem, 300)
     tree = result.root.tree
-    assert_row_blocks_are_arrays(tree)
+    assert_row_blocks_are_arrays(tree, problem)
     assert len(tree) > 100
     assert_nodes_hold_exactly(tree, problem, inserted)
     reference = []
     run_search(flag_problem(), SearchConfig(seed=0, expansion_limit=300), trace=reference)
     assert events == reference
+
+
+def bits(values):
+    """The IEEE 754 bytes of each float, so that -0.0, nan payloads and
+    subnormals compare exactly."""
+    return [struct.pack("<d", value) for value in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 3), st.integers(0, 2), st.data())
+def test_rows_read_back_every_value_bit_for_bit(n_bools, n_nums, n_controls, data):
+    """Over layouts of 0-3 booleans, 1-3 numerics and 0-2 controls, the
+    nodes that add writes on either side of a block boundary read back
+    from state and decision with every float's bits and each boolean the
+    True or False object."""
+    bools = tuple(f"b{i}" for i in range(n_bools))
+    nums = tuple(f"x{i}" for i in range(n_nums))
+    controls = tuple(ControlVarSpec(f"u{i}", 0, 1) for i in range(n_controls))
+    actions = tuple(Action(f"a{i}", TRUE, Effect()) for i in range(3))
+    problem = Problem("rows", bools, nums, controls, actions,
+                      State(dict.fromkeys(bools, False), dict.fromkeys(nums, 0.0)), TRUE)
+    rows = data.draw(st.lists(st.tuples(
+        st.lists(st.booleans(), min_size=n_bools, max_size=n_bools),
+        st.lists(st.floats(), min_size=n_nums, max_size=n_nums),
+        st.sampled_from(actions),
+        st.lists(st.floats(), min_size=n_controls, max_size=n_controls)),
+        min_size=3, max_size=5))
+    tree = SearchTree(problem)
+    for _ in range(BLOCK - 2):
+        tree.add(-1, 0, 0.0, 0.0, problem.init, None)
+    for flags, numbers, action, values in rows:
+        tree.add(0, 1, 0.0, 0.0, State(dict(zip(bools, flags)), dict(zip(nums, numbers))),
+                 Decision(action.name, dict(zip(problem._control_names, values))))
+    assert len(tree.rows) == 2
+    for uid, (flags, numbers, action, values) in enumerate(rows, BLOCK - 2):
+        state, decision = tree.state(uid), TreeNode(tree, uid).decision
+        assert state.layout is problem.init.layout
+        assert all(got is want for got, want in zip(state.bool_values, flags, strict=True))
+        assert bits(state.num_values) == bits(numbers)
+        assert (decision.action, decision.names) == (action.name, problem._control_names)
+        assert bits(decision.values) == bits(values)
+    assert (tree.state(0).bool_values, TreeNode(tree, 0).decision) == ((False,) * n_bools, None)
 
 
 def test_run_search_refuses_what_normalizing_cannot_mend():
@@ -338,6 +384,26 @@ def test_run_search_refuses_what_normalizing_cannot_mend():
         with pytest.raises(ValueError, match=message):
             run_search(problem, SearchConfig(seed=0, expansion_limit=10))
         assert any(d.severity == "error" for d in validate(problem)), message
+
+
+def test_both_engines_refuse_actions_that_share_a_name():
+    """Two actions named go, one adding 1 and one adding 5: a plan that
+    names go replays the first, so either engine's one-step plan to x = 5
+    would replay to x = 1, not a goal. Both raise ValueError before they
+    search; run_mcts refuses no other cause of Problem._refusal."""
+    def go(step):
+        return Action("go", Cmp(Var("x"), ">="), Effect((), (("x", Add(Var("x"), Const(step))),)))
+    problem = Problem("twins", (), ("x",), (), (go(1.0), go(5.0)), State({}, {"x": 0.0}),
+                      And((Cmp(Sub(Var("x"), Const(5.0)), ">="),)))
+    message = "duplicate action name: go"
+    with pytest.raises(ValueError, match=message):
+        run_search(problem, SearchConfig(seed=0, expansion_limit=100))
+    with pytest.raises(ValueError, match=message):
+        search.run_mcts(problem, search.MctsConfig(seed=0, trial_limit=100))
+    assert message in [d.message for d in validate(problem)]
+    unpackable = flag_problem(flag_value=2)
+    assert unpackable._refusal == "a boolean value is not True or False"
+    assert search.run_mcts(unpackable, search.MctsConfig(seed=0, trial_limit=5)).outcome == "budget"
 
 
 def test_refusal_scan_runs_once_per_problem():
@@ -725,7 +791,9 @@ def test_a_tree_of_three_blocks_reads_back_across_its_boundaries(monkeypatch):
 
 
 def test_reconstruct_plan_orders_decisions():
-    tree = SearchTree(impossible_problem())       # numeric x, control u
+    problem = impossible_problem()                # numeric x, control u
+    tree = SearchTree(replace(problem, actions=tuple(
+        replace(problem.actions[0], name=name) for name in ("first", "sibling", "second", "late"))))
     root = tree.add(-1, 0, 0.0, 0.0, State(bools={}, nums={"x": 0.0}), None)
     mid = tree.add(root, 1, 0.0, 1.0, State(bools={}, nums={"x": 1.0}),
                    Decision("first", {"u": 1.0}))
