@@ -16,7 +16,6 @@ import hashlib
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -333,6 +332,9 @@ def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
 
     records: List[RunRecord] = []
     try:
+        if cfg.workers > 1:
+            # here, so that importing cvplan loads no multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
         with (ProcessPoolExecutor(max_workers=cfg.workers)
               if cfg.workers > 1 else nullcontext()) as pool:
             # the pool's map, like the built-in one, yields in cell order

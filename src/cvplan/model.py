@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -286,51 +286,18 @@ class State:
 ControlValuation = Mapping[str, float]
 
 
-@dataclass(init=False, repr=False, eq=False)
+@dataclass
 class Decision:
-    """An action name paired with a control valuation.
+    """An action name paired with a control valuation, held as a dict: a
+    dict passed in is kept as it is, any other mapping becomes one.
+    Decisions compare by action and controls, and are unhashable."""
 
-    The valuation sits in two tuples: names, the control names (for a
-    sampled decision, its problem's one shared tuple), and values, in the
-    same order. controls builds a fresh dict from them. Decisions compare
-    by action and controls, and are unhashable. To the dataclasses module
-    the fields are action and controls, so that replace, fields and asdict
-    see a Decision as they see a dataclass of those two fields.
-    """
-
-    __slots__ = ("action", "names", "values")
     action: str
-    controls: Dict[str, float]
+    controls: Dict[str, float] = field(default_factory=dict)
 
-    def __init__(self, action: str, controls: ControlValuation = _EMPTY):
-        self.action = action
-        self.names = tuple(controls)
-        self.values = tuple(controls.values())
-
-    @classmethod
-    def _of(cls, action: str, names: Tuple[str, ...], values: tuple) -> "Decision":
-        """The Decision of these slots, names shared rather than copied."""
-        decision = object.__new__(cls)
-        decision.action, decision.names, decision.values = action, names, values
-        return decision
-
-    @property
-    def controls(self) -> Dict[str, float]:
-        return dict(zip(self.names, self.values))
-
-    def __eq__(self, other):
-        if other.__class__ is not Decision:
-            return NotImplemented
-        return self.action == other.action and self.controls == other.controls
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Decision(action={self.action!r}, controls={self.controls!r})"
-
-    def __reduce__(self):
-        # every pickle protocol; a class with __slots__ alone needs 2 or more
-        return Decision, (self.action, self.controls)
+    def __post_init__(self):
+        if type(self.controls) is not dict:
+            self.controls = dict(self.controls)
 
 
 @dataclass(frozen=True)
@@ -382,8 +349,7 @@ class Problem(_Cached):
 
     @cached_property
     def _control_names(self) -> Tuple[str, ...]:
-        """The control names in declaration order, one tuple that every
-        sampled Decision shares."""
+        """The control names in declaration order."""
         return tuple(spec.name for spec in self.controls)
 
     @cached_property
@@ -429,10 +395,13 @@ class Problem(_Cached):
         return tuple((s.name, float(s.lower), float(s.upper - s.lower)) for s in self.controls)
 
     def action_by_name(self, name: str) -> Action:
-        for act in self.actions:
-            if act.name == name:
-                return act
-        raise ModelError(f"unknown action: {name!r}")
+        """The one action of this name; ModelError if none or several."""
+        found = [act for act in self.actions if act.name == name]
+        if len(found) > 1:
+            raise ModelError(f"duplicate action name: {name}")
+        if not found:
+            raise ModelError(f"unknown action: {name!r}")
+        return found[0]
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,7 @@ def sample_systematic(state: State, start: int, problem: Problem,
         mu = draw(map(dyadic_value, dyadic_tuple(dims, i // n_actions)).__next__)
         succ = try_apply(state, action, mu)
         if succ is not None:
-            decision = Decision._of(action.name, problem._control_names, tuple(mu.values()))
-            return SampleOutcome(decision, succ, trials,
+            return SampleOutcome(Decision(action.name, mu), succ, trials,
                                  exhausted=dims == 0 and i + 1 >= n_actions)
     return SampleOutcome(trials=trials)
 
@@ -214,8 +213,7 @@ def sample_uniform(state: State, problem: Problem, rng: random.Random,
         action = actions[i]
         succ = apply(state, action, mu)
         if succ is not None:
-            decision = Decision._of(action.name, problem._control_names, tuple(mu.values()))
-            return SampleOutcome(decision, succ, trials)
+            return SampleOutcome(Decision(action.name, mu), succ, trials)
     return SampleOutcome(trials=trials)
 
 

@@ -142,7 +142,8 @@ class SearchTree:
             ns(0)
             trials(0)
             fs(f)
-            action, values = (index[decision.action], decision.values) if decision else root
+            action, values = ((index[decision.action], decision.controls.values())
+                              if decision else root)
             put_row(pack(*state.bool_values, *state.num_values, action, *values))
             size = uid + 1
             return uid
@@ -156,8 +157,8 @@ class SearchTree:
         def decision(uid: int) -> Optional[Decision]:
             """Node uid's decision, built afresh; None at the root."""
             values = unpack_decision(rows[uid >> SHIFT], (uid & MASK) * width + at)
-            return None if values[0] < 0 else Decision._of(
-                actions[values[0]].name, names, values[1:])
+            return None if values[0] < 0 else Decision(
+                actions[values[0]].name, dict(zip(names, values[1:])))
         self.add, self.state, self.decision = add, state, decision
 
     def __len__(self) -> int:

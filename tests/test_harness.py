@@ -1,5 +1,7 @@
 import hashlib
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -349,6 +351,12 @@ class TestRunSuite:
         assert key == [(r.instance, r.algorithm, r.seed, r.outcome, r.plan_len,
                         r.expansions) for r in par]
         assert "error" not in {r.outcome for r in seq}
+
+    def test_importing_cvplan_loads_no_multiprocessing(self):
+        """Only a suite run with workers > 1 imports the process pool."""
+        script = "import sys, cvplan, cvplan.cli\nassert 'multiprocessing' not in sys.modules\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_rejects_empty_suite(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pickle
 import struct
 import subprocess
 import sys
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from cvplan.model import (
     iter_exprs, key_by_name, layout_of, liveness, make_heuristic, reads_control,
     replay_plan, round_half_away, state_key, try_apply,
 )
-from cvplan.search import SearchConfig, run_search
+from cvplan.search import SearchConfig, TreeNode, run_search
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +334,17 @@ def test_action_by_name():
         p.action_by_name("nope")
 
 
+def test_replay_plan_refuses_a_shared_action_name():
+    """Two actions named go, adding 1 and 5 to x: a plan step that names go
+    could mean either, so replay_plan raises rather than take the first."""
+    def go(step):
+        return Action("go", TRUE, Effect((), (("x", Add(Var("x"), Const(step))),)))
+    p = Problem("twins", (), ("x",), (), (go(1.0), go(5.0)), make_state(x=0.0), TRUE)
+    for call in (lambda: p.action_by_name("go"), lambda: replay_plan(p, [Decision("go")])):
+        with pytest.raises(ModelError, match="^duplicate action name: go$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # the goal-count heuristic
 
@@ -635,23 +647,33 @@ def test_state_pickles_and_copies_keep_the_layout():
 
 def test_decision_from_a_mapping():
     d = Decision("inc", {"u": 0.5, "v": -1.0})
-    assert (d.action, d.names, d.values) == ("inc", ("u", "v"), (0.5, -1.0))
-    assert d.controls == {"u": 0.5, "v": -1.0}
+    assert d.action == "inc" and d.controls == {"u": 0.5, "v": -1.0}
     for empty in (Decision("noop", {}), Decision("noop")):
-        assert (empty.names, empty.values, empty.controls) == ((), (), {})
+        assert empty.controls == {}
     assert Decision("noop") == Decision("noop", {})
+    # any other mapping becomes a dict; a dict is held as given
+    proxied = Decision("inc", MappingProxyType({"u": 0.5, "v": -1.0}))
+    assert type(proxied.controls) is dict and proxied == d
+    controls = {"u": 0.5}
+    assert Decision("inc", controls).controls is controls
     # the dataclasses module sees the fields action and controls
     assert dataclasses.replace(d, action="dec") == Decision("dec", {"u": 0.5, "v": -1.0})
     assert dataclasses.asdict(d) == {"action": "inc", "controls": {"u": 0.5, "v": -1.0}}
 
 
-def test_decision_controls_is_a_fresh_dict():
-    d = Decision("inc", {"u": 0.5})
-    controls = d.controls
-    assert controls == {"u": 0.5} and controls is not d.controls
-    controls["u"] = 1.0
-    controls["v"] = 2.0
-    assert d.controls == {"u": 0.5}
+def test_plan_and_tree_share_no_controls_dict():
+    """Writing to one plan step's controls changes neither the decisions
+    the search tree reads back nor the plan's other steps."""
+    problem = generate(default_ladder()[5])        # sailing: two controls
+    result = run_search(problem, SearchConfig(seed=1, expansion_limit=3000))
+    assert result.outcome == "solved" and len(result.plan) > 1
+    tree = result.root.tree
+    decisions = copy.deepcopy([TreeNode(tree, uid).decision for uid in range(len(tree))])
+    rest = copy.deepcopy(result.plan[1:])
+    for name in problem._control_names:
+        result.plan[0].controls[name] = math.inf
+    assert [TreeNode(tree, uid).decision for uid in range(len(tree))] == decisions
+    assert result.plan[1:] == rest
 
 
 def test_decision_equality_repr_and_hash():
@@ -675,18 +697,16 @@ def test_decision_pickles_and_copies():
                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in (*pickled, copy.copy(d), copy.deepcopy(d)):
             assert twin == d and twin is not d
-            assert twin.names == d.names and twin.values == d.values
 
 
 def test_sampled_decisions():
-    """A sampler's decisions share the problem's control names and equal
-    the decisions the constructor builds."""
+    """A sampler's decisions hold the problem's control names in declared
+    order and equal the decisions the constructor builds."""
     problem = generate(default_ladder()[5])        # sailing: two controls
     result = run_search(problem, SearchConfig(seed=1, expansion_limit=3000))
     assert result.outcome == "solved" and len(result.plan) > 1
     for d in result.plan:
-        assert d.names is problem._control_names
-        assert d == Decision(d.action, dict(zip(d.names, d.values)))
+        assert list(d.controls) == list(problem._control_names)
         assert Decision(d.action, d.controls) == d
 
 

@@ -547,6 +547,9 @@ def test_seeded_trajectories_are_pinned():
     a trajectory change (and records its new bench fingerprints) may
     regenerate it: print the sha256 of `repr(records)` below and paste it.
     """
+    def steps(r):
+        return [(d.action, tuple(d.controls.values())) for d in r.plan or ()]
+
     records = []
     for spec in default_ladder():
         problem = generate(spec)
@@ -556,10 +559,9 @@ def test_seeded_trajectories_are_pinned():
                 r = run_search(problem, SearchConfig(mode=mode, sampler=sampler, seed=0,
                                                      expansion_limit=cap))
                 records.append((r.outcome, len(r.plan or ()), r.expansions,
-                                r.reexpansions, r.peak_open,
-                                [(d.action, d.values) for d in r.plan or ()]))
+                                r.reexpansions, r.peak_open, steps(r)))
         r = run_mcts(problem, MctsConfig(seed=0, trial_limit=50))
-        records.append((r.outcome, [(d.action, d.values) for d in r.plan or ()]))
+        records.append((r.outcome, steps(r)))
     assert len(records) == 20 * 7
     assert hashlib.sha256(repr(records).encode()).hexdigest() == (
         "4b0bd0d4f4b43bd39184b17ad01086e5bc7dbcc34ea9ba0036ea6a0edfb7b3b8")

@@ -355,8 +355,8 @@ def test_rows_read_back_every_value_bit_for_bit(n_bools, n_nums, n_controls, dat
         assert state.layout is problem.init.layout
         assert all(got is want for got, want in zip(state.bool_values, flags, strict=True))
         assert bits(state.num_values) == bits(numbers)
-        assert (decision.action, decision.names) == (action.name, problem._control_names)
-        assert bits(decision.values) == bits(values)
+        assert (decision.action, tuple(decision.controls)) == (action.name, problem._control_names)
+        assert bits(tuple(decision.controls.values())) == bits(values)
     assert (tree.state(0).bool_values, TreeNode(tree, 0).decision) == ((False,) * n_bools, None)
 
 
