@@ -5,8 +5,8 @@ semantics, `codegen` compiles them to the Python functions that evaluate
 them, `dsl` reads and writes them as s-expressions, `domains` generates
 benchmark families, `search` runs the sampling-based best-first planner and
 a Monte Carlo baseline, `sampling` and the goal-count heuristic of `model`
-supply their plug-in points, and `harness` batches runs into CSV
-experiment suites. The `plan` console script fronts all of it.
+supply their plug-in points; the package exports that planner. Import
+`cvplan.harness` for CSV experiment suites; the `plan` script fronts all.
 """
 
 from .domains import (
@@ -19,7 +19,6 @@ from .domains import (
     make_sailing,
 )
 from .dsl import parse_problem, serialize_plan, serialize_problem, validate
-from .harness import AlgoSpec, RunRecord, SuiteConfig, load_suite, run_suite
 from .model import (
     Action,
     ControlValuation,
@@ -47,23 +46,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "AlgoSpec",
     "ControlValuation",
     "ControlVarSpec",
     "Decision",
     "InstanceSpec",
     "MctsConfig",
     "Problem",
-    "RunRecord",
     "SearchConfig",
     "SearchResult",
     "State",
-    "SuiteConfig",
     "TraceCheck",
     "default_ladder",
     "generate",
     "goal_test",
-    "load_suite",
     "make_blockgrouping",
     "make_counters",
     "make_drone",
@@ -74,7 +69,6 @@ __all__ = [
     "replay_plan",
     "run_mcts",
     "run_search",
-    "run_suite",
     "serialize_plan",
     "serialize_problem",
     "solution_cost_within_bound",

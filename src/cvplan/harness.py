@@ -12,7 +12,6 @@ runs.csv has the columns of CSV_HEADER, each a RunRecord field.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 import os
@@ -333,7 +332,7 @@ def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
     records: List[RunRecord] = []
     try:
         if cfg.workers > 1:
-            # here, so that importing cvplan loads no multiprocessing
+            # here, so that `plan solve` and `plan gen` load no process pool
             from concurrent.futures import ProcessPoolExecutor
         with (ProcessPoolExecutor(max_workers=cfg.workers)
               if cfg.workers > 1 else nullcontext()) as pool:
@@ -355,6 +354,7 @@ def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
 
 
 def _write_meta(cfg: SuiteConfig, records: Sequence[RunRecord], path: str):
+    import hashlib  # here, so that `plan solve` and `plan gen` load no OpenSSL
     lines = [] if cfg.source_text is None else [
         f"config_sha256={hashlib.sha256(cfg.source_text.encode('utf-8')).hexdigest()}"]
     lines += [

@@ -35,6 +35,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .model import Decision, Problem, State, goal_test, make_heuristic, state_key
@@ -93,14 +94,15 @@ class SearchTree:
     array("B") of one struct row per node, written and read bit for bit:
     the state's booleans and numerics in the problem's layout (<{b}?{n}d),
     the index of the node's action in problem.actions (i, -1 at the root)
-    and the decision's values in the order of the control names ({c}d,
+    and the decision's values read by name, in control name order ({c}d,
     zeros at the root). So a node holds no Python object for the garbage
     collector to track. A problem whose search could leave that format
     raises ValueError naming the cause, which Problem._refusal finds once
     per problem (model.Problem normalizes the rest on construction).
     add(parent, g, h, f, state, decision) appends a node at n = 0 and
-    trials = 0 and returns its uid; state(uid) and decision(uid) build node
-    uid's state and decision.
+    trials = 0 and returns its uid; it raises KeyError, adding nothing, for
+    a decision that lacks a control (an extra name is ignored). state(uid)
+    and decision(uid) build node uid's state and decision.
     """
 
     def __init__(self, problem: Problem):
@@ -117,6 +119,9 @@ class SearchTree:
         #: children, again once the tree has grown
         self._first, self._sibling = array("i"), array("i")
         index = {act.name: i for i, act in enumerate(actions)}
+        # itemgetter returns a bare value for one name and takes no zero names
+        values_of = (itemgetter(*names) if len(names) > 1 else
+                     (lambda c, one=itemgetter(*names): (one(c),)) if names else lambda c: ())
         root, new, layout = (-1, (0.0,) * len(names)), object.__new__, problem.init.layout
         unpack_state, unpack_decision = state_row.unpack_from, decision_row.unpack_from
 
@@ -133,6 +138,9 @@ class SearchTree:
         def add(parent: int, g: int, h: float, f: float, state: State,
                 decision: Optional[Decision]) -> int:
             nonlocal size, parents, gs, ns, trials, hs, fs, put_row
+            action, values = ((index[decision.action], values_of(decision.controls))
+                              if decision else root)
+            row = pack(*state.bool_values, *state.num_values, action, *values)
             uid = size
             if not uid & MASK and uid:
                 parents, gs, ns, trials, hs, fs, put_row = open_block()
@@ -142,9 +150,7 @@ class SearchTree:
             ns(0)
             trials(0)
             fs(f)
-            action, values = ((index[decision.action], decision.controls.values())
-                              if decision else root)
-            put_row(pack(*state.bool_values, *state.num_values, action, *values))
+            put_row(row)
             size = uid + 1
             return uid
 

@@ -353,8 +353,16 @@ class TestRunSuite:
         assert "error" not in {r.outcome for r in seq}
 
     def test_importing_cvplan_loads_no_multiprocessing(self):
-        """Only a suite run with workers > 1 imports the process pool."""
-        script = "import sys, cvplan, cvplan.cli\nassert 'multiprocessing' not in sys.modules\n"
+        """Only a suite run with workers > 1 imports the process pool, and
+        only suite meta hashlib. import cvplan loads the planner alone: not
+        the harness, nor csv."""
+        script = ("import sys, cvplan\n"
+                  "loaded = {*sys.modules} & {'cvplan.harness', 'csv', 'hashlib',"
+                  " 'multiprocessing'}\n"
+                  "assert not loaded, loaded\n"
+                  "import cvplan.cli\n"
+                  "loaded = {*sys.modules} & {'hashlib', 'multiprocessing'}\n"
+                  "assert not loaded, loaded\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 

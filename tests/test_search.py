@@ -330,7 +330,9 @@ def test_rows_read_back_every_value_bit_for_bit(n_bools, n_nums, n_controls, dat
     """Over layouts of 0-3 booleans, 1-3 numerics and 0-2 controls, the
     nodes that add writes on either side of a block boundary read back
     from state and decision with every float's bits and each boolean the
-    True or False object."""
+    True or False object. add reads each control by name, whatever the
+    order of the decision's dict, and a decision that misnames a control
+    raises KeyError and adds no node."""
     bools = tuple(f"b{i}" for i in range(n_bools))
     nums = tuple(f"x{i}" for i in range(n_nums))
     controls = tuple(ControlVarSpec(f"u{i}", 0, 1) for i in range(n_controls))
@@ -341,16 +343,23 @@ def test_rows_read_back_every_value_bit_for_bit(n_bools, n_nums, n_controls, dat
         st.lists(st.booleans(), min_size=n_bools, max_size=n_bools),
         st.lists(st.floats(), min_size=n_nums, max_size=n_nums),
         st.sampled_from(actions),
-        st.lists(st.floats(), min_size=n_controls, max_size=n_controls)),
+        st.lists(st.floats(), min_size=n_controls, max_size=n_controls),
+        st.permutations(problem._control_names)),
         min_size=3, max_size=5))
     tree = SearchTree(problem)
     for _ in range(BLOCK - 2):
         tree.add(-1, 0, 0.0, 0.0, problem.init, None)
-    for flags, numbers, action, values in rows:
+    for flags, numbers, action, values, order in rows:
+        controls = dict(zip(problem._control_names, values))
         tree.add(0, 1, 0.0, 0.0, State(dict(zip(bools, flags)), dict(zip(nums, numbers))),
-                 Decision(action.name, dict(zip(problem._control_names, values))))
+                 Decision(action.name, {name: controls[name] for name in order}))
     assert len(tree.rows) == 2
-    for uid, (flags, numbers, action, values) in enumerate(rows, BLOCK - 2):
+    if n_controls:
+        misnamed = dict(zip(("w", *problem._control_names[1:]), values))
+        with pytest.raises(KeyError, match="u0"):
+            tree.add(0, 1, 0.0, 0.0, problem.init, Decision(action.name, misnamed))
+        assert len(tree) == BLOCK - 2 + len(rows)
+    for uid, (flags, numbers, action, values, _) in enumerate(rows, BLOCK - 2):
         state, decision = tree.state(uid), TreeNode(tree, uid).decision
         assert state.layout is problem.init.layout
         assert all(got is want for got, want in zip(state.bool_values, flags, strict=True))
