@@ -27,7 +27,7 @@ from .harness import (
     run_suite,
     survival_csv,
 )
-from .search import MctsConfig, SearchConfig, TraceCheck, drifted_nodes
+from .search import MctsConfig, SearchConfig, TraceCheck
 
 
 def _add_algo_flags(parser: argparse.ArgumentParser):
@@ -73,8 +73,7 @@ def _cmd_solve(args) -> int:
     print(f"outcome={result.outcome} expansions={result.expansions} "
           f"reexp_rate={result.reexpansion_rate:.4f} "
           f"time_s={result.time_s:.3f}", file=sys.stderr)
-    breaches = (check.finish() + drifted_nodes(result.root.tree, config)
-                if check is not None else [])
+    breaches = check.finish() if check is not None else []
     for breach in breaches:
         print(f"invariant: {breach}", file=sys.stderr)
     if breaches or result.plan is None:

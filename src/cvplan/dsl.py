@@ -28,7 +28,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import (
     Action, Add, And, BoolEq, Cmp, CMP_OPS, Const, Constraint, ControlVarSpec,
@@ -110,7 +110,7 @@ class SList:
     end: int
 
 
-SExpr = Union[SAtom, SList]
+SExpr = SAtom | SList
 
 #: a comment, a parenthesis or an atom; whatever lies between is whitespace
 _TOKEN_RE = re.compile(r";[^\n]*|[()]|[^() \t\r\n;]+")

@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 class ModelError(Exception):
@@ -132,7 +132,9 @@ class Pow(_Numeric):
     exponent: int
 
 
-NumericExpr = Union[Const, Var, Add, Sub, Mul, Neg, Pow]
+#: | unions, not typing.Union: typing's caches keep each Union[...] alias,
+#: and through it this module's classes, alive after the module is dropped
+NumericExpr = Const | Var | Add | Sub | Mul | Neg | Pow
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,7 @@ class Not(_Condition):
     item: "Constraint"
 
 
-Constraint = Union[Cmp, BoolEq, And, Or, Not]
+Constraint = Cmp | BoolEq | And | Or | Not
 
 TRUE = And(())
 

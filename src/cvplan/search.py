@@ -16,7 +16,7 @@ not when generated. A node the sampler reports exhausted (a finite decision
 set enumerated, or a state where no action can apply) is removed instead of
 reinserted, so searches over purely finite spaces terminate. The queue,
 OpenList, keeps one array of uids per queued f: f takes few distinct values,
-so a queued node costs about one 8-byte slot. Duplicate successors (by
+so a queued node costs about one 4-byte slot. Duplicate successors (by
 canonical state key) are discarded; uid_table finds them keeping no key,
 only each node's hash, and rebuilds a node's key from the tree on a match.
 
@@ -80,7 +80,7 @@ SHIFT, MASK = BLOCK.bit_length() - 1, BLOCK - 1
 
 
 class SearchTree:
-    """The best-first engine's nodes as seven columns indexed by uid: 0 for
+    """The best-first engine's nodes as six columns indexed by uid: 0 for
     the root, then the nodes in insertion order. Each column is a list of
     blocks of BLOCK nodes that fill by append and never move: a column
     grown as one buffer moves by realloc, and once a freed search's mmapped
@@ -89,8 +89,8 @@ class SearchTree:
 
     parent (-1 at the root), g, n and trials (the sampler's trials on the
     node, over all its expansions) are array("i")s of 4-byte ints, which
-    raise OverflowError past 2**31 - 1 rather than wrap; h and f (the
-    priority the node was last queued with) are array("d")s. rows is an
+    raise OverflowError past 2**31 - 1 rather than wrap; h is an array("d").
+    No priority is stored: f_value(g, h, n) gives it. rows is an
     array("B") of one struct row per node, written and read bit for bit:
     the state's booleans and numerics in the problem's layout (<{b}?{n}d),
     the index of the node's action in problem.actions (i, -1 at the root)
@@ -99,7 +99,7 @@ class SearchTree:
     collector to track. A problem whose search could leave that format
     raises ValueError naming the cause, which Problem._refusal finds once
     per problem (model.Problem normalizes the rest on construction).
-    add(parent, g, h, f, state, decision) appends a node at n = 0 and
+    add(parent, g, h, state, decision) appends a node at n = 0 and
     trials = 0 and returns its uid; it raises KeyError, adding nothing, for
     a decision that lacks a control (an extra name is ignored). state(uid)
     and decision(uid) build node uid's state and decision.
@@ -113,8 +113,8 @@ class SearchTree:
                                    struct.Struct(f"<i{len(names)}d"))
         pack = struct.Struct(state_row.format + decision_row.format[1:]).pack
         width, at = state_row.size + decision_row.size, state_row.size
-        self.parent, self.g, self.n, self.trials, self.h, self.f, self.rows = columns = (
-            [], [], [], [], [], [], rows := [])
+        self.parent, self.g, self.n, self.trials, self.h, self.rows = columns = (
+            [], [], [], [], [], rows := [])
         #: each node's first child and next sibling, -1 for none; built by
         #: children, again once the tree has grown
         self._first, self._sibling = array("i"), array("i")
@@ -129,27 +129,26 @@ class SearchTree:
             """Append a fresh block to every column; return add's appenders.
             Neither it nor add refers to the tree, so a dropped tree is freed
             without waiting for the cyclic collector."""
-            for column, typecode in zip(columns, "iiiiddB"):
+            for column, typecode in zip(columns, "iiiidB"):
                 column.append(array(typecode))
             return (*(column[-1].append for column in columns[:-1]), rows[-1].frombytes)
-        parents, gs, ns, trials, hs, fs, put_row = open_block()
+        parents, gs, ns, trials, hs, put_row = open_block()
         size = 0
 
-        def add(parent: int, g: int, h: float, f: float, state: State,
+        def add(parent: int, g: int, h: float, state: State,
                 decision: Optional[Decision]) -> int:
-            nonlocal size, parents, gs, ns, trials, hs, fs, put_row
+            nonlocal size, parents, gs, ns, trials, hs, put_row
             action, values = ((index[decision.action], values_of(decision.controls))
                               if decision else root)
             row = pack(*state.bool_values, *state.num_values, action, *values)
             uid = size
             if not uid & MASK and uid:
-                parents, gs, ns, trials, hs, fs, put_row = open_block()
+                parents, gs, ns, trials, hs, put_row = open_block()
             parents(parent)
             gs(g)
             hs(h)
             ns(0)
             trials(0)
-            fs(f)
             put_row(row)
             size = uid + 1
             return uid
@@ -198,7 +197,7 @@ def _column(name: str) -> property:
 
 class TreeNode:
     """View of node uid of a SearchTree, with the fields of a tree node.
-    g, h, n, f and trials read and write the tree's columns; state,
+    g, h, n and trials read and write the tree's columns; state,
     decision and parent (None at the root) and children (in insertion
     order) are built on each read. A uid outside range(len(tree)) raises
     IndexError."""
@@ -210,7 +209,7 @@ class TreeNode:
             raise IndexError(f"node {uid} is not in a tree of {len(tree)} nodes")
         self.tree, self.uid = tree, uid
 
-    g, h, n, f, trials = map(_column, ("g", "h", "n", "f", "trials"))
+    g, h, n, trials = map(_column, ("g", "h", "n", "trials"))
 
     @property
     def state(self) -> State:
@@ -238,14 +237,16 @@ def f_value(g: int, h: float, n: int, mode: str, rect: Callable[[int], float]) -
 
 class OpenList:
     """Bucket queue of uids keyed by f (Dial, CACM 1969): a dict from each
-    queued f to [head, uids], the array("q") of the uids pushed at that f in
+    queued f to [head, uids], the array("i") of the uids pushed at that f in
     push order, those before head popped, and a min-heap of the f values that
     have a bucket. pop takes the smallest f, and within it the earliest push.
 
-    A bucket keeps one 8-byte slot per push since it opened, and goes, with
+    A bucket keeps one 4-byte slot per push since it opened, and goes, with
     its heap entry, once it empties. Every rectifier is strictly increasing,
     so a node is requeued at a larger f each time and enters a bucket at most
-    once: no bucket holds more slots than the tree has nodes."""
+    once: no bucket holds more slots than the tree has nodes. A uid past
+    2**31 - 1, which the tree's parent column cannot hold either, raises
+    OverflowError and leaves the queue as it was."""
 
     def __init__(self):
         self._buckets: Dict[float, list] = {}
@@ -254,9 +255,11 @@ class OpenList:
     def push(self, f: float, uid: int):
         bucket = self._buckets.get(f)
         if bucket is None:
-            bucket = self._buckets[f] = [0, array("q")]
+            # the array takes the uid before f enters the heap
+            self._buckets[f] = [0, array("i", (uid,))]
             heapq.heappush(self._fs, f)
-        bucket[1].append(uid)
+        else:
+            bucket[1].append(uid)
 
     def pop(self) -> int:
         bucket = self._buckets[self._fs[0]]
@@ -276,24 +279,27 @@ def uid_table(key: Callable[[int], Hashable]) -> Callable[[Hashable], int]:
     k, or -1 after adding k under the next uid. The table is an array("i")
     of 4-byte uids, -1 where empty, power-of-two sized, at most half full
     (it grows fourfold) and probed linearly from hash & mask; hashes holds
-    each uid's 8-byte hash, and keys are compared only where hashes are
-    equal. So a key costs 16 to 40 B."""
-    hashes, slots, mask = array("q"), array("i", [-1]) * 8, 7
+    each uid's 8-byte hash in blocks of BLOCK, and keys are compared only
+    where hashes are equal. So a key costs 16 to 40 B."""
+    hashes, slots, mask, size = [], array("i", [-1]) * 8, 7, 0
 
     def add(k: Hashable) -> int:
-        nonlocal slots, mask
+        nonlocal slots, mask, size
         h = hash(k)
         i = h & mask
         while (uid := slots[i]) >= 0:
-            if hashes[uid] == h and key(uid) == k:
+            if hashes[uid >> SHIFT][uid & MASK] == h and key(uid) == k:
                 return uid
             i = (i + 1) & mask
-        uid = slots[i] = len(hashes)
-        hashes.append(h)
+        uid = slots[i] = size
+        if not uid & MASK:
+            hashes.append(array("q"))
+        hashes[-1].append(h)
+        size = uid + 1
         if 2 * uid >= mask:
             mask = 4 * mask + 3
             slots = array("i", [-1]) * (mask + 1)
-            for uid, h in enumerate(hashes):
+            for uid, h in enumerate(chain.from_iterable(hashes)):
                 i = h & mask
                 while slots[i] >= 0:
                     i = (i + 1) & mask
@@ -383,6 +389,8 @@ def run_search(problem: Problem, cfg: SearchConfig,
     TraceCheck to check the run as it goes); it receives one tuple per event:
     ("extract", uid, f), ("goal", uid, hit), ("insert", uid, f),
     ("duplicate", uid), ("fail", uid), ("reinsert", uid, f), ("drop", uid).
+    An extract event's f is recomputed from the node's g, h and n by the
+    expression that queued it: f_value(g, h, n), bit for bit.
     """
     check_config(cfg)
     rng = random.Random(cfg.seed)
@@ -397,10 +405,10 @@ def run_search(problem: Problem, cfg: SearchConfig,
     deadline = t0 + cfg.time_limit
     tree = SearchTree(problem)
     add, state_at = tree.add, tree.state
-    gs, hs, ns, fs, trials = tree.g, tree.h, tree.n, tree.f, tree.trials
+    gs, hs, ns, trials = tree.g, tree.h, tree.n, tree.trials
     h0 = h_fn(problem.init)
     f0 = f_value(0, h0, 0, mode, rect)
-    root = add(-1, 0, h0, f0, problem.init, None)
+    root = add(-1, 0, h0, problem.init, None)
     open_list = OpenList()
     push, pop = open_list.push, open_list.pop
     push(f0, root)
@@ -427,7 +435,8 @@ def run_search(problem: Problem, cfg: SearchConfig,
         uid = pop()
         block, i = uid >> SHIFT, uid & MASK
         if emit:
-            emit(("extract", uid, fs[block][i]))
+            h, n = hs[block][i], ns[block][i]
+            emit(("extract", uid, gs[block][i] + (h + rect(n)) if sa else h + rect(n)))
 
         state = state_at(uid)
         hit = goal_test(state, problem.goal)
@@ -454,7 +463,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
             else:
                 h = h_fn(sample.successor)
                 f = g + 1 + (h + r0) if sa else h + r0
-                child = add(uid, g + 1, h, f, sample.successor, sample.decision)
+                child = add(uid, g + 1, h, sample.successor, sample.decision)
                 push(f, child)
                 size += 1
                 if emit:
@@ -464,7 +473,7 @@ def run_search(problem: Problem, cfg: SearchConfig,
                 emit(("fail", uid))
 
         n = ns[block][i] = n + 1
-        f = fs[block][i] = g + (hs[block][i] + rect(n)) if sa else hs[block][i] + rect(n)
+        f = g + (hs[block][i] + rect(n)) if sa else hs[block][i] + rect(n)
         if sample.exhausted:
             size -= 1
             if emit:
@@ -507,20 +516,6 @@ def solution_cost_within_bound(result: SearchResult, root: TreeNode,
     return len(result.plan) <= root.h + rect(root.n) + tol
 
 
-def drifted_nodes(tree: SearchTree, cfg: SearchConfig) -> List[str]:
-    """A message per node of a finished tree whose stored f is off
-    f_value(g, h, n) by more than F_TOL: the events a TraceCheck sees carry
-    no g or h."""
-    rect = RECTIFIERS[cfg.rectifier]
-    bad = []
-    columns = (chain.from_iterable(blocks) for blocks in (tree.g, tree.h, tree.n, tree.f))
-    for uid, (g, h, n, f) in enumerate(zip(*columns)):
-        expect = f_value(g, h, n, cfg.mode, rect)
-        if abs(f - expect) > F_TOL:
-            bad.append(f"node {uid} at f {f!r}, not {expect!r}")
-    return bad
-
-
 _REQUEUE = ("reinsert", "drop")
 #: the event kinds allowed after each kind (a goal hit allows none)
 _NEXT = {"extract": ("goal",),
@@ -536,7 +531,10 @@ class TraceCheck:
     most one insert, duplicate or fail, then one reinsert or drop of that
     node; a goal hit ends the trace. The priority invariants:
 
-    - a node is extracted at the f it was last queued with;
+    - a node is extracted at the f it was last queued with. run_search
+      sends f_value(g, h, n) of the node's columns as the extracted f, so
+      this checks each stored g, h and n against the queued f whenever the
+      node leaves the queue (a never-extracted node's f decides nothing);
     - a node is reinserted at f0 + r(n) within F_TOL, f0 being the f it was
       first queued with and n its partial-expansion count. In both modes
       f(g, h, n) = f(g, h, 0) + r(n), so this catches a drifting f;

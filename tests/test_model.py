@@ -1021,3 +1021,30 @@ def test_normal_problems_keep_their_parts():
     reordered = Problem("p", ("b",), ("x", "y"), (), (), State({"b": 1}, {"y": 2, "x": 0}), TRUE)
     assert reordered.init.layout is layout_of(("b",), ("x", "y"))
     assert (reordered.init.bool_values, reordered.init.num_values) == ((True,), (0.0, 2.0))
+
+
+#: weakrefs to a class of model, dsl and search; cvplan purged from
+#: sys.modules with no binding left, re-imported and collected; prints the
+#: referents still alive
+PURGED_IMPORT = """
+import gc, sys, weakref
+import cvplan.dsl, cvplan.model, cvplan.search
+refs = [weakref.ref(cvplan.model.Const), weakref.ref(cvplan.dsl.SAtom),
+        weakref.ref(cvplan.search.SearchTree)]
+del cvplan
+for name in [name for name in sys.modules if name.split(".")[0] == "cvplan"]:
+    del sys.modules[name]
+import cvplan
+gc.collect()
+print([ref() for ref in refs if ref() is not None])
+"""
+
+
+def test_a_purged_import_of_cvplan_is_freed():
+    """Dropping cvplan from sys.modules frees its modules' classes: nothing
+    outside the package, such as typing's caches of a Union[...] alias,
+    keeps them alive beside a fresh import."""
+    proc = subprocess.run([sys.executable, "-c", PURGED_IMPORT], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

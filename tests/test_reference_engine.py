@@ -10,6 +10,7 @@ import pytest
 
 import reference_engine as reference
 from cvplan import MctsConfig, SearchConfig, default_ladder, generate, run_mcts, run_search
+from cvplan.search import RECTIFIERS, f_value
 from cvplan.sampling import SAMPLER_KINDS
 
 LADDER = [generate(spec) for spec in default_ladder()]
@@ -35,8 +36,9 @@ def plan_bits(plan):
 @pytest.mark.parametrize("mode", ("sg", "sa"))
 def test_run_search_matches_the_reference(mode, sampler):
     """Outcome, plan, expansions, re-expansions and peak open, then every
-    column of the tree: parent, g, n and trials by value, h and f by their
-    bits, and each node's state (its booleans as the True or False
+    column of the tree: parent, g, n and trials by value, h by its bits,
+    f_value of each node's g, h and n against the reference's stored f by
+    their bits, and each node's state (its booleans as the True or False
     objects) and decision by their bits."""
     outcomes = set()
     for problem in LADDER:
@@ -52,9 +54,10 @@ def test_run_search_matches_the_reference(mode, sampler):
             for name in ("parent", "g", "n", "trials"):
                 assert [*chain.from_iterable(getattr(tree, name))] == getattr(want, name), (
                     f"{name} of {where}")
-            for name in ("h", "f"):
-                assert b"".join(getattr(tree, name)) == bits(getattr(want, name)), (
-                    f"{name} of {where}")
+            assert b"".join(tree.h) == bits(want.h), f"h of {where}"
+            columns = (chain.from_iterable(getattr(tree, name)) for name in ("g", "h", "n"))
+            assert bits(f_value(g, h, n, mode, RECTIFIERS[cfg.rectifier])
+                        for g, h, n in zip(*columns)) == bits(want.f), f"f of {where}"
             for uid, (state, decision) in enumerate(zip(want.states, want.decisions)):
                 node = tree.state(uid)
                 assert ((repr(node.bool_values), bits(node.num_values))
