@@ -19,6 +19,7 @@ driven by an explicit seed) and produce Problems that validate cleanly.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -308,8 +309,9 @@ GENERATORS: Dict[str, Generator] = {
 @dataclass(frozen=True)
 class InstanceSpec:
     """Domain name, integer size parameters, and a layout seed. The domain
-    and parameter names must be those of GENERATORS, and only a seeded
-    domain takes a nonzero seed, else ValueError."""
+    and parameter names must be those of GENERATORS, every parameter within
+    the float range, and only a seeded domain takes a nonzero seed, else
+    ValueError."""
     domain: str
     params: Dict[str, int] = field(default_factory=dict)
     seed: int = 0
@@ -317,9 +319,11 @@ class InstanceSpec:
     def __post_init__(self):
         gen = GENERATORS.get(self.domain)
         _check(gen is not None, f"unknown domain {self.domain!r}")
-        for key in self.params:
+        for key, value in self.params.items():
             _check(key in gen.params, f"{self.domain} takes no parameter {key!r};"
                    f" it takes {', '.join(gen.params)}")
+            _check(abs(value) <= sys.float_info.max,
+                   f"{self.domain} parameter {key!r} is beyond the float range")
         for key in gen.required:
             _check(key in self.params, f"missing parameter {key!r} for {self.domain}")
         _check(gen.seeded or self.seed == 0, f"{self.domain} takes no layout seed")

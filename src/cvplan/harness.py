@@ -330,12 +330,14 @@ def run_suite(cfg: SuiteConfig, out_dir: Optional[str] = None,
         stream.flush()
 
     records: List[RunRecord] = []
+    # a fork pool starts all its workers at the first submit
+    workers = min(cfg.workers, len(cells))
     try:
-        if cfg.workers > 1:
+        if workers > 1:
             # here, so that `plan solve` and `plan gen` load no process pool
             from concurrent.futures import ProcessPoolExecutor
-        with (ProcessPoolExecutor(max_workers=cfg.workers)
-              if cfg.workers > 1 else nullcontext()) as pool:
+        with (ProcessPoolExecutor(max_workers=workers)
+              if workers > 1 else nullcontext()) as pool:
             # the pool's map, like the built-in one, yields in cell order
             for record in (pool.map if pool else map)(_cell_worker, cells):
                 records.append(record)

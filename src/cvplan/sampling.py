@@ -149,24 +149,20 @@ def sample_systematic(state: State, start: int, problem: Problem,
     alive = problem._liveness[state.layout](state)
     draw = problem._draw[grid_digits]
     trials = 0
-    next_check = _CLOCK_EVERY if deadline is not None else -1
     while trials < budget:
-        if trials == next_check:
-            if perf_counter() > deadline:
-                break
-            next_check += _CLOCK_EVERY
         i = start + trials
         if dims == 0 and i >= n_actions:
             return SampleOutcome(trials=trials, exhausted=True)
         trials += 1
-        if not alive[i % n_actions]:
-            continue
-        action = problem.actions[i % n_actions]
-        mu = draw(map(dyadic_value, dyadic_tuple(dims, i // n_actions)).__next__)
-        succ = try_apply(state, action, mu)
-        if succ is not None:
-            return SampleOutcome(Decision(action.name, mu), succ, trials,
-                                 exhausted=dims == 0 and i + 1 >= n_actions)
+        if alive[i % n_actions]:
+            action = problem.actions[i % n_actions]
+            mu = draw(map(dyadic_value, dyadic_tuple(dims, i // n_actions)).__next__)
+            succ = try_apply(state, action, mu)
+            if succ is not None:
+                return SampleOutcome(Decision(action.name, mu), succ, trials,
+                                     exhausted=dims == 0 and i + 1 >= n_actions)
+        if not trials % _CLOCK_EVERY and deadline is not None and perf_counter() > deadline:
+            break
     return SampleOutcome(trials=trials)
 
 
@@ -196,12 +192,9 @@ def sample_uniform(state: State, problem: Problem, rng: random.Random,
     getrandbits, uniform01 = rng.getrandbits, rng.random
     draw = problem._draw[grid_digits]
     trials = 0
-    next_check = _CLOCK_EVERY if deadline is not None else -1
     for count in range(1, budget + 1):
-        if count == next_check:
-            if perf_counter() > deadline:
-                return SampleOutcome(trials=trials)
-            next_check += _CLOCK_EVERY
+        if not count % _CLOCK_EVERY and deadline is not None and perf_counter() > deadline:
+            return SampleOutcome(trials=trials)
         # Random.randrange(n_actions), spelled out
         i = getrandbits(bits)
         while i >= n_actions:
@@ -241,9 +234,9 @@ def sample_heuristic(state: State, problem: Problem, h: Callable[[State], float]
 
     Candidates whose rejection budget runs out simply do not materialize; with
     no candidate at all the call fails. On heuristic plateaus the selection is
-    uniform over the candidates. A call whose candidate draw is cut short at
-    the deadline fails. A state where sample_uniform finds no action that
-    can apply makes the call exhausted.
+    uniform over the candidates. The clock is read after every candidate,
+    found or not, and a call found past the deadline fails. A state where
+    sample_uniform finds no action that can apply makes the call exhausted.
     """
     found: List[SampleOutcome] = []
     trials = 0
@@ -254,7 +247,7 @@ def sample_heuristic(state: State, problem: Problem, h: Callable[[State], float]
         trials += out.trials
         if out.ok:
             found.append(out)
-        elif deadline is not None and perf_counter() > deadline:
+        if deadline is not None and perf_counter() > deadline:
             return SampleOutcome(trials=trials)
     if not found:
         return SampleOutcome(trials=trials)

@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .model import Decision, Problem, State, goal_test, make_heuristic, state_key
-from .sampling import make_sampler, sample_uniform
+from .sampling import _CLOCK_EVERY, make_sampler, sample_uniform
 
 #: priority rectifiers by CLI tag; each maps the partial-expansion counter
 #: n >= 0 to a nonnegative increment with r(0) = 0
@@ -659,11 +659,15 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
 
     A node with N visits may hold at most ceil(k * N**alpha) children; visits
     are counted on entry so a fresh node may always receive its first child.
+    An integer child count is below that ceil exactly when it is below
+    k * N**alpha, which the loop compares instead, so a cap beyond the float
+    range is inf, not an OverflowError.
     A trial's reward is 1 when it reaches a goal (at which point the trial's
     decision prefix is returned as the plan) and 1 / (1 + h(final)) when the
-    rollout is cut off. As in run_search, sampling stops at the deadline
-    that cfg.time_limit sets, and a problem whose actions share a name
-    raises ValueError (Problem._name_clash). widen_violations, when given,
+    rollout is cut off. As in run_search, sampling, and a rollout every
+    _CLOCK_EVERY steps, stop at the deadline that cfg.time_limit sets, and a
+    problem whose actions share a name raises ValueError
+    (Problem._name_clash). widen_violations, when given,
     collects (visits, child count) pairs seen above the cap; it stays empty
     unless the widening rule is broken.
     """
@@ -672,9 +676,9 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
         raise ValueError(problem._name_clash)
     rng = random.Random(cfg.seed)
     h_fn = make_heuristic(problem)
-    budget = cfg.reject_budget
-    digits = cfg.grid_digits
-    t0 = time.perf_counter()
+    budget, digits = cfg.reject_budget, cfg.grid_digits
+    clock, limit = time.perf_counter, cfg.trial_limit or math.inf
+    t0 = clock()
     deadline = t0 + cfg.time_limit
     root = MctsNode(problem.init, None)
     trials = 0
@@ -683,13 +687,13 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
     def finish(out: str) -> SearchResult:
         return SearchResult(
             outcome=out, plan=plan, expansions=trials, reexpansions=0,
-            peak_open=0, time_s=time.perf_counter() - t0, root=root,
+            peak_open=0, time_s=clock() - t0, root=root,
         )
 
     while True:
-        if cfg.trial_limit is not None and trials >= cfg.trial_limit:
+        if trials >= limit:
             return finish("budget")
-        if time.perf_counter() - t0 > cfg.time_limit:
+        if clock() > deadline:
             return finish("timeout")
         trials += 1
 
@@ -702,8 +706,8 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
             if goal_test(node.state, problem.goal):
                 plan = decisions
                 return finish("solved")
-            allowed = math.ceil(cfg.k * node.visits ** cfg.alpha)
-            if len(node.children) > allowed and widen_violations is not None:
+            allowed = cfg.k * node.visits ** cfg.alpha
+            if len(node.children) - 1 >= allowed and widen_violations is not None:
                 widen_violations.append((node.visits, len(node.children)))
             if len(node.children) < allowed:
                 out = sample_uniform(node.state, problem, rng, budget, digits, deadline)
@@ -727,7 +731,9 @@ def run_mcts(problem: Problem, cfg: MctsConfig,
         # rollout
         state = node.state
         reached_goal = False
-        for _ in range(cfg.rollout_depth):
+        for step in range(1, cfg.rollout_depth + 1):
+            if not step % _CLOCK_EVERY and clock() > deadline:
+                break
             out = sample_uniform(state, problem, rng, budget, digits, deadline)
             if not out.ok:
                 break

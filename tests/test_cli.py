@@ -71,6 +71,19 @@ class TestGen:
         assert main(argv) == 2
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("domain,params,key", [
+        ("counters", ["n=2"], "m"),
+        ("blockgrouping", ["b=2", "g=1"], "grid"),
+        ("drone", ["grid=2", "p=1"], "battery"),
+    ])
+    def test_param_beyond_float_range(self, capsys, domain, params, key):
+        argv = ["gen", domain]
+        for param in params + [f"{key}={'9' * 400}"]:
+            argv += ["-p", param]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            f"error: {domain} parameter {key!r} is beyond the float range\n"
+
     def test_stray_seed(self, capsys):
         assert main(["gen", "counters", "-p", "n=2", "--seed", "5"]) == 2
         assert "counters takes no layout seed" in capsys.readouterr().err
@@ -114,6 +127,14 @@ class TestSolve:
                      "--expansion-limit", "2000"])
         assert code == 0
         assert capsys.readouterr().out.startswith("plan length=")
+
+    def test_mcts_cap_beyond_float_range(self, tmp_path, capsys):
+        path = str(tmp_path / "c6.plan")
+        assert main(["gen", "counters", "-p", "n=6", "-o", path]) == 0
+        code = main(["solve", path, "--algo", "mcts", "--k", "1e308",
+                     "--expansion-limit", "500"])
+        assert code == 1
+        assert "outcome=budget expansions=500" in capsys.readouterr().err
 
     def test_assertions_flag(self, counters_file):
         assert main(["solve", counters_file, "--assert", "on"]) == 0

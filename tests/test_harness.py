@@ -108,6 +108,12 @@ class TestLoadSuite:
                          "algo = a algo=sg\n")
         assert len(cfg.instances) == 1
 
+    def test_rejects_a_param_beyond_the_float_range(self):
+        text = f"algo = a\ninstance = counters n=2 m={'9' * 400}\n"
+        with pytest.raises(ValueError, match="^line 2: counters parameter 'm' "
+                                             "is beyond the float range$"):
+            load_suite(text)
+
     @pytest.mark.parametrize("text,fragment", [
         ("nonsense\n", "key = value"),
         ("frobnicate = 1\ninstance = counters n=2\nalgo = a algo=sg\n",
@@ -351,6 +357,33 @@ class TestRunSuite:
         assert key == [(r.instance, r.algorithm, r.seed, r.outcome, r.plan_len,
                         r.expansions) for r in par]
         assert "error" not in {r.outcome for r in seq}
+
+    def test_workers_at_most_one_per_cell(self, monkeypatch, tmp_path):
+        """A suite starts no more workers than it has cells, and no pool for
+        a single cell; meta.txt keeps the workers setting."""
+        import concurrent.futures
+        sizes = []
+
+        class RecordingPool:
+            map = staticmethod(map)
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        text = "workers = 6\ninstance = counters n=2 m=10 u=1\nalgo = a algo=sg\n"
+        run_suite(load_suite(text), out_dir=str(tmp_path))
+        assert sizes == []
+        assert "workers=6\n" in (tmp_path / "meta.txt").read_text()
+        records = run_suite(load_suite(text + "seeds = 0 1\n"))
+        assert sizes == [2]
+        assert [r.outcome for r in records] == ["solved", "solved"]
 
     def test_importing_cvplan_loads_no_multiprocessing(self):
         """Only a suite run with workers > 1 imports the process pool, and

@@ -70,6 +70,28 @@ def test_time_limit_cuts_a_sampling_call_short():
     assert time.perf_counter() - t0 < 0.3 + 0.5
 
 
+def test_time_limit_cuts_a_rollout_short():
+    """A rollout of a million steps, each a successful draw, ends at the
+    run's deadline."""
+    p = make_sailing(1, 1, d_values=[1e9])
+    t0 = time.perf_counter()
+    result = run_mcts(p, MctsConfig(seed=0, time_limit=0.3, rollout_depth=10 ** 6))
+    assert result.outcome == "timeout"
+    assert result.expansions == 1
+    assert time.perf_counter() - t0 < 0.3 + 0.5
+
+
+def test_widening_cap_beyond_float_range():
+    """k * N**alpha is inf from the eighth visit on: the root widens on every
+    trial, and no ceil of it raises OverflowError."""
+    violations = []
+    result = run_mcts(make_counters(6), MctsConfig(k=1e308, trial_limit=500),
+                      widen_violations=violations)
+    assert result.outcome == "budget"
+    assert len(result.root.children) == result.root.visits == 500
+    assert violations == []
+
+
 def test_progressive_widening_cap():
     violations = []
     p = hopeless_problem()

@@ -440,8 +440,13 @@ def test_deadline_cuts_sampling_short():
     for call in calls:
         out = call(past)
         assert not out.ok and 0 < out.trials < 1000
-    # a deadline far off draws what no deadline draws
+    # the heuristic sampler reads the clock after a candidate it found too,
+    # so it stops after one candidate's at most 50 trials
     p = counters()
+    out = sample_heuristic(p.init, p, make_heuristic(p), random.Random(0), 50, 3,
+                           candidates=1000, deadline=past)
+    assert not out.ok and 0 < out.trials <= 50
+    # a deadline far off draws what no deadline draws
     a = sample_uniform(p.init, p, random.Random(1), 50, 3, time.perf_counter() + 600)
     b = sample_uniform(p.init, p, random.Random(1), 50, 3)
     assert (a.decision, a.trials) == (b.decision, b.trials)
