@@ -111,9 +111,15 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = read_records(f"{args.dir}/runs.csv")
-    if args.best_of:
-        records += best_of(records, args.best_of.split(","))
+    path = f"{args.dir}/runs.csv"
+    records = read_records(path)
+    listed = args.best_of.split(",") if args.best_of else []
+    if listed:
+        records += best_of(records, listed)
+    algorithms = {record.algorithm for record in records}
+    for algo in listed + (args.compare or []):
+        if algo not in algorithms:
+            raise ValueError(f"no runs of algorithm {algo!r} in {path}")
     if args.table:
         sys.stdout.write(coverage_csv(records, args.row, args.col))
     elif args.survival:

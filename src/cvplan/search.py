@@ -277,15 +277,17 @@ def uid_table(key: Callable[[int], Hashable]) -> Callable[[Hashable], int]:
     """Duplicate detection over uids 0, 1, 2, ... keeping no key: key(uid)
     recomputes uid's key. add(k) returns the uid of an added key equal to
     k, or -1 after adding k under the next uid. The table is an array("i")
-    of 4-byte uids, -1 where empty, power-of-two sized, at most half full
-    (it grows fourfold) and probed linearly from hash & mask; hashes holds
-    each uid's 8-byte hash in blocks of BLOCK, and keys are compared only
-    where hashes are equal. So a key costs 16 to 40 B."""
+    of 4-byte uids, -1 where empty, power-of-two sized, at most two-thirds
+    full (it doubles) and probed linearly from hash & mask; hashes holds
+    the low 32 bits of each uid's hash in blocks of BLOCK, and keys are
+    compared only where those are equal. Uids stay below 2**31, so mask
+    stays below 2**32 and a stored hash places its uid as the full hash
+    would. So a key costs 10 to 16 B."""
     hashes, slots, mask, size = [], array("i", [-1]) * 8, 7, 0
 
     def add(k: Hashable) -> int:
         nonlocal slots, mask, size
-        h = hash(k)
+        h = hash(k) & 0xFFFFFFFF
         i = h & mask
         while (uid := slots[i]) >= 0:
             if hashes[uid >> SHIFT][uid & MASK] == h and key(uid) == k:
@@ -293,11 +295,11 @@ def uid_table(key: Callable[[int], Hashable]) -> Callable[[Hashable], int]:
             i = (i + 1) & mask
         uid = slots[i] = size
         if not uid & MASK:
-            hashes.append(array("q"))
+            hashes.append(array("I"))
         hashes[-1].append(h)
         size = uid + 1
-        if 2 * uid >= mask:
-            mask = 4 * mask + 3
+        if 3 * size > 2 * (mask + 1):
+            mask = 2 * mask + 1
             slots = array("i", [-1]) * (mask + 1)
             for uid, h in enumerate(chain.from_iterable(hashes)):
                 i = h & mask

@@ -390,10 +390,24 @@ class TestReport:
         with pytest.raises(SystemExit):
             main(["report", suite_dir])
 
-    def test_compare_unknown_algorithm_gives_empty_body(self, suite_dir,
-                                                        capsys):
-        assert main(["report", suite_dir, "--compare", "sg-log", "zzz"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1
+    @pytest.mark.parametrize("flags", [
+        ["--compare", "nope", "sa-log"], ["--compare", "sg-log", "nope"],
+        ["--table", "--best-of", "nope"], ["--table", "--best-of", "sa-log,nope"],
+        ["--compare", "best:sa-log,nope", "sa-log", "--best-of", "sa-log,nope"],
+    ], ids=["compare-first", "compare-second", "best-of-alone", "best-of-listed",
+            "compare-best-of"])
+    def test_unknown_algorithm_is_an_error(self, suite_dir, capsys, flags):
+        capsys.readouterr()
+        assert main(["report", suite_dir, *flags]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: no runs of algorithm 'nope' in {suite_dir}/runs.csv\n")
+
+    def test_compare_a_best_of_column(self, suite_dir, capsys):
+        assert main(["report", suite_dir, "--compare", "best:sg-log,sa-log", "sa-log",
+                     "--best-of", "sg-log,sa-log"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == 'instance,seed,"best:sg-log,sa-log",sa-log'
+        assert len(lines) == 2
 
 
 class TestEntryPoints:

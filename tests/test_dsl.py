@@ -195,6 +195,32 @@ def test_error_spans_point_into_source():
     assert span.line == 2
 
 
+GRAMMAR_CASES = [
+    # (text, message, line, column of the offending form)
+    ("(problem p (bools f) (nums) (controls)\n"
+     "  (action a (pre (and)) (eff (set f maybe)))\n  (goal (and)))",
+     "expected true or false", 2, 37),
+    ("(problem p (bools) (nums (x 0)) (controls)\n  (goal (>= (^ x) 0)))",
+     "expected (^ expr int)", 2, 13),
+    ("(problem p (bools) (nums (x 0)) (controls)\n  (goal (>= (^ x -1) 0)))",
+     "exponent must be nonnegative", 2, 18),
+    ("(problem p (bools) (nums (x 0)) (controls)\n  (goal (and (not))))",
+     "not takes exactly one constraint", 2, 14),
+    ("(problem p (bools f) (nums) (controls)\n"
+     "  (action a (pre (and)) (eff (set f)))\n  (goal (and)))",
+     "expected (set name bool)", 2, 30),
+    ("(problem p (bools) (nums) (controls)\n  (goal))",
+     "expected (goal constraint)", 2, 3),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", GRAMMAR_CASES)
+def test_grammar_errors_at_their_form(text, message, line, col):
+    """Each grammar message points at the form it rejects."""
+    err = parse_err(text)[0]
+    assert (err.message, err.span.line, err.span.col) == (message, line, col)
+
+
 # -- validation -------------------------------------------------------------
 
 def test_validate_clean_problem():

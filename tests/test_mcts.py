@@ -29,6 +29,22 @@ def test_goal_at_root_first_trial():
     assert result.expansions == 1  # one trial
 
 
+def test_goal_at_first_widened_child():
+    """A child that is a goal ends the trial at once: its one decision is
+    the plan, with no rollout step after it."""
+    text = """(problem one (bools) (nums (x 0.0)) (controls (u 1 2))
+      (action a (pre (and)) (eff (assign x (+ x u))))
+      (goal (>= (- x 1) 0)))"""
+    p, diags = parse_problem(text)
+    assert p is not None, diags
+    result = run_mcts(p, MctsConfig(seed=0, trial_limit=10))
+    assert result.outcome == "solved"
+    assert [d.action for d in result.plan] == ["a"]
+    assert result.expansions == 1
+    assert [child.decision for child in result.root.children] == result.plan
+    assert goal_test(replay_plan(p, result.plan), p.goal)
+
+
 def test_counters2_solved_and_replayable():
     p = make_counters(2)
     cfg = MctsConfig(seed=4, trial_limit=20000, time_limit=30.0)

@@ -493,13 +493,16 @@ KEY_PARTS = (-1, -2, True, 1, 0, "a", "b")
                 min_size=100, max_size=400))
 def test_uid_table_matches_a_set(stream):
     """Insert and lookup streams, as add sees them: a key seen before is a
-    lookup, any other an insert under the next uid. Most streams hold over
-    65 distinct keys, which grow the table three times, from 8 slots to
-    512. Keys are compared only at equal hashes."""
+    lookup, any other an insert under the next uid. Most streams hold at
+    least 86 distinct keys, which double the table five times or more,
+    from 8 slots to 256 or beyond. Keys are compared only where the low 32
+    bits of their hashes are equal; with string parts under hash
+    randomization, such a match can hold for unequal keys, and every
+    returned uid is checked."""
     stored, probed, uids = [], [], {}
 
     def key(uid):
-        assert hash(stored[uid]) == hash(probed[-1])
+        assert hash(stored[uid]) & 0xFFFFFFFF == hash(probed[-1]) & 0xFFFFFFFF
         return stored[uid]
     add = search.uid_table(key)
     for k in stream:
@@ -516,16 +519,16 @@ def test_uid_table_matches_a_set(stream):
 
 
 def test_uid_table_finds_keys_across_hash_blocks():
-    """The hashes sit in blocks of BLOCK uids, and a key whose hash is in
-    any block is found again under its uid."""
+    """The low 32 bits of the hashes sit in 4-byte blocks of BLOCK uids,
+    and a key whose hash is in any block is found again under its uid."""
     keys = [("k", i) for i in range(2 * BLOCK + 5)]
     add = search.uid_table(keys.__getitem__)
     assert [add(k) for k in keys] == [-1] * len(keys)
     assert [add(k) for k in keys] == list(range(len(keys)))
     hashes = next(cell.cell_contents for cell in add.__closure__
                   if isinstance(cell.cell_contents, list))
-    assert [(block.typecode, len(block)) for block in hashes] == [
-        ("q", BLOCK), ("q", BLOCK), ("q", 5)]
+    assert [(block.typecode, block.itemsize, len(block)) for block in hashes] == [
+        ("I", 4, BLOCK), ("I", 4, BLOCK), ("I", 4, 5)]
 
 
 def micro_grid(y0=0.0):
@@ -674,6 +677,29 @@ def test_trace_validator_flags_corruption():
     assert validate_trace(bad3, "log")
     # a trace cut off mid-iteration
     assert validate_trace(trace[:2], "log")
+
+
+def test_trace_check_flags_an_extract_off_its_queued_f():
+    """A node extracted at an f other than the one it was queued with, or
+    while out of the queue, is a violation."""
+    head = [("extract", 0, 5.0), ("goal", 0, False), ("insert", 1, 6.0),
+            ("reinsert", 0, 6.0)]
+    off = [("extract", 1, 5.5), ("goal", 1, False), ("drop", 1)]
+    assert validate_trace(head + off, "lin") == [
+        "event 4: node 1 extracted at f 5.5, queued at 6.0"]
+    dropped = [("extract", 0, 5.0), ("goal", 0, False), ("drop", 0)]
+    assert validate_trace(dropped + dropped, "lin") == [
+        "event 3: node 0 extracted at f 5.0, queued at None"]
+
+
+def test_trace_check_flags_an_extract_never_queued():
+    """Once the trace has queued nodes, extracting any other node is a
+    violation; only the first extraction, the root's, predates the trace."""
+    head = [("extract", 0, 5.0), ("goal", 0, False), ("insert", 1, 6.0),
+            ("reinsert", 0, 6.0)]
+    stray = [("extract", 2, 6.0), ("goal", 2, False), ("drop", 2)]
+    assert validate_trace(head + stray, "lin") == [
+        "event 4: node 2 extracted but never queued"]
 
 
 def test_heap_property_via_shadow():
@@ -885,7 +911,7 @@ def test_node_memory_guard():
         tracemalloc.stop()
     nodes = len(result.root.tree)
     assert result.expansions == 20_000
-    assert peak / nodes <= 168, (peak, nodes)
+    assert peak / nodes <= 138, (peak, nodes)
 
 
 def test_integer_columns_are_four_bytes_and_overflow_loudly():
